@@ -39,9 +39,9 @@ from .core import (
     potential_array,
     potential_eval,
     delta as chambers_delta,
+    _mp_trace,
 )
 
-EDGE_TOL = 1e-10
 _BISECT_ITERS = 60
 
 __all__ = [
@@ -224,12 +224,8 @@ def _mp_discriminant_value(spec: OperatorSpec, E: float) -> float:
     q = spec.period
     dps = 35 + int(q * math.log10(abs(E) + spec.coupling + 3.0)) + 1
     with mpmath.workdps(dps):
-        x = mpmath.mpf(E)
-        a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
-        for j in range(1, q + 1):
-            e = x - mpmath.mpf(potential_eval(spec, j))
-            a, b, c, d = e * a - c, e * b - d, a, b
-        return float(a + d)
+        potentials = [mpmath.mpf(potential_eval(spec, j)) for j in range(1, q + 1)]
+        return float(_mp_trace(mpmath.mpf(E), potentials))
 
 
 def _dense(tr: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -442,9 +438,16 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> list[Band]:
 # public operations
 
 
+def _q_bands(bands: list[Band], q: int, name: str) -> SpectralSet:
+    """The set of ``bands``, which must number q: fewer means lost measure."""
+    if len(bands) != q:
+        raise RootFindingError(f"{name} came out with {len(bands)} bands, expected {q}")
+    return SpectralSet(tuple(bands))
+
+
 def spectrum_bands(spec: OperatorSpec) -> SpectralSet:
     """The q bands {|D_theta| <= 2} of a period-q operator."""
-    return SpectralSet(tuple(_sublevel_bands(spec, 2.0)))
+    return _q_bands(_sublevel_bands(spec, 2.0), spec.period, "spectrum")
 
 
 def _delta_spec(alpha: ReducedRational, lam: float) -> OperatorSpec:
@@ -456,7 +459,7 @@ def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     thr = 2.0 + 2.0 * (lam / 2.0) ** alpha.q
-    return SpectralSet(tuple(_sublevel_bands(_delta_spec(alpha, lam), thr)))
+    return _q_bands(_sublevel_bands(_delta_spec(alpha, lam), thr), alpha.q, f"S({alpha})")
 
 
 def sminus_points(alpha: ReducedRational, lam: float = 2.0):

@@ -4,23 +4,20 @@ Every subcommand writes a single artifact to --output (stdout by default):
 CSV with a mandatory header and 17-significant-digit floats, a JSON report
 with the fixed envelope {command, config, results, failures, version}, or
 an SVG plot for the butterfly.  Outputs are byte-identical for identical
-(config, seed) regardless of the parallelism degree; BUTTERFLY_THREADS
-sets the default worker count and the --threads flag wins over it.
+(config, seed) under the same BLAS thread setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .alpha import construct_alpha, verify_conditions
-from .bands import sminus_points, spectral_union_S, spectrum_bands
+from .bands import SminusPoints, sminus_points, spectral_union_S, spectrum_bands
 from .core import OperatorSpec, reduce_fraction
 from .experiments import (
     approximant_family,
@@ -70,18 +67,6 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BUTTERFLY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _alpha_arg(args):
     return reduce_fraction(args.p, args.q)
 
@@ -103,7 +88,6 @@ def cmd_butterfly(args) -> int:
         args.lam,
         theta_mode=args.theta_mode,
         theta=args.theta,
-        max_workers=_threads(args),
     )
     if args.format == "csv":
         _emit(_csv(["p", "q", "band", "lo", "hi"], ds.rows), args.output)
@@ -178,14 +162,15 @@ def cmd_bands(args) -> int:
 def cmd_sminus(args) -> int:
     config = {"p": args.p, "q": args.q, "lambda": args.lam, "format": args.format}
     res = sminus_points(_alpha_arg(args), args.lam)
-    if hasattr(res, "energies"):
+    if isinstance(res, SminusPoints):
+        header = ["index", "energy"]
         rows = [(i + 1, e) for i, e in enumerate(res.energies)]
         results = {"points": [e for e in res.energies]}
     else:
+        header = ["band", "lo", "hi"]
         rows = [(b.index, b.lo, b.hi) for b in res.bands]
         results = {"bands": [{"lo": b.lo, "hi": b.hi} for b in res.bands]}
     if args.format == "csv":
-        header = ["index", "energy"] if len(rows[0]) == 2 else ["band", "lo", "hi"]
         _emit(_csv(header, rows), args.output)
     else:
         _emit(_json_report("sminus", config, results, []), args.output)
@@ -355,7 +340,7 @@ def cmd_measure_decay(args) -> int:
             fam.append(reduce_fraction(int(pp), int(qq)))
     else:
         fam = approximant_family(base, args.kmin, args.kmax)
-    rep = measure_decay(base, args.delta, args.variant, fam, max_workers=_threads(args))
+    rep = measure_decay(base, args.delta, args.variant, fam)
     rows = [
         (r.approximant.p, r.approximant.q, r.measure, int(r.gate_ok)) for r in rep.rows
     ]
@@ -431,7 +416,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
     config = {"suite": args.suite, "seed": args.seed}
-    suites = run_suites(names, args.seed, _threads(args))
+    suites = run_suites(names, args.seed)
     failures = [
         f"{s['name']}:{c['name']}" for s in suites for c in s["checks"] if not c["ok"]
     ]
@@ -457,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="output path (default stdout)")
         if fmt_choices:
             sp.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-        sp.add_argument("--threads", type=int, default=None)
 
     def rational(sp):
         sp.add_argument("--p", type=int, required=True)

@@ -10,6 +10,14 @@ generic over their scalar type: ``complex`` for everyday work,
 ``fractions.Fraction`` for the exact evaluation path used by the q <= 8
 oracles, and :class:`DualComplex` when the energy derivative has to be
 carried through the recurrence.
+
+The recurrence runs in three forms.  ``monodromy`` and ``monodromy_scaled``
+multiply the matrices one energy at a time.  ``_grid_kernel`` is the one
+vectorized loop over the period: it carries the product at every energy of
+a grid, rescales it every few steps so it never overflows, and carries the
+energy derivative only when ``discriminant_and_derivative_grid`` asks for
+it (``discriminant_grid`` does not).  ``_mp_trace`` is the one mpmath loop,
+run over a list of potential values at whatever precision the caller sets.
 """
 
 from __future__ import annotations
@@ -355,17 +363,24 @@ def _mp_trig_table(q: int, dps: int):
 _MP_TRIG_CACHE: dict = {}
 
 
-def _mp_discriminant(alpha: ReducedRational, lam, theta, E, table):
-    """High-precision Tr Phi_q for the almost Mathieu potential."""
-    q = alpha.q
-    cos_t = mpmath.cos(theta)
-    sin_t = mpmath.sin(theta)
+def _mp_trace(E, potentials):
+    """Tr Phi_q(E) at the current mpmath precision, given V(1), ..., V(q)."""
     a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
-    for j in range(1, q + 1):
-        cm, sm = table[(alpha.p * j) % q]
-        e = E - lam * (cm * cos_t - sm * sin_t)
+    for v in potentials:
+        e = E - v
         a, b, c, d = e * a - c, e * b - d, a, b
     return a + d
+
+
+def _mp_potentials(alpha: ReducedRational, lam, theta, table) -> list:
+    """lam cos(2 pi p j / q + theta) for j = 1..q at the working precision."""
+    cos_t = mpmath.cos(theta)
+    sin_t = mpmath.sin(theta)
+    out = []
+    for j in range(1, alpha.q + 1):
+        cm, sm = table[(alpha.p * j) % alpha.q]
+        out.append(lam * (cm * cos_t - sm * sin_t))
+    return out
 
 
 def chambers_residual(
@@ -390,9 +405,9 @@ def chambers_residual(
             E_mp = mpmath.mpc(E.real, E.imag)
         else:
             E_mp = mpmath.mpf(complex(E).real)
-        d_theta = _mp_discriminant(alpha, lam_mp, theta_mp, E_mp, table)
-        d_ref = _mp_discriminant(
-            alpha, lam_mp, mpmath.pi / (2 * q), E_mp, table
+        d_theta = _mp_trace(E_mp, _mp_potentials(alpha, lam_mp, theta_mp, table))
+        d_ref = _mp_trace(
+            E_mp, _mp_potentials(alpha, lam_mp, mpmath.pi / (2 * q), table)
         )
         resid = abs(
             d_theta - d_ref + 2 * (lam_mp / 2) ** q * mpmath.cos(q * theta_mp)
@@ -408,20 +423,15 @@ def _grid_dtype(energies: np.ndarray) -> np.dtype:
     return np.complex128 if np.iscomplexobj(energies) else np.float64
 
 
-def discriminant_grid(
-    spec: OperatorSpec, energies: np.ndarray, return_peak: bool = False
-):
-    """D at every grid energy, in scaled form (mantissa, log_scale).
+def _grid_kernel(spec: OperatorSpec, energies: np.ndarray, with_derivative: bool):
+    """The scaled one-period recurrence at every grid energy.
 
-    D = mantissa * exp(log_scale) elementwise; log_scale stays finite where
-    a direct product would overflow.  With ``return_peak`` the running
-    maximum of log_scale comes along too: rounding in the recurrence is
-    amplified by the largest intermediate product, so eps * exp(peak) is an
-    evaluation-noise estimate for D.
+    Carries Phi = [[a, b], [c, d]] and, when asked, its energy derivative
+    [[da, db], [dc, dd]]; every _RESCALE_EVERY steps all entries are divided
+    by max(|a|, |b|, |c|, |d|) and the log of that factor is accumulated.
     """
     E = np.asarray(energies)
-    dt = _grid_dtype(E)
-    E = E.astype(dt)
+    E = E.astype(_grid_dtype(E))
     q = spec.period
     V = potential_array(spec, 1, q)
 
@@ -429,11 +439,15 @@ def discriminant_grid(
     b = np.zeros_like(E)
     c = np.zeros_like(E)
     d = np.ones_like(E)
+    if with_derivative:
+        da, db, dc, dd = (np.zeros_like(E) for _ in range(4))
     log_scale = np.zeros(E.shape, dtype=np.float64)
-    peak = np.zeros(E.shape, dtype=np.float64)
 
     for j in range(q):
         e = E - V[j]
+        if with_derivative:
+            da, dc = a + e * da - dc, da
+            db, dd = b + e * db - dd, db
         a, c = e * a - c, a
         b, d = e * b - d, b
         if (j + 1) % _RESCALE_EVERY == 0 or j == q - 1:
@@ -441,49 +455,28 @@ def discriminant_grid(
                 np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d))
             )
             s = np.where(s > 0.0, s, 1.0)
-            a /= s
-            b /= s
-            c /= s
-            d /= s
+            for arr in (a, b, c, d):
+                arr /= s
+            if with_derivative:
+                for arr in (da, db, dc, dd):
+                    arr /= s
             log_scale += np.log(s)
-            np.maximum(peak, log_scale, out=peak)
-    if return_peak:
-        return a + d, log_scale, peak
+    if with_derivative:
+        return a + d, da + dd, log_scale
     return a + d, log_scale
+
+
+def discriminant_grid(spec: OperatorSpec, energies: np.ndarray):
+    """D at every grid energy, in scaled form (mantissa, log_scale).
+
+    D = mantissa * exp(log_scale) elementwise; log_scale stays finite where
+    a direct product would overflow.
+    """
+    return _grid_kernel(spec, energies, with_derivative=False)
 
 
 def discriminant_and_derivative_grid(
     spec: OperatorSpec, energies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D mantissa, D' mantissa, shared log_scale) at every grid energy."""
-    E = np.asarray(energies)
-    dt = _grid_dtype(E)
-    E = E.astype(dt)
-    q = spec.period
-    V = potential_array(spec, 1, q)
-
-    a = np.ones_like(E)
-    b = np.zeros_like(E)
-    c = np.zeros_like(E)
-    d = np.ones_like(E)
-    da = np.zeros_like(E)
-    db = np.zeros_like(E)
-    dc = np.zeros_like(E)
-    dd = np.zeros_like(E)
-    log_scale = np.zeros(E.shape, dtype=np.float64)
-
-    for j in range(q):
-        e = E - V[j]
-        da, dc = a + e * da - dc, da
-        db, dd = b + e * db - dd, db
-        a, c = e * a - c, a
-        b, d = e * b - d, b
-        if (j + 1) % _RESCALE_EVERY == 0 or j == q - 1:
-            s = np.maximum(
-                np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d))
-            )
-            s = np.where(s > 0.0, s, 1.0)
-            for arr in (a, b, c, d, da, db, dc, dd):
-                arr /= s
-            log_scale += np.log(s)
-    return a + d, da + dd, log_scale
+    return _grid_kernel(spec, energies, with_derivative=True)

@@ -11,7 +11,6 @@ dimension upper bounds max(1/(1+beta_1), 1/(1+beta_2)).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +35,9 @@ __all__ = [
 ]
 
 BUTTERFLY_QMAX_GUARD = 500
+
+# closeness gate |p~/q~ - p/q| < MEASURE_DECAY_GATE^{-q} delta^2 of measure_decay
+MEASURE_DECAY_GATE = 50
 
 
 @dataclass(frozen=True)
@@ -131,34 +133,26 @@ def measure_decay(
     delta: float,
     variant: int,
     approximants: list[ReducedRational],
-    gate_constant: float = 50.0,
-    max_workers: int | None = None,
 ) -> DecayReport:
     """meas(S(p~/q~, 2) intersect J_delta) per approximant, with decay fit.
 
-    Measures are exact interval-union arithmetic; the closeness gate at the
-    configured constant is flagged per row, never enforced.  The decay model
+    Measures are exact interval-union arithmetic; the closeness gate at
+    MEASURE_DECAY_GATE is flagged per row, never enforced.  The decay model
     ln(measure) ~ prefactor + rate * q~ is least-squares fitted over the
     rows with positive measure.
     """
     jd = jdelta_sets(base, delta, variant)
-    eta = Fraction(gate_constant) ** (-base.q) * Fraction(delta) ** 2
+    eta = Fraction(MEASURE_DECAY_GATE) ** (-base.q) * Fraction(delta) ** 2
     base_frac = base.as_fraction()
 
-    def one(appr: ReducedRational) -> DecayRow:
+    rows = []
+    for appr in sorted(approximants, key=lambda r: (r.q, r.p)):
         s = spectral_union_S(appr, 2.0)
         inter_measure = s.measure - s.intersection_measure(jd.complement)
         gate = appr.as_fraction() != base_frac and abs(
             appr.as_fraction() - base_frac
         ) < eta
-        return DecayRow(appr, appr.q, float(inter_measure), bool(gate))
-
-    ordered = sorted(approximants, key=lambda r: (r.q, r.p))
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            rows = list(ex.map(one, ordered))
-    else:
-        rows = [one(a) for a in ordered]
+        rows.append(DecayRow(appr, appr.q, float(inter_measure), bool(gate)))
 
     pts = [(r.q_tilde, r.measure) for r in rows if r.measure > 0.0]
     if len(pts) >= 2:
@@ -307,48 +301,32 @@ def butterfly_generate(
     lam: float,
     theta_mode: str = "union-S",
     theta: float = 0.0,
-    max_workers: int | None = None,
-    qmax_guard: int = BUTTERFLY_QMAX_GUARD,
 ) -> ButterflyDataset:
     """Band rows for every reduced p/q with q <= qmax, at fixed coupling.
 
     theta_mode "union-S" tabulates the theta-union set S(p/q, lam);
     "fixed-theta" tabulates the spectrum at the given phase.  Cells that
-    fail are recorded and generation continues; ordering is deterministic
-    (q asc, p asc, band asc) regardless of parallelism.
+    fail are recorded and generation continues; rows come in the order
+    q asc, p asc, band asc.
     """
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
-    if qmax > qmax_guard:
-        raise ValueError(f"qmax {qmax} above guard {qmax_guard}")
+    if qmax > BUTTERFLY_QMAX_GUARD:
+        raise ValueError(f"qmax {qmax} above guard {BUTTERFLY_QMAX_GUARD}")
     if theta_mode not in ("union-S", "fixed-theta"):
         raise ValueError(f"unknown theta_mode {theta_mode!r}")
 
-    cells = list(_reduced_fractions(qmax))
-
-    def one(cell):
-        p, q = cell
+    rows: list[tuple[int, int, int, float, float]] = []
+    failures: list[str] = []
+    for p, q in _reduced_fractions(qmax):
         alpha = ReducedRational(p, q)
         try:
             if theta_mode == "union-S":
                 s = spectral_union_S(alpha, lam)
             else:
                 s = spectrum_bands(OperatorSpec.almost_mathieu(alpha, lam, theta))
-            return [(p, q, b.index, b.lo, b.hi) for b in s.bands], None
         except Exception as exc:  # cell failures recorded, generation continues
-            return [], f"{p}/{q}: {exc}"
-
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(ex.map(one, cells))
-    else:
-        results = [one(c) for c in cells]
-
-    rows: list[tuple[int, int, int, float, float]] = []
-    failures: list[str] = []
-    for cell_rows, failure in results:
-        rows.extend(cell_rows)
-        if failure:
-            failures.append(failure)
-    rows.sort(key=lambda r: (r[1], r[0], r[2]))
+            failures.append(f"{p}/{q}: {exc}")
+            continue
+        rows.extend((p, q, b.index, b.lo, b.hi) for b in s.bands)
     return ButterflyDataset(float(lam), theta_mode, tuple(rows), tuple(failures))

@@ -329,7 +329,7 @@ def surace_deviation(
 
     The true measure is at most pi eps / eta; the grid estimate carries a
     declared resolution slack of 2 * mesh * (number of indicator sign
-    changes).
+    changes).  The grid needs at least two points to have a mesh.
     """
     if epsilon <= 0.0 or eta <= 0.0:
         raise ValueError("epsilon and eta must be positive")
@@ -338,6 +338,8 @@ def surace_deviation(
         E = np.linspace(-hull, hull, int(grid))
     else:
         E = np.sort(np.asarray(grid, dtype=np.float64))
+    if len(E) < 2:
+        raise ValueError(f"surace_deviation needs at least 2 grid points, got {len(E)}")
     mesh = float(E[1] - E[0])
     g_real = lyapunov_grid(spec, E)
     g_shift = lyapunov_grid(spec, E + 1j * epsilon)

@@ -39,15 +39,7 @@ def _check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def _exact_discriminant(spec, E: Fraction) -> Fraction:
-    a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
-    for j in range(1, spec.period + 1):
-        e = E - Fraction(core.potential_eval(spec, j))
-        a, b, c, d = e * a - c, e * b - d, a, b
-    return a + d
-
-
-def suite_core(seed: int, threads: int = 1) -> list[dict]:
+def suite_core(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -87,13 +79,13 @@ def suite_core(seed: int, threads: int = 1) -> list[dict]:
     for _ in range(5):
         r = _random_reduced(rng, 6)
         spec = core.OperatorSpec.almost_mathieu(r, 2.0, float(rng.uniform(0, 2 * math.pi)))
-        ratio = _exact_discriminant(spec, Fraction(10**6)) / Fraction(10**6) ** spec.period
+        ratio = core.discriminant(spec, Fraction(10**6)) / Fraction(10**6) ** spec.period
         worst = max(worst, abs(float(ratio) - 1.0))
     checks.append(_check("discriminant-monic-degree", worst < 2e-5, f"worst {worst:.3e}"))
     return checks
 
 
-def suite_bands(seed: int, threads: int = 1) -> list[dict]:
+def suite_bands(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -163,7 +155,7 @@ def suite_bands(seed: int, threads: int = 1) -> list[dict]:
     return checks
 
 
-def suite_greens(seed: int, threads: int = 1) -> list[dict]:
+def suite_greens(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -214,7 +206,7 @@ def suite_greens(seed: int, threads: int = 1) -> list[dict]:
     return checks
 
 
-def suite_products(seed: int, threads: int = 1) -> list[dict]:
+def suite_products(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -260,7 +252,7 @@ def suite_products(seed: int, threads: int = 1) -> list[dict]:
     return checks
 
 
-def suite_interpolation(seed: int, threads: int = 1) -> list[dict]:
+def suite_interpolation(seed: int) -> list[dict]:
     checks = []
     half = core.reduce_fraction(1, 2)
 
@@ -317,12 +309,12 @@ def suite_interpolation(seed: int, threads: int = 1) -> list[dict]:
     return checks
 
 
-def suite_experiments(seed: int, threads: int = 1) -> list[dict]:
+def suite_experiments(seed: int) -> list[dict]:
     checks = []
     half = core.reduce_fraction(1, 2)
 
     fam = experiments.approximant_family(half, 3, 12)
-    rep = experiments.measure_decay(half, 0.5, 1, fam, max_workers=threads)
+    rep = experiments.measure_decay(half, 0.5, 1, fam)
     checks.append(
         _check(
             "measure-decay-fit",
@@ -331,17 +323,21 @@ def suite_experiments(seed: int, threads: int = 1) -> list[dict]:
         )
     )
 
-    ds1 = experiments.butterfly_generate(12, 2.0, max_workers=1)
-    ds2 = experiments.butterfly_generate(12, 2.0, max_workers=max(threads, 2))
+    ds = experiments.butterfly_generate(12, 2.0)
     want = 1 + sum(
         q * sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
         for q in range(2, 13)
     )
+    cells: dict[tuple[int, int], list[int]] = {}
+    for p, q, band, _lo, _hi in ds.rows:
+        cells.setdefault((p, q), []).append(band)
+    indices_ok = all(b == list(range(1, q + 1)) for (_p, q), b in cells.items())
+    ordered_ok = all(lo <= hi for *_, lo, hi in ds.rows)
     checks.append(
         _check(
             "butterfly-rows",
-            len(ds1.rows) == want and ds1.rows == ds2.rows,
-            f"{len(ds1.rows)} rows, parallel-stable",
+            len(ds.rows) == want and indices_ok and ordered_ok,
+            f"{len(ds.rows)} rows in {len(cells)} cells, bands 1..q, lo <= hi",
         )
     )
 
@@ -386,7 +382,7 @@ def suite_experiments(seed: int, threads: int = 1) -> list[dict]:
     return checks
 
 
-def suite_alpha(seed: int, threads: int = 1) -> list[dict]:
+def suite_alpha(seed: int) -> list[dict]:
     checks = []
 
     cf = alphamod.convergents([1, 1, 1, 1, 1])
@@ -425,13 +421,13 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str], seed: int, threads: int = 1) -> list[dict]:
+def run_suites(names: list[str], seed: int) -> list[dict]:
     """Run the requested suites in canonical order; deterministic for a seed."""
     out = []
     for name in SUITE_NAMES:
         if name not in names:
             continue
-        checks = SUITES[name](seed, threads)
+        checks = SUITES[name](seed)
         out.append(
             {
                 "name": name,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import almost_mathieu.bands as bands_module
 from almost_mathieu.bands import (
     RootFindingError,
     SminusPoints,
@@ -174,6 +175,29 @@ class TestSpectralUnion:
                 for b in sigma.bands:
                     for E in (b.lo, 0.5 * (b.lo + b.hi), b.hi):
                         assert union.distance(E) <= 1e-8
+
+
+    # cells whose union set once came back with fewer than q bands
+    @pytest.mark.parametrize(
+        "p,q",
+        [(2, 53), (50, 53), (51, 53), (2, 55), (52, 55), (53, 55), (2, 57), (55, 57), (57, 59)],
+    )
+    def test_q_bands_or_root_finding_error(self, p, q):
+        try:
+            s = spectral_union_S(reduce_fraction(p, q), 2.0)
+        except RootFindingError:
+            return
+        assert len(s.bands) == q
+
+    def test_missing_bands_raise(self, monkeypatch):
+        sublevel = bands_module._sublevel_bands
+        monkeypatch.setattr(
+            bands_module, "_sublevel_bands", lambda spec, thr: sublevel(spec, thr)[:-1]
+        )
+        with pytest.raises(RootFindingError, match="2 bands, expected 3"):
+            spectral_union_S(reduce_fraction(1, 3), 2.0)
+        with pytest.raises(RootFindingError, match="2 bands, expected 3"):
+            spectrum_bands(OperatorSpec.almost_mathieu(reduce_fraction(1, 3), 2.0, 0.0))
 
 
 class TestSminus:

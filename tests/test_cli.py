@@ -20,7 +20,6 @@ def run_main(capsys, *argv):
 
 def child_env(env_extra=None):
     env = dict(os.environ)
-    env.pop("BUTTERFLY_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return env
@@ -95,32 +94,20 @@ class TestButterflyCommand:
         want = 1 + sum(q * totient(q) for q in range(2, 7))
         assert len(rects) == want + 1  # one background + one per band row
 
-    def test_threads_do_not_change_bytes(self):
-        code1, out1 = run_proc("butterfly", "--qmax", "10", "--format", "csv", "--threads", "1")
-        code4, out4 = run_proc("butterfly", "--qmax", "10", "--format", "csv", "--threads", "4")
-        assert code1 == code4 == 0
-        assert out1 == out4
-
     def test_qmax50_row_count(self, capsys):
         code, out = run_main(
-            capsys, "butterfly", "--qmax", "50", "--lambda", "2", "--format", "csv",
-            "--threads", "2",
+            capsys, "butterfly", "--qmax", "50", "--lambda", "2", "--format", "csv"
         )
         assert code == 0
         lines = out.strip().split("\n")
         want = 1 + sum(q * totient(q) for q in range(2, 51))
         assert len(lines) == want + 1
 
-    def test_env_threads_respected_flag_wins(self):
-        _, out_env = run_proc(
-            "butterfly", "--qmax", "8", "--format", "csv",
-            env_extra={"BUTTERFLY_THREADS": "3"},
-        )
-        _, out_flag = run_proc(
-            "butterfly", "--qmax", "8", "--format", "csv", "--threads", "1",
-            env_extra={"BUTTERFLY_THREADS": "3"},
-        )
-        assert out_env == out_flag
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["butterfly", "--qmax", "5", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -129,6 +116,23 @@ class TestOtherCommands:
         assert code == 0
         pts = json.loads(out)["results"]["points"]
         assert pts == pytest.approx([-2.0, 2.0], abs=1e-9)
+
+    def test_sminus_csv_empty_above_critical(self, capsys):
+        # S- is empty for lam > 2: the CSV is its header alone
+        code, out = run_main(
+            capsys, "sminus", "--p", "1", "--q", "3", "--lambda", "2.5", "--format", "csv"
+        )
+        assert code == 0
+        assert out == "band,lo,hi\n"
+
+    def test_sminus_csv_points_at_critical(self, capsys):
+        code, out = run_main(
+            capsys, "sminus", "--p", "1", "--q", "3", "--lambda", "2", "--format", "csv"
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "index,energy"
+        assert len(lines) == 4
 
     def test_lyapunov_single(self, capsys):
         code, out = run_main(
@@ -158,6 +162,18 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["bound"] == pytest.approx(math.pi * 0.2)
+
+    def test_surace_one_grid_point_fails_cleanly(self, capsys):
+        code, out = run_main(
+            capsys,
+            "surace", "--p", "1", "--q", "2", "--epsilon", "0.01",
+            "--eta", "0.05", "--grid-points", "1",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["results"] == {}
+        assert doc["failures"][0].startswith("ValueError: ")
+        assert "at least 2 grid points" in doc["failures"][0]
 
     def test_product_check(self, capsys):
         code, out = run_main(

@@ -287,6 +287,15 @@ class TestGridEvaluation:
             dual = discriminant(spec, DualComplex.variable(complex(E)))
             assert dv * math.exp(lv) == pytest.approx(dual.deriv, rel=1e-9, abs=1e-9)
 
+    def test_grid_and_derivative_grid_share_values(self, rng):
+        r = random_reduced(rng, 40)
+        spec = OperatorSpec.almost_mathieu(r, 2.0, 0.7)
+        for Es in (np.linspace(-4.2, 4.2, 61), np.linspace(-4.0, 4.0, 31) + 0.3j):
+            mant, logs = discriminant_grid(spec, Es)
+            mant2, _, logs2 = discriminant_and_derivative_grid(spec, Es)
+            np.testing.assert_array_equal(mant, mant2)
+            np.testing.assert_array_equal(logs, logs2)
+
     def test_grid_no_overflow_large_q(self):
         spec = OperatorSpec.almost_mathieu(reduce_fraction(233, 377), 2.0, 0.0)
         Es = np.linspace(-5.0, 5.0, 101)

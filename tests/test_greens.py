@@ -203,6 +203,11 @@ class TestSurace:
         rep = surace_deviation(FREE, 0.1, 0.5, 5001)
         assert rep.ok
 
+    @pytest.mark.parametrize("grid", [0, 1, np.array([0.3])])
+    def test_needs_two_grid_points(self, grid):
+        with pytest.raises(ValueError, match="at least 2 grid points"):
+            surace_deviation(am(1, 2, 2.0, 0.0), 0.01, 0.05, grid)
+
     def test_pairs_sweep(self, rng):
         spec = am(2, 5, 2.0, 0.4)
         for eps in (0.005, 0.02, 0.1):
