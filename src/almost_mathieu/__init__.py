@@ -1,7 +1,6 @@
 """Spectral computations for the almost Mathieu operator near critical coupling."""
 
 from .core import (
-    DualComplex,
     Mat2,
     OperatorSpec,
     ReducedRational,
@@ -18,7 +17,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DualComplex",
     "Mat2",
     "OperatorSpec",
     "ReducedRational",

@@ -24,21 +24,17 @@ Evaluation uses the scaled vectorized transfer recurrence from
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    DualComplex,
     OperatorSpec,
     ReducedRational,
-    discriminant,
     discriminant_and_derivative_grid,
     discriminant_grid,
     potential_array,
     potential_eval,
-    delta as chambers_delta,
     _mp_trace,
 )
 
@@ -296,142 +292,151 @@ def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> 
     return roots - step
 
 
-def _merged_components(f, seps: np.ndarray, sep_vals: np.ndarray, thr: float) -> list[Band]:
-    """Components of {|D| <= thr} when the threshold swallows some gaps.
+def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Band]]:
+    """The closed components of {|D| <= thr} for every thr in ``thresholds``.
 
-    Walks the monotone segments between separators; every crossing of
-    D = +thr or D = -thr toggles membership, so sorted crossings pair up
-    into component boundaries.
-    """
-    batch_lo, batch_hi, batch_t = [], [], []
-    for i in range(len(seps) - 1):
-        for level in (thr, -thr):
-            if (sep_vals[i] - level) * (sep_vals[i + 1] - level) < 0.0:
-                batch_lo.append(seps[i])
-                batch_hi.append(seps[i + 1])
-                batch_t.append(level)
-    targets = np.asarray(batch_t)
-    crossings = np.sort(
-        _vector_bisect(lambda E: f(E) - targets, np.asarray(batch_lo), np.asarray(batch_hi))
-    )
-    if len(crossings) % 2 != 0:
-        raise RootFindingError(
-            f"odd number of threshold crossings ({len(crossings)})"
-        )
-    return [
-        Band(float(crossings[2 * k]), float(crossings[2 * k + 1]), k + 1, 0)
-        for k in range(len(crossings) // 2)
-    ]
-
-
-def _sublevel_bands(spec: OperatorSpec, thr: float) -> list[Band]:
-    """The q closed components of {|D| <= thr}, anchored on the zeros of D.
+    The zeros of D, its interior extrema (with their extended-precision
+    re-readings), the slopes at the zeros and the separators are computed
+    once; every crossing edge of every threshold is bisected in one
+    vectorized batch.  Each threshold is decided on its own: the edges of
+    one threshold do not depend on the others passed with it.
 
     Every threshold used by the spectral sets satisfies |D| >= thr at the
-    interior extrema (equality produces touching bands); thresholds beyond
-    that regime fall back to the merged-component walk.
+    interior extrema (equality produces touching bands), giving q bands
+    anchored on the zeros.  A threshold that swallows a gap falls back to
+    the merged components: every crossing of D = +thr or D = -thr between
+    consecutive separators toggles membership, so sorted crossings pair up
+    into component boundaries.
     """
     q = spec.period
+    thrs = [float(t) for t in thresholds]
     if q == 1:
         center = float(_band_zeros(spec)[0])
-        return [Band(center - thr, center + thr, 1, +1)]
+        return [[Band(center - thr, center + thr, 1, +1)] for thr in thrs]
 
     bound = 2.0 + spec.coupling
-    margin = max(2.5, spec.coupling / 2.0 + 2.0, thr ** (1.0 / q) + 1.5)
-    lo_b, hi_b = -bound - margin, bound + margin
+    margins = [max(2.5, spec.coupling / 2.0 + 2.0, thr ** (1.0 / q) + 1.5) for thr in thrs]
+    outer = np.array([x for m in margins for x in (-bound - m, bound + m)])
 
     f = lambda E: _d_values(spec, E)
     fd = lambda E: _d_and_deriv_values(spec, E)
     zeros = _band_zeros(spec)
     extrema = _interior_extrema(spec, zeros, lambda E: fd(E)[1])
-
-    # Double-precision readings of D at threshold-tangent extrema carry
-    # evaluation noise far above eps near gap spikes; any extremum whose
-    # reading dips below the threshold is re-evaluated in extended
-    # precision, which cleanly separates touching bands (a closed gap,
-    # exactly at the threshold) from genuinely swallowed ones.
-    ext_vals = f(extrema) if len(extrema) else np.empty(0)
-    suspicious = np.nonzero(thr - np.abs(ext_vals) > 1e-9 * thr)[0]
-    for i in suspicious:
-        ext_vals[i] = _mp_discriminant_value(spec, float(extrema[i]))
-    if np.any(thr - np.abs(ext_vals) > max(2e-5, 1e-9 * thr)):
-        seps = np.concatenate(([lo_b], extrema, [hi_b]))
-        return _merged_components(f, seps, f(seps), thr)
-
-    left_sep = np.concatenate(([lo_b], extrema))
-    right_sep = np.concatenate((extrema, [hi_b]))
+    raw_ext = f(extrema)
+    outer_vals = f(outer)
     _, slope = fd(zeros)
     mono = np.where(slope >= 0.0, 1, -1)
-
-    bound_vals = f(np.array([lo_b, hi_b]))
-    sep_vals_left = np.concatenate(([bound_vals[0]], ext_vals))
-    sep_vals_right = np.concatenate((ext_vals, [bound_vals[1]]))
     d_at_zeros = f(zeros)
+    mp_ext: dict[int, float] = {}
 
-    # target value of D at the lower/upper edge of each band
-    lower_target = np.where(mono > 0, -thr, thr)
-    upper_target = np.where(mono > 0, thr, -thr)
-
-    lower = np.empty(q)
-    upper = np.empty(q)
-
-    # all crossing edges are bisected in one vectorized batch
+    # all crossing edges of all thresholds are bisected in one vectorized
+    # batch; slot (k, i, which) is edge ``which`` of band i at threshold k,
+    # and merged-component crossings (which = None) are not polished
     batch_lo: list[float] = []
     batch_hi: list[float] = []
     batch_target: list[float] = []
-    batch_slot: list[tuple[int, int]] = []
-    for i in range(q):
-        est_width = 2.0 * thr / max(abs(slope[i]), 1e-300)
-        if abs(d_at_zeros[i]) >= thr * (1.0 - 1e-12) or est_width < 1e-8:
-            # band at or below double-precision resolution (readings of D
-            # around it are noise); both edges collapse onto the zero, which
-            # the eigensolve knows exactly -- the measure lost is below
-            # 1e-8 per band
-            lower[i] = zeros[i]
-            upper[i] = zeros[i]
+    batch_slot: list[tuple[int, int, int | None]] = []
+    merged: list[bool] = []
+    edges: list = []  # per threshold: (q, 2) band edges, or merged crossings
+    for k, thr in enumerate(thrs):
+        lo_b, hi_b = outer[2 * k], outer[2 * k + 1]
+        lo_val, hi_val = outer_vals[2 * k], outer_vals[2 * k + 1]
+
+        # Double-precision readings of D at threshold-tangent extrema carry
+        # evaluation noise far above eps near gap spikes; any extremum whose
+        # reading dips below the threshold is re-evaluated in extended
+        # precision, which cleanly separates touching bands (a closed gap,
+        # exactly at the threshold) from genuinely swallowed ones.
+        ext_vals = raw_ext.copy()
+        for i in np.nonzero(thr - np.abs(raw_ext) > 1e-9 * thr)[0]:
+            if i not in mp_ext:
+                mp_ext[i] = _mp_discriminant_value(spec, float(extrema[i]))
+            ext_vals[i] = mp_ext[i]
+        is_merged = bool(np.any(thr - np.abs(ext_vals) > max(2e-5, 1e-9 * thr)))
+        merged.append(is_merged)
+        if is_merged:
+            seps = np.concatenate(([lo_b], extrema, [hi_b]))
+            sep_vals = np.concatenate(([lo_val], raw_ext, [hi_val]))
+            for i in range(len(seps) - 1):
+                for level in (thr, -thr):
+                    if (sep_vals[i] - level) * (sep_vals[i + 1] - level) < 0.0:
+                        batch_slot.append((k, i, None))
+                        batch_lo.append(seps[i])
+                        batch_hi.append(seps[i + 1])
+                        batch_target.append(level)
+            edges.append([])
             continue
-        for which, sep, sep_val, target in (
-            (0, left_sep[i], sep_vals_left[i], lower_target[i]),
-            (1, right_sep[i], sep_vals_right[i], upper_target[i]),
-        ):
-            if (sep_val - target) * (d_at_zeros[i] - target) < 0.0:
-                lo_i, hi_i = (sep, zeros[i]) if which == 0 else (zeros[i], sep)
-                batch_slot.append((i, which))
-                batch_lo.append(lo_i)
-                batch_hi.append(hi_i)
-                batch_target.append(target)
+
+        left_sep = np.concatenate(([lo_b], extrema))
+        right_sep = np.concatenate((extrema, [hi_b]))
+        sep_vals_left = np.concatenate(([lo_val], ext_vals))
+        sep_vals_right = np.concatenate((ext_vals, [hi_val]))
+
+        # target value of D at the lower/upper edge of each band
+        lower_target = np.where(mono > 0, -thr, thr)
+        upper_target = np.where(mono > 0, thr, -thr)
+
+        band_edges = np.empty((q, 2))
+        edges.append(band_edges)
+        for i in range(q):
+            est_width = 2.0 * thr / max(abs(slope[i]), 1e-300)
+            if abs(d_at_zeros[i]) >= thr * (1.0 - 1e-12) or est_width < 1e-8:
+                # band at or below double-precision resolution (readings of
+                # D around it are noise); both edges collapse onto the zero,
+                # which the eigensolve knows exactly -- the measure lost is
+                # below 1e-8 per band
+                band_edges[i] = zeros[i]
                 continue
-            # no crossing: the separator sits on the threshold (touching band)
-            if abs(abs(sep_val) - thr) > max(2e-5, 1e-9 * thr) and math.isfinite(
-                sep_val
+            for which, sep, sep_val, target in (
+                (0, left_sep[i], sep_vals_left[i], lower_target[i]),
+                (1, right_sep[i], sep_vals_right[i], upper_target[i]),
             ):
-                raise RootFindingError(
-                    f"separator value {sep_val} inconsistent with threshold {thr}",
-                    bracket=(min(sep, zeros[i]), max(sep, zeros[i])),
-                )
-            if which == 0:
-                lower[i] = sep
-            else:
-                upper[i] = sep
+                if (sep_val - target) * (d_at_zeros[i] - target) < 0.0:
+                    lo_i, hi_i = (sep, zeros[i]) if which == 0 else (zeros[i], sep)
+                    batch_slot.append((k, i, which))
+                    batch_lo.append(lo_i)
+                    batch_hi.append(hi_i)
+                    batch_target.append(target)
+                    continue
+                # no crossing: the separator sits on the threshold (touching band)
+                if abs(abs(sep_val) - thr) > max(2e-5, 1e-9 * thr) and math.isfinite(
+                    sep_val
+                ):
+                    raise RootFindingError(
+                        f"separator value {sep_val} inconsistent with threshold {thr}",
+                        bracket=(min(sep, zeros[i]), max(sep, zeros[i])),
+                    )
+                band_edges[i, which] = sep
 
     if batch_slot:
         targets = np.asarray(batch_target)
         g = lambda E: f(E) - targets
         roots = _vector_bisect(g, np.asarray(batch_lo), np.asarray(batch_hi))
-        roots = _newton_polish(fd, roots, targets)  # one derivative step
-        for (i, which), r in zip(batch_slot, roots):
-            if which == 0:
-                lower[i] = float(r)
+        polished = _newton_polish(fd, roots, targets)  # one derivative step
+        for (k, i, which), r, rp in zip(batch_slot, roots, polished):
+            if which is None:
+                edges[k].append(float(r))
             else:
-                upper[i] = float(r)
+                edges[k][i, which] = float(rp)
 
-    bands = []
-    for i in range(q):
-        lo, hi = float(lower[i]), float(upper[i])
-        if hi < lo:
-            lo, hi = hi, lo
-        bands.append(Band(lo, hi, i + 1, int(mono[i])))
-    return bands
+    out = []
+    for is_merged, found in zip(merged, edges):
+        if is_merged:
+            c = sorted(found)
+            if len(c) % 2 != 0:
+                raise RootFindingError(f"odd number of threshold crossings ({len(c)})")
+            out.append(
+                [Band(c[2 * j], c[2 * j + 1], j + 1, 0) for j in range(len(c) // 2)]
+            )
+            continue
+        bands = []
+        for i in range(q):
+            lo, hi = float(found[i, 0]), float(found[i, 1])
+            if hi < lo:
+                lo, hi = hi, lo
+            bands.append(Band(lo, hi, i + 1, int(mono[i])))
+        out.append(bands)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +452,7 @@ def _q_bands(bands: list[Band], q: int, name: str) -> SpectralSet:
 
 def spectrum_bands(spec: OperatorSpec) -> SpectralSet:
     """The q bands {|D_theta| <= 2} of a period-q operator."""
-    return _q_bands(_sublevel_bands(spec, 2.0), spec.period, "spectrum")
+    return _q_bands(_sublevel_bands(spec, [2.0])[0], spec.period, "spectrum")
 
 
 def _delta_spec(alpha: ReducedRational, lam: float) -> OperatorSpec:
@@ -459,7 +464,7 @@ def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     thr = 2.0 + 2.0 * (lam / 2.0) ** alpha.q
-    return _q_bands(_sublevel_bands(_delta_spec(alpha, lam), thr), alpha.q, f"S({alpha})")
+    return _q_bands(_sublevel_bands(_delta_spec(alpha, lam), [thr])[0], alpha.q, f"S({alpha})")
 
 
 def sminus_points(alpha: ReducedRational, lam: float = 2.0):
@@ -475,7 +480,7 @@ def sminus_points(alpha: ReducedRational, lam: float = 2.0):
         return SpectralSet(())
     if lam < 2.0:
         thr = 2.0 - 2.0 * (lam / 2.0) ** alpha.q
-        return SpectralSet(tuple(_sublevel_bands(spec, thr)))
+        return SpectralSet(tuple(_sublevel_bands(spec, [thr])[0]))
 
     # The Hermitian eigensolve places every zero within a few ulp (backward
     # stable, perfectly conditioned); a derivative polish would only chase
@@ -498,25 +503,29 @@ def last_wilkinson_sum(alpha: ReducedRational) -> float:
     return float(np.sum(1.0 / np.abs(dp)))
 
 
+def _jdelta_variant1(alpha: ReducedRational, delta_: float, bands: list[Band]) -> JDeltaResult:
+    comp = SpectralSet(tuple(bands))
+    meas = comp.measure
+    bound = 2.0 * math.e * delta_ / alpha.q
+    return JDeltaResult(1, delta_, comp, meas, bound, meas <= bound * (1 + 1e-12))
+
+
 def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaResult:
     """J_delta (energies far from the critical set) via its complement.
 
     Variant 1: J^c = {|Delta| <= delta}, q closed intervals around the zeros
-    of Delta.  Variant 2: J^c = the closed delta-neighbourhood of the q
-    zeros, merged when overlapping.  The 2 e delta / q measure bound applies
-    to variant 1 and is reported, never raised.
+    of Delta (fewer, merged ones once delta swallows a gap).  Variant 2:
+    J^c = the closed delta-neighbourhood of the q zeros, merged when
+    overlapping.  The 2 e delta / q measure bound applies to variant 1 and
+    is reported, never raised.
     """
     if delta_ <= 0.0:
         raise ValueError("delta must be positive")
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     if variant == 1:
-        spec = _delta_spec(alpha, 2.0)
-        bands = _sublevel_bands(spec, delta_)
-        comp = SpectralSet(tuple(bands))
-        meas = comp.measure
-        bound = 2.0 * math.e * delta_ / alpha.q
-        return JDeltaResult(1, delta_, comp, meas, bound, meas <= bound * (1 + 1e-12))
+        bands = _sublevel_bands(_delta_spec(alpha, 2.0), [delta_])[0]
+        return _jdelta_variant1(alpha, delta_, bands)
     pts = sminus_points(alpha, 2.0)
     comp = SpectralSet.from_intervals(
         [(E - delta_, E + delta_) for E in pts.energies]
@@ -527,85 +536,19 @@ def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaRe
 def jdelta_sweep(
     alpha: ReducedRational, deltas: list[float], variant: int = 1
 ) -> list[JDeltaResult]:
-    """jdelta_sets over many deltas with one shared zero/extremum structure.
+    """jdelta_sets over many deltas, equal to it delta by delta.
 
-    All edges of all sublevels are bisected in a single vectorized batch,
-    which is what makes full (q, delta) grids cheap.  Results match
-    jdelta_sets delta by delta.
+    Variant 1 shares one zero/extremum structure across the deltas and
+    bisects all their edges in a single vectorized batch, which is what
+    makes full (q, delta) grids cheap.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise ValueError("deltas must be positive")
     if variant != 1:
         return [jdelta_sets(alpha, d, variant) for d in deltas]
-    spec = _delta_spec(alpha, 2.0)
-    q = alpha.q
-    zeros = np.sort(_band_zeros(spec))
-
-    if q == 1:
-        out = []
-        for d in deltas:
-            comp = SpectralSet(
-                (Band(float(zeros[0] - d), float(zeros[0] + d), 1, +1),)
-            )
-            bound = 2.0 * math.e * d / q
-            out.append(
-                JDeltaResult(1, d, comp, comp.measure, bound, comp.measure <= bound * (1 + 1e-12))
-            )
-        return out
-
-    f = lambda E: _d_values(spec, E)
-    fd = lambda E: _d_and_deriv_values(spec, E)
-    extrema = _interior_extrema(spec, zeros, lambda E: fd(E)[1])
-    _, slope = fd(zeros)
-    mono = np.where(slope >= 0.0, 1, -1)
-    d_at_zeros = f(zeros)
-    bound_lo = -(2.0 + 2.0) - 2.5
-    bound_hi = -bound_lo
-    left_sep = np.concatenate(([bound_lo], extrema))
-    right_sep = np.concatenate((extrema, [bound_hi]))
-
-    batch_lo, batch_hi, batch_t, batch_slot = [], [], [], []
-    edges = {}
-    for k, d in enumerate(deltas):
-        for i in range(q):
-            est_width = 2.0 * d / max(abs(slope[i]), 1e-300)
-            if abs(d_at_zeros[i]) >= d * (1.0 - 1e-12) or est_width < 1e-8:
-                edges[(k, i, 0)] = float(zeros[i])
-                edges[(k, i, 1)] = float(zeros[i])
-                continue
-            lo_t = -d if mono[i] > 0 else d
-            hi_t = d if mono[i] > 0 else -d
-            batch_slot.append((k, i, 0))
-            batch_lo.append(left_sep[i])
-            batch_hi.append(zeros[i])
-            batch_t.append(lo_t)
-            batch_slot.append((k, i, 1))
-            batch_lo.append(zeros[i])
-            batch_hi.append(right_sep[i])
-            batch_t.append(hi_t)
-    if batch_slot:
-        targets = np.asarray(batch_t)
-        roots = _vector_bisect(
-            lambda E: f(E) - targets, np.asarray(batch_lo), np.asarray(batch_hi)
-        )
-        roots = _newton_polish(fd, roots, targets)
-        for slot, r in zip(batch_slot, roots):
-            edges[slot] = float(r)
-
-    out = []
-    for k, d in enumerate(deltas):
-        bands = []
-        for i in range(q):
-            lo, hi = edges[(k, i, 0)], edges[(k, i, 1)]
-            if hi < lo:
-                lo, hi = hi, lo
-            bands.append(Band(lo, hi, i + 1, int(mono[i])))
-        comp = SpectralSet(tuple(bands))
-        meas = comp.measure
-        bound = 2.0 * math.e * d / q
-        out.append(JDeltaResult(1, d, comp, meas, bound, meas <= bound * (1 + 1e-12)))
-    return out
+    sets = _sublevel_bands(_delta_spec(alpha, 2.0), deltas)
+    return [_jdelta_variant1(alpha, d, bands) for d, bands in zip(deltas, sets)]
 
 
 def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeReport:
@@ -613,23 +556,29 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
 
     The inequality is guaranteed at interior-band edges and at the inward
     side of the two extremal bands; outward extremal edges are evaluated and
-    reported but not mandated.
+    reported but not mandated.  A delta so large that J_delta^c does not
+    come back as q bands (one around each zero) raises ValueError.
     """
     res = jdelta_sets(alpha, delta_, 1)
     pts = sminus_points(alpha, 2.0)
     q = alpha.q
+    bands = res.complement.bands
+    if len(bands) != q:
+        raise ValueError(
+            f"J_delta^c of {alpha} at delta {delta_} has {len(bands)} bands, expected {q}"
+        )
+    E = np.array([x for band in bands for x in (band.lo, band.hi)])
+    val, dval = _d_and_deriv_values(_delta_spec(alpha, 2.0), E)
     edges = []
-    for band, zero in zip(res.complement.bands, pts.energies):
-        for side, E in (("lower", band.lo), ("upper", band.hi)):
-            dual = chambers_delta(alpha, 2.0, DualComplex.variable(complex(E)))
-            val = abs(dual.value)
-            dval = abs(dual.deriv)
-            margin = math.e * val / dval - abs(E - zero)
+    for j, (band, zero) in enumerate(zip(bands, pts.energies)):
+        for s, side in enumerate(("lower", "upper")):
+            n = 2 * j + s
+            margin = math.e * abs(val[n]) / abs(dval[n]) - abs(E[n] - zero)
             outward = (band.index == 1 and side == "lower") or (
                 band.index == q and side == "upper"
             )
             edges.append(
-                EdgeMargin(band.index, side, E, zero, margin, not outward)
+                EdgeMargin(band.index, side, float(E[n]), zero, float(margin), not outward)
             )
     return BandEdgeReport(delta_, tuple(edges))
 
@@ -639,33 +588,18 @@ def set_measure(s: SpectralSet) -> float:
     return s.measure
 
 
-def ids_eval(spec: OperatorSpec, E: float, bands: SpectralSet | None = None) -> float:
-    """Integrated density of states via Floquet band counting.
-
-    On band j the IDS interpolates between (j-1)/q and j/q through the Bloch
-    phase arccos(D/2), oriented by the monotonicity of D; it is constant on
-    gaps, 0 below and 1 above the spectrum.
-    """
-    if bands is None:
-        bands = spectrum_bands(spec)
-    q = spec.period
-    E = float(E)
-    lows = [b.lo for b in bands.bands]
-    pos = bisect_right(lows, E)
-    if pos == 0:
-        return 0.0
-    band = bands.bands[pos - 1]
-    if E > band.hi:
-        return band.index / q
-    d = float(_d_values(spec, np.array([E]))[0])
-    phi = math.acos(min(1.0, max(-1.0, d / 2.0)))
-    if band.monotonicity > 0:
-        return (band.index - phi / math.pi) / q
-    return (band.index - 1 + phi / math.pi) / q
+def ids_eval(spec: OperatorSpec, E: float) -> float:
+    """Integrated density of states at one energy; see :func:`ids_profile`."""
+    return float(ids_profile(spec, np.array([E], dtype=np.float64))[0])
 
 
 def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
-    """Vectorized ids_eval over an energy grid (bands computed once)."""
+    """Integrated density of states via Floquet band counting, on a grid.
+
+    On band j the IDS interpolates between (j-1)/q and j/q through the Bloch
+    phase arccos(D/2), oriented by the monotonicity of D; it is constant on
+    gaps, 0 below and 1 above the spectrum.  The bands are computed once.
+    """
     bands = spectrum_bands(spec)
     q = spec.period
     E = np.asarray(energies, dtype=np.float64)

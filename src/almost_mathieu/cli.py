@@ -102,6 +102,8 @@ def cmd_butterfly(args) -> int:
             _json_report("butterfly", config, {"rows": rows}, list(ds.failures)),
             args.output,
         )
+    for failure in ds.failures:
+        print(failure, file=sys.stderr)
     return 0 if not ds.failures else 1
 
 

@@ -6,10 +6,9 @@ is built on the one-step transfer matrix
     T_j(E) = [[E - V(j), -1], [1, 0]],        det T_j = 1,
 
 and the one-period product Phi_q(E) = T_q ... T_1.  The matrices here are
-generic over their scalar type: ``complex`` for everyday work,
+generic over their scalar type: ``complex`` for everyday work and
 ``fractions.Fraction`` for the exact evaluation path used by the q <= 8
-oracles, and :class:`DualComplex` when the energy derivative has to be
-carried through the recurrence.
+oracles.  The energy derivative is carried only by the grid kernel below.
 
 The recurrence runs in three forms.  ``monodromy`` and ``monodromy_scaled``
 multiply the matrices one energy at a time.  ``_grid_kernel`` is the one
@@ -41,7 +40,6 @@ __all__ = [
     "ReducedRational",
     "OperatorSpec",
     "Mat2",
-    "DualComplex",
     "reduce_fraction",
     "potential_eval",
     "potential_array",
@@ -172,69 +170,12 @@ def potential_array(spec: OperatorSpec, start: int, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dual numbers (forward-mode derivative in E)
-
-
-@dataclass(frozen=True)
-class DualComplex:
-    """Value together with its derivative d/dE, propagated exactly."""
-
-    value: complex
-    deriv: complex = 0j
-
-    @staticmethod
-    def variable(x: complex) -> "DualComplex":
-        return DualComplex(x, 1.0 + 0j)
-
-    @staticmethod
-    def _lift(x) -> "DualComplex":
-        if isinstance(x, DualComplex):
-            return x
-        return DualComplex(x, 0j)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return DualComplex(self.value + o.value, self.deriv + o.deriv)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualComplex(-self.value, -self.deriv)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return DualComplex(self.value - o.value, self.deriv - o.deriv)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return DualComplex(o.value - self.value, o.deriv - self.deriv)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return DualComplex(
-            self.value * o.value, self.deriv * o.value + self.value * o.deriv
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return DualComplex(
-            self.value / o.value,
-            (self.deriv * o.value - self.value * o.deriv) / (o.value * o.value),
-        )
-
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
-
-# ---------------------------------------------------------------------------
 # 2x2 matrices over an arbitrary scalar
 
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix; entries may be complex, Fraction or DualComplex."""
+    """2x2 matrix; entries may be complex or Fraction."""
 
     a11: object
     a12: object
@@ -271,12 +212,7 @@ class Mat2:
         )
 
     def max_abs(self) -> float:
-        def mag(x):
-            if isinstance(x, DualComplex):
-                return abs(x.value)
-            return abs(x)
-
-        return max(mag(self.a11), mag(self.a12), mag(self.a21), mag(self.a22))
+        return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -335,8 +271,8 @@ def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
 def discriminant(spec: OperatorSpec, E):
     """D(E) = Tr Phi_q(E), a monic degree-q polynomial in E.
 
-    Accepts complex, Fraction, or DualComplex energies; a DualComplex input
-    returns D together with dD/dE.
+    Accepts complex or Fraction energies; a Fraction input is evaluated
+    exactly.
     """
     return monodromy(spec, E).trace()
 

@@ -222,22 +222,6 @@ def box_counting_dimension(
     return BoxCountReport(float(slope), tuple(scales), tuple(counts), float(r2))
 
 
-def _union_measure(intervals) -> float:
-    ivs = sorted(intervals)
-    total, cur_lo, cur_hi = 0.0, None, None
-    for lo, hi in ivs:
-        if cur_lo is None:
-            cur_lo, cur_hi = lo, hi
-        elif lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-    if cur_lo is not None:
-        total += cur_hi - cur_lo
-    return total
-
-
 def cover_dimension_bound(cf: CoverFamily) -> CoverBoundReport:
     """Hausdorff bound max(1/(1+beta1), 1/(1+beta2)) from two cover families.
 
@@ -257,12 +241,15 @@ def cover_dimension_bound(cf: CoverFamily) -> CoverBoundReport:
         if lev.q_n <= prev_q or lev.qt_n <= prev_qt:
             raise ValueError(f"level {lev.n}: cover counts must grow")
         prev_q, prev_qt = lev.q_n, lev.qt_n
-        m1 = _union_measure(lev.family1)
+        for lo, hi in (*lev.family1, *lev.family2):
+            if hi < lo:
+                raise ValueError(f"level {lev.n}: interval ({lo}, {hi}) has hi < lo")
+        m1 = SpectralSet.from_intervals(lev.family1).measure
         if m1 >= cf.c1 / lev.q_n**cf.beta1:
             raise ValueError(
                 f"level {lev.n}: family 1 measure {m1} breaks C1/q^beta1"
             )
-        m2 = _union_measure(lev.family2)
+        m2 = SpectralSet.from_intervals(lev.family2).measure
         if m2 >= cf.c2 / lev.qt_n**cf.beta2:
             raise ValueError(
                 f"level {lev.n}: family 2 measure {m2} breaks C2/q~^beta2"

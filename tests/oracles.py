@@ -30,6 +30,16 @@ def exact_discriminant(spec: OperatorSpec, E: Fraction) -> Fraction:
     return a + d
 
 
+def exact_derivative(spec: OperatorSpec, E: float) -> float:
+    """D'(E) from an exact Fraction central difference with h = 1e-20.
+
+    D is a polynomial, so the difference is off from D'(E) by h^2 times
+    its third derivative / 6 and smaller terms, far below double precision.
+    """
+    x, h = Fraction(E), Fraction(1, 10**20)
+    return float((exact_discriminant(spec, x + h) - exact_discriminant(spec, x - h)) / (2 * h))
+
+
 def symbolic_discriminant_q2(v1: float, v2: float, E: complex) -> complex:
     """Hand product for period 2: D = (E - v1)(E - v2) - 2."""
     return (E - v1) * (E - v2) - 2.0

@@ -13,6 +13,7 @@ from almost_mathieu.bands import (
     ids_eval,
     ids_profile,
     jdelta_sets,
+    jdelta_sweep,
     last_wilkinson_sum,
     set_measure,
     sminus_points,
@@ -26,6 +27,7 @@ from oracles import brute_force_zeros, eig_band_edges, exact_discriminant
 from fractions import Fraction
 
 HALF = reduce_fraction(1, 2)
+THIRD = reduce_fraction(1, 3)
 ZERO = reduce_fraction(0, 1)
 
 
@@ -66,8 +68,6 @@ class TestSpectrumBands:
         )
 
     def test_exactly_q_bands_and_edge_residuals(self, rng):
-        from almost_mathieu.core import DualComplex
-
         for _ in range(200):
             r = random_reduced(rng, 50)
             lam = float(rng.choice([1.0, 2.0, 3.0]))
@@ -192,7 +192,9 @@ class TestSpectralUnion:
     def test_missing_bands_raise(self, monkeypatch):
         sublevel = bands_module._sublevel_bands
         monkeypatch.setattr(
-            bands_module, "_sublevel_bands", lambda spec, thr: sublevel(spec, thr)[:-1]
+            bands_module,
+            "_sublevel_bands",
+            lambda spec, thrs: [bands[:-1] for bands in sublevel(spec, thrs)],
         )
         with pytest.raises(RootFindingError, match="2 bands, expected 3"):
             spectral_union_S(reduce_fraction(1, 3), 2.0)
@@ -337,6 +339,41 @@ class TestJDelta:
             atol=1e-9,
         )
 
+    def test_sweep_equals_single_sets(self):
+        # the batched sweep decides every delta exactly as a lone call does,
+        # including delta = 4 (touching bands) and delta = 6 (merged bands)
+        deltas = [1e-3, 0.1, 0.5, 2.0, 4.0, 6.0]
+        for q in range(1, 16):
+            for p in range(q):
+                if math.gcd(p, q) != 1 and not (p == 0 and q == 1):
+                    continue
+                alpha = reduce_fraction(p, q)
+                for res, d in zip(jdelta_sweep(alpha, deltas), deltas):
+                    single = jdelta_sets(alpha, d, 1)
+                    assert res.complement == single.complement, (alpha, d)
+                    assert res.measure_complement == single.measure_complement
+                    assert res.bound_ok == single.bound_ok
+
+    def test_delta_four_is_union_S(self):
+        # 2 + 2 (lam/2)^q = 4 at lam = 2: J_4^c and S(p/q, 2) are one set
+        for q in range(1, 16):
+            for p in range(q):
+                if math.gcd(p, q) != 1 and not (p == 0 and q == 1):
+                    continue
+                alpha = reduce_fraction(p, q)
+                union = spectral_union_S(alpha, 2.0)
+                assert jdelta_sweep(alpha, [0.1, 4.0])[1].complement == union, alpha
+                assert jdelta_sets(alpha, 4.0, 1).complement == union, alpha
+
+    def test_delta_six_merges_third(self):
+        # at delta = 6 the three bands of 1/3 merge into one, |Delta| <= 6
+        # being E^3 - 6 E in [-6, 6] for E in [-r, r], r^3 - 6 r = 6
+        r = float(np.max(np.roots([1.0, 0.0, -6.0, -6.0]).real))
+        for res in (jdelta_sets(THIRD, 6.0, 1), jdelta_sweep(THIRD, [6.0])[0]):
+            assert len(res.complement.bands) == 1
+            band = res.complement.bands[0]
+            np.testing.assert_allclose([band.lo, band.hi], [-r, r], atol=1e-10)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             jdelta_sets(HALF, -0.1, 1)
@@ -365,6 +402,11 @@ class TestBandEdgeBound:
         rep = band_edge_bound_check(reduce_fraction(2, 5), 0.2)
         assert len(rep.edges) == 10
         assert all(e.ok for e in rep.edges)
+
+    def test_merged_bands_rejected(self):
+        # J_6^c of 1/3 is one merged band: no edge can be paired with a zero
+        with pytest.raises(ValueError, match="1 bands, expected 3"):
+            band_edge_bound_check(THIRD, 6.0)
 
 
 class TestSetMeasure:
@@ -398,6 +440,17 @@ class TestIds:
             ids = ids_profile(spec, E)
             assert np.all(np.diff(ids) >= -1e-12)
             assert ids[0] == 0.0 and ids[-1] == 1.0
+
+    def test_eval_is_profile(self):
+        # gaps, bands and both tails of a three-band spectrum
+        spec = am(1, 3, 2.0, 0.4)
+        s = spectrum_bands(spec)
+        assert s.bands[0].lo > -5.0 and s.bands[-1].hi < 5.0
+        assert any(b.hi < nxt.lo for b, nxt in zip(s.bands, s.bands[1:]))
+        E = np.linspace(-5.0, 5.0, 201)
+        prof = ids_profile(spec, E)
+        single = np.array([ids_eval(spec, float(x)) for x in E])
+        np.testing.assert_array_equal(single, prof)
 
     def test_constant_on_gaps(self):
         spec = am(1, 2, 2.0, 0.0)

@@ -94,6 +94,38 @@ class TestButterflyCommand:
         want = 1 + sum(q * totient(q) for q in range(2, 7))
         assert len(rects) == want + 1  # one background + one per band row
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_failed_cell_named_on_stderr(self, capsys, monkeypatch, fmt):
+        import almost_mathieu.experiments as experiments
+        from almost_mathieu.bands import RootFindingError
+
+        union = experiments.spectral_union_S
+
+        def failing_at_two_fifths(alpha, lam):
+            if (alpha.p, alpha.q) == (2, 5):
+                raise RootFindingError("injected edge failure")
+            return union(alpha, lam)
+
+        monkeypatch.setattr(experiments, "spectral_union_S", failing_at_two_fifths)
+        code = main(["butterfly", "--qmax", "5", "--lambda", "2", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "2/5: injected edge failure\n"
+        cells = [(0, 1)] + [
+            (p, q) for q in range(2, 6) for p in range(1, q) if math.gcd(p, q) == 1
+        ]
+        want = [(p, q, b) for p, q in cells if (p, q) != (2, 5) for b in range(1, q + 1)]
+        if fmt == "csv":
+            rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+            assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == want
+        elif fmt == "json":
+            doc = json.loads(captured.out)
+            assert doc["failures"] == ["2/5: injected edge failure"]
+            assert [(r["p"], r["q"], r["band"]) for r in doc["results"]["rows"]] == want
+        else:
+            rects = [el for el in ET.fromstring(captured.out).iter() if el.tag.endswith("rect")]
+            assert len(rects) == len(want) + 1  # one background, one per band row
+
     def test_qmax50_row_count(self, capsys):
         code, out = run_main(
             capsys, "butterfly", "--qmax", "50", "--lambda", "2", "--format", "csv"

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from almost_mathieu.core import (
-    DualComplex,
     Mat2,
     OperatorSpec,
     ReducedRational,
@@ -24,6 +23,7 @@ from almost_mathieu.core import (
 )
 from conftest import random_reduced
 from oracles import (
+    exact_derivative,
     exact_discriminant,
     symbolic_discriminant_q2,
     symbolic_discriminant_q3,
@@ -179,14 +179,13 @@ class TestDiscriminant:
             assert discriminant(spec, E) == pytest.approx(E, abs=1e-14)
 
     def test_dual_derivative_vs_central_difference(self, rng):
-        h = 1e-5
         for _ in range(30):
             r = random_reduced(rng, 12)
             spec = OperatorSpec.almost_mathieu(r, 2.0, rng.uniform(0, 2 * math.pi))
-            E = rng.uniform(-4, 4)
-            dual = discriminant(spec, DualComplex.variable(complex(E)))
-            fd = (discriminant(spec, E + h) - discriminant(spec, E - h)) / (2 * h)
-            assert dual.deriv == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            E = float(rng.uniform(-4, 4))
+            _, dmant, logs = discriminant_and_derivative_grid(spec, np.array([E]))
+            want = exact_derivative(spec, E)
+            assert dmant[0] * math.exp(logs[0]) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_monic_degree_q_exact(self, rng):
         E = Fraction(10**6)
@@ -240,34 +239,6 @@ class TestChambersResidual:
             assert chambers_residual(r, lam, E, theta) <= tol
 
 
-class TestDualArithmetic:
-    @given(
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-    )
-    def test_product_rule(self, xv, xd, yv, yd):
-        x = DualComplex(xv, xd)
-        y = DualComplex(yv, yd)
-        p = x * y
-        assert p.value == xv * yv
-        assert p.deriv == xd * yv + xv * yd
-
-    @given(st.floats(-5, 5), st.floats(0.1, 5))
-    def test_quotient_rule(self, xv, yv):
-        x = DualComplex.variable(xv)
-        y = DualComplex(yv, 0j)
-        ratio = x / y
-        assert complex(ratio.deriv) == pytest.approx(1.0 / yv, rel=1e-14)
-
-    def test_polynomial_chain(self):
-        E = DualComplex.variable(1.5)
-        f = E * E * E - 2 * E + 7
-        assert f.value == 1.5**3 - 2 * 1.5 + 7
-        assert f.deriv == 3 * 1.5**2 - 2
-
-
 class TestGridEvaluation:
     def test_grid_matches_scalar(self, rng):
         r = random_reduced(rng, 30)
@@ -284,8 +255,8 @@ class TestGridEvaluation:
         Es = np.linspace(-4.0, 4.0, 23)
         mant, dmant, logs = discriminant_and_derivative_grid(spec, Es)
         for E, dv, lv in zip(Es, dmant, logs):
-            dual = discriminant(spec, DualComplex.variable(complex(E)))
-            assert dv * math.exp(lv) == pytest.approx(dual.deriv, rel=1e-9, abs=1e-9)
+            want = exact_derivative(spec, float(E))
+            assert dv * math.exp(lv) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_grid_and_derivative_grid_share_values(self, rng):
         r = random_reduced(rng, 40)

@@ -153,6 +153,17 @@ class TestCoverBound:
         with pytest.raises(ValueError, match="level 2.*family 1"):
             cover_dimension_bound(broken)
 
+    def test_inverted_interval_rejected(self):
+        cf = self._family(3, 1.0, 1.0)
+        lev = cf.levels[1]
+        inverted = ((101.0, 100.5),) + lev.family2[1:]
+        bad = CoverLevel(lev.n, lev.q_n, lev.qt_n, lev.family1, inverted)
+        broken = CoverFamily(
+            (cf.levels[0], bad, cf.levels[2]), cf.c1, cf.c2, cf.beta1, cf.beta2
+        )
+        with pytest.raises(ValueError, match="level 2: interval .*hi < lo"):
+            cover_dimension_bound(broken)
+
     def test_zero_dim_construction_levels(self):
         # synthetic covers shaped like the frequency-construction argument:
         # q_{j+1} intervals of total measure ~ q_{j+1}^{-(j-1)/2} and q_j of
