@@ -9,7 +9,10 @@ at thresholds 2 +- 2(lam/2)^q.  All of those are found the same way here:
      exactly at the eigenvalues of the q x q Floquet matrix with boundary
      phase e^{i kappa}, so kappa = pi/2 hands over the zeros even when
      neighbouring zeros cluster exponentially close (grid sign-change
-     scans provably miss those at critical coupling),
+     scans provably miss those at critical coupling); in zigzag site order
+     (1, q, 2, q-1, ...) that cyclic tridiagonal matrix has bandwidth 2,
+     so a banded Hermitian eigensolve finds the zeros in O(q) memory and
+     O(q^2) time,
   2. locate the q-1 interior extrema (sign changes of the derivative
      between consecutive zeros),
   3. from each zero walk out to the enclosing separators and bisect the
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
     OperatorSpec,
@@ -256,24 +260,38 @@ def _vector_bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _band_zeros(spec: OperatorSpec) -> np.ndarray:
-    """The q simple real zeros of D, via the Floquet eigenproblem.
+    """The q simple real zeros of D, ascending, via the Floquet eigenproblem.
 
     det(E - H(w)) = 0 with unimodular boundary phase w = e^{i kappa} is
     equivalent to D(E) = 2 cos(kappa); kappa = pi/2 picks out the zeros.
     The matrix is Hermitian, so clustered zeros are resolved exactly.
+
+    Taken in zigzag order (sites 1, q, 2, q-1, ...) the cyclic tridiagonal
+    matrix has bandwidth 2: every hopping, the corner -i included, joins
+    positions at most two apart.  It is stored in upper band form, a
+    (3, q) array, and solved by a banded Hermitian eigensolve: O(q) memory
+    and O(q^2) time, with no dense q x q matrix.
     """
     q = spec.period
     V = potential_array(spec, 1, q)
     if q == 1:
         return V.astype(np.float64)
-    H = np.zeros((q, q), dtype=np.complex128)
-    H[np.arange(q), np.arange(q)] = V
-    idx = np.arange(q - 1)
-    H[idx, idx + 1] = 1.0
-    H[idx + 1, idx] = 1.0
-    H[0, q - 1] += -1.0j
-    H[q - 1, 0] += 1.0j
-    return np.sort(np.linalg.eigvalsh(H).real)
+    order = np.empty(q, dtype=np.intp)  # order[position] = site (0-based)
+    order[0::2] = np.arange((q + 1) // 2)
+    order[1::2] = np.arange(q - 1, (q - 1) // 2, -1)
+    pos = np.argsort(order)
+    # entries H[site i, site j]: the real hoppings 1 between neighbours, and
+    # the corner -i at (site 1, site q), which sits on positions (0, 1)
+    # above the diagonal, so no entry needs conjugating
+    i = np.append(np.arange(q - 1), 0)
+    j = np.append(np.arange(1, q), q - 1)
+    h = np.append(np.ones(q - 1, dtype=np.complex128), -1.0j)
+    r, c = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+    # upper band form: entry (r, c), r <= c, of the reordered matrix at ab[2 + r - c, c]
+    ab = np.zeros((3, q), dtype=np.complex128)
+    ab[2] = V[order]
+    np.add.at(ab, (2 + r - c, c), h)  # q = 2: the corner adds onto the hopping
+    return scipy.linalg.eigvals_banded(ab)
 
 
 def _interior_extrema(spec: OperatorSpec, zeros: np.ndarray, deriv) -> np.ndarray:
@@ -487,8 +505,7 @@ def sminus_points(alpha: ReducedRational, lam: float = 2.0):
     # the noise-shifted crossing of the double-precision Delta, so the
     # eigenvalues are returned as-is.  Placement is certified against
     # 40-digit arithmetic in the test suite.
-    zeros = np.sort(_band_zeros(spec))
-    return SminusPoints(tuple(float(z) for z in zeros))
+    return SminusPoints(tuple(float(z) for z in _band_zeros(spec)))
 
 
 def last_wilkinson_sum(alpha: ReducedRational) -> float:

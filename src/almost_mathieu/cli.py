@@ -4,7 +4,7 @@ Every subcommand writes a single artifact to --output (stdout by default):
 CSV with a mandatory header and 17-significant-digit floats, a JSON report
 with the fixed envelope {command, config, results, failures, version}, or
 an SVG plot for the butterfly.  Outputs are byte-identical for identical
-(config, seed) under the same BLAS thread setting.
+(config, seed).
 """
 
 from __future__ import annotations

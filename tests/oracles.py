@@ -82,6 +82,26 @@ def eig_band_edges(spec: OperatorSpec) -> np.ndarray:
     return np.sort(np.concatenate(edges))
 
 
+def dense_floquet_zeros(spec: OperatorSpec) -> np.ndarray:
+    """The q zeros of D, from the dense q x q Floquet matrix in site order.
+
+    D(E) = 0 exactly at the eigenvalues of the cyclic tridiagonal matrix
+    with boundary phase e^{i pi/2}: hoppings 1, corner -i at (1, q) and +i
+    at (q, 1), which add onto the single hopping when q = 2.
+    """
+    q = spec.period
+    V = potential_array(spec, 1, q)
+    if q == 1:
+        return V.astype(np.float64)
+    H = np.diag(V.astype(np.complex128))
+    for i in range(q - 1):
+        H[i, i + 1] = 1.0
+        H[i + 1, i] = 1.0
+    H[0, q - 1] += -1.0j
+    H[q - 1, 0] += 1.0j
+    return np.sort(scipy.linalg.eigvalsh(H))
+
+
 def truncated_halfline_green(
     potential: np.ndarray, z: complex, sources: list[int], n_sites: int
 ) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from almost_mathieu.bands import (
 )
 from almost_mathieu.core import OperatorSpec, discriminant, reduce_fraction
 from conftest import random_reduced
-from oracles import brute_force_zeros, eig_band_edges, exact_discriminant
+from oracles import (
+    brute_force_zeros,
+    dense_floquet_zeros,
+    eig_band_edges,
+    exact_discriminant,
+    mp_edge_offset,
+)
 
 from fractions import Fraction
 
@@ -86,8 +93,6 @@ class TestSpectrumBands:
         # |D(edge)| = 2 within 1e-10 read as edge placement: the float64
         # evaluation noise of D near gap spikes makes the residual itself
         # unmeasurable in doubles, so the check runs at 40 digits
-        from oracles import mp_edge_offset
-
         for _ in range(25):
             r = random_reduced(rng, 40)
             lam = float(rng.choice([1.0, 2.0, 3.0]))
@@ -202,6 +207,60 @@ class TestSpectralUnion:
             spectrum_bands(OperatorSpec.almost_mathieu(reduce_fraction(1, 3), 2.0, 0.0))
 
 
+class TestBandZeros:
+    """The banded Floquet eigensolve behind every set, against a dense one."""
+
+    def test_small_periods_match_dense(self):
+        for p, q in [(0, 1), (1, 2), (1, 3), (2, 3)]:
+            for lam in (0.5, 1.0, 2.0, 3.0):
+                for theta in (0.0, 0.3, math.pi / (2 * q)):
+                    spec = am(p, q, lam, theta)
+                    zeros = bands_module._band_zeros(spec)
+                    assert zeros.shape == (q,)
+                    np.testing.assert_allclose(
+                        zeros, dense_floquet_zeros(spec), rtol=0, atol=1e-12
+                    )
+
+    def test_random_periods_match_dense(self, rng):
+        for _ in range(12):
+            r = random_reduced(rng, 200)
+            for lam in (1.0, 2.0, 3.0):
+                for theta in (math.pi / (2 * r.q), rng.uniform(0, 2 * math.pi)):
+                    spec = OperatorSpec.almost_mathieu(r, lam, theta)
+                    np.testing.assert_allclose(
+                        bands_module._band_zeros(spec),
+                        dense_floquet_zeros(spec),
+                        rtol=0,
+                        atol=1e-12,
+                    )
+
+    def test_explicit_potential_matches_dense(self):
+        spec = OperatorSpec.explicit([0.7, -1.3, 0.0, 2.5, -0.2, 1.1, -2.0])
+        np.testing.assert_allclose(
+            bands_module._band_zeros(spec), dense_floquet_zeros(spec), rtol=0, atol=1e-12
+        )
+
+    def test_zeros_certified_at_377_610(self):
+        spec = am(377, 610, 2.0, math.pi / (2 * 610))
+        zeros = bands_module._band_zeros(spec)
+        assert zeros.shape == (610,)
+        assert np.all(np.diff(zeros) > 0)
+        for E in zeros[::10]:
+            assert mp_edge_offset(spec, float(E), 0.0) <= 1e-12
+
+    def test_memory_linear_in_q(self):
+        # the dense 1597 x 1597 complex matrix alone is 41 MB
+        spec = am(987, 1597, 2.0, math.pi / (2 * 1597))
+        bands_module._band_zeros(am(1, 3, 2.0, 0.0))  # first-call imports
+        tracemalloc.start()
+        try:
+            bands_module._band_zeros(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestSminus:
     def test_half(self):
         pts = sminus_points(HALF, 2.0)
@@ -242,7 +301,6 @@ class TestSminus:
 
     def test_zeros_within_1e12_of_true_zeros(self, rng):
         from almost_mathieu.core import delta as chambers_delta
-        from oracles import mp_edge_offset
 
         for _ in range(6):
             r = random_reduced(rng, 40)

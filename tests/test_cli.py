@@ -289,6 +289,14 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["results"]["n_bands"] == 5
 
+    def test_dimension_bytes_independent_of_blas_threads(self):
+        argv = ("dimension", "--p", "377", "--q", "610")
+        code_1, out_1 = run_proc(*argv, env_extra={"OPENBLAS_NUM_THREADS": "1"})
+        code_2, out_2 = run_proc(*argv, env_extra={"OPENBLAS_NUM_THREADS": "2"})
+        assert code_1 == code_2 == 0
+        assert json.loads(out_1)["results"]["n_bands"] == 610
+        assert out_1 == out_2
+
     def test_alpha_construct(self, capsys):
         code, out = run_main(capsys, "alpha-construct", "--c", "10", "--jmax", "1")
         assert code == 0
