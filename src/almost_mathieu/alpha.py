@@ -158,10 +158,8 @@ def _guard_eta_size(c: float, j: int, q_j: int, digit_guard: int) -> None:
         raise ValueError(f"eta underflows representable rationals at level {j}")
 
 
-def _level_margins(
-    c: float, j: int, q_j: int, q_j1: int, q_j2: int, digit_guard: int = _DIGIT_GUARD
-) -> LevelCertificate:
-    _guard_eta_size(c, j, q_j, digit_guard)
+def _level_margins(c: float, j: int, q_j: int, q_j1: int, q_j2: int) -> LevelCertificate:
+    _guard_eta_size(c, j, q_j, _DIGIT_GUARD)
     delta_j = Fraction(1, q_j**j)
     eta_j = Fraction(c) ** (-q_j) * delta_j**2
     gap = Fraction(1, q_j * q_j1)  # |alpha_{j+1} - alpha_j| exactly
@@ -194,42 +192,25 @@ def verify_conditions(cf: ContinuedFraction, c: float, j_max: int) -> AlphaCerti
 
 
 def construct_alpha(
-    c: float,
-    j_max: int,
-    first_quotient: int = 2,
-    digit_guard: int = _DIGIT_GUARD,
+    c: float, j_max: int, digit_guard: int = _DIGIT_GUARD
 ) -> tuple[ContinuedFraction, AlphaCertificate]:
     """Greedy expansion satisfying the zero-dimension conditions.
 
-    Each odd level j picks the least next denominator q_{j+1} obeying
-    conditions (1) and (3) with delta_j = q_j^{-j}, then appends one more
-    quotient so that the convergent bound enforces condition (2).  All
-    margins are re-derived by verify_conditions on the finished expansion.
+    The expansion starts from the quotient 2.  Each odd level j picks the
+    least next denominator q_{j+1} obeying conditions (1) and (3) with
+    delta_j = q_j^{-j}, then appends one more quotient so that the
+    convergent bound enforces condition (2).  All margins are re-derived by
+    verify_conditions on the finished expansion.
     """
     if c <= 0.0:
         raise ValueError("C must be positive")
     if j_max < 1 or j_max % 2 == 0:
         raise ValueError("j_max must be a positive odd integer")
 
-    quotients = [int(first_quotient)]
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    chain = []
-    for n in quotients:
-        p_prev, p = p, n * p + p_prev
-        q_prev, q = q, n * q + q_prev
-        chain.append((p, q))
-
-    def push(n: int):
-        nonlocal p_prev, p, q_prev, q
-        quotients.append(int(n))
-        p_prev, p = p, n * p + p_prev
-        q_prev, q = q, n * q + q_prev
-        chain.append((p, q))
-
+    quotients = [2]
     for j in range(1, j_max + 1, 2):
-        q_j = chain[j - 1][1]
-        q_jm1 = chain[j - 2][1] if j >= 2 else 1  # q_0 = 1 seeds the recurrence
+        qs = [1] + [r.q for r in convergents(quotients).convergents]  # q_0 = 1
+        q_j, q_jm1 = qs[j], qs[j - 1]
         _guard_eta_size(c, j, q_j, digit_guard)
         delta_j = Fraction(1, q_j**j)
         eta_j = Fraction(c) ** (-q_j) * delta_j**2
@@ -265,18 +246,16 @@ def construct_alpha(
                 else:
                     lo = mid + 1
             n_next = lo
-        push(n_next)
+        quotients.append(n_next)
 
         # continue the expansion far enough for condition (2):
         # q_{j+2} > q_{j+1}^j makes 1/(q_{j+1} q_{j+2}) < q_{j+1}^{-(j+1)}
-        q_j1 = chain[j][1]
+        q_j1 = convergents(quotients).convergents[j].q
         need = Fraction(q_j1) ** j
         n_tail = max(1, math.floor((need - q_j) / q_j1) + 1)
         while n_tail * q_j1 + q_j <= need:
             n_tail += 1
-        push(n_tail)
+        quotients.append(n_tail)
 
-    cf = ContinuedFraction(
-        tuple(quotients), tuple(ReducedRational(pp, qq) for pp, qq in chain)
-    )
+    cf = convergents(quotients)
     return cf, verify_conditions(cf, c, j_max)

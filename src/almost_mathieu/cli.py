@@ -5,6 +5,12 @@ CSV with a mandatory header and 17-significant-digit floats, a JSON report
 with the fixed envelope {command, config, results, failures, version}, or
 an SVG plot for the butterfly.  Outputs are byte-identical for identical
 (config, seed).
+
+`config` is every parsed option under its option name, in parser order,
+without --output; `lam` is reported as `lambda`.  A computation that raises
+writes the same envelope to stdout with empty results and the named
+exception as its failure.  A JSON command exits 1 exactly when its failures
+list is non-empty.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .alpha import construct_alpha, verify_conditions
+from .alpha import construct_alpha
 from .bands import SminusPoints, sminus_points, spectral_union_S, spectrum_bands
 from .core import OperatorSpec, reduce_fraction
 from .experiments import (
@@ -43,15 +49,30 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _json_report(command: str, config: dict, results, failures: list[str]) -> str:
+def _config(args) -> dict:
+    """Every parsed option of the command under its option name, in parser order."""
+    return {
+        "lambda" if k == "lam" else k: v
+        for k, v in vars(args).items()
+        if k not in ("command", "output", "func")
+    }
+
+
+def _json_report(args, results, failures: list[str]) -> str:
     doc = {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": _config(args),
         "results": results,
         "failures": failures,
         "version": __version__,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _report(args, results, failures: list[str]) -> int:
+    """Write the JSON run record; the exit code is 1 exactly when it names a failure."""
+    _emit(_json_report(args, results, failures), args.output)
+    return 1 if failures else 0
 
 
 def _csv(header: list[str], rows) -> str:
@@ -76,13 +97,6 @@ def _alpha_arg(args):
 
 
 def cmd_butterfly(args) -> int:
-    config = {
-        "qmax": args.qmax,
-        "lambda": args.lam,
-        "theta_mode": args.theta_mode,
-        "theta": args.theta,
-        "format": args.format,
-    }
     ds = butterfly_generate(
         args.qmax,
         args.lam,
@@ -98,10 +112,7 @@ def cmd_butterfly(args) -> int:
             {"p": p, "q": q, "band": b, "lo": lo, "hi": hi}
             for p, q, b, lo, hi in ds.rows
         ]
-        _emit(
-            _json_report("butterfly", config, {"rows": rows}, list(ds.failures)),
-            args.output,
-        )
+        _emit(_json_report(args, {"rows": rows}, list(ds.failures)), args.output)
     for failure in ds.failures:
         print(failure, file=sys.stderr)
     return 0 if not ds.failures else 1
@@ -130,39 +141,22 @@ def _butterfly_svg(ds, width: int, height: int, lam: float) -> str:
 
 
 def cmd_bands(args) -> int:
-    config = {
-        "p": args.p,
-        "q": args.q,
-        "lambda": args.lam,
-        "theta": args.theta,
-        "format": args.format,
-    }
     spec = OperatorSpec.almost_mathieu(_alpha_arg(args), args.lam, args.theta)
     s = spectrum_bands(spec)
     rows = [(b.index, b.lo, b.hi, b.monotonicity) for b in s.bands]
     if args.format == "csv":
         _emit(_csv(["band", "lo", "hi", "monotonicity"], rows), args.output)
-    else:
-        _emit(
-            _json_report(
-                "bands",
-                config,
-                {
-                    "bands": [
-                        {"band": i, "lo": lo, "hi": hi, "monotonicity": m}
-                        for i, lo, hi, m in rows
-                    ],
-                    "measure": s.measure,
-                },
-                [],
-            ),
-            args.output,
-        )
-    return 0
+        return 0
+    results = {
+        "bands": [
+            {"band": i, "lo": lo, "hi": hi, "monotonicity": m} for i, lo, hi, m in rows
+        ],
+        "measure": s.measure,
+    }
+    return _report(args, results, [])
 
 
 def cmd_sminus(args) -> int:
-    config = {"p": args.p, "q": args.q, "lambda": args.lam, "format": args.format}
     res = sminus_points(_alpha_arg(args), args.lam)
     if isinstance(res, SminusPoints):
         header = ["index", "energy"]
@@ -174,63 +168,28 @@ def cmd_sminus(args) -> int:
         results = {"bands": [{"lo": b.lo, "hi": b.hi} for b in res.bands]}
     if args.format == "csv":
         _emit(_csv(header, rows), args.output)
-    else:
-        _emit(_json_report("sminus", config, results, []), args.output)
-    return 0
+        return 0
+    return _report(args, results, [])
 
 
 def cmd_lyapunov(args) -> int:
-    config = {
-        "p": args.p,
-        "q": args.q,
-        "lambda": args.lam,
-        "theta": args.theta,
-        "e_re": args.e_re,
-        "e_im": args.e_im,
-        "grid": args.grid,
-        "format": args.format,
-    }
     spec = OperatorSpec.almost_mathieu(_alpha_arg(args), args.lam, args.theta)
-    if args.grid:
-        hull = 2.0 + args.lam
-        energies = np.linspace(-hull, hull, args.grid)
-        rows = []
-        for E in energies:
-            v = lyapunov(spec, complex(E, args.e_im))
-            rows.append((float(E), args.e_im, v.gamma, v.bloch_k if v.bloch_k is not None else ""))
-        if args.format == "csv":
-            _emit(_csv(["e_re", "e_im", "gamma", "bloch_k"], rows), args.output)
-        else:
-            _emit(
-                _json_report(
-                    "lyapunov",
-                    config,
-                    {"values": [{"e_re": r[0], "gamma": r[2]} for r in rows]},
-                    [],
-                ),
-                args.output,
-            )
-    else:
+    if not args.grid:
         v = lyapunov(spec, complex(args.e_re, args.e_im))
-        _emit(
-            _json_report(
-                "lyapunov", config, {"gamma": v.gamma, "bloch_k": v.bloch_k}, []
-            ),
-            args.output,
-        )
-    return 0
+        return _report(args, {"gamma": v.gamma, "bloch_k": v.bloch_k}, [])
+    hull = 2.0 + args.lam
+    energies = np.linspace(-hull, hull, args.grid)
+    rows = []
+    for E in energies:
+        v = lyapunov(spec, complex(E, args.e_im))
+        rows.append((float(E), args.e_im, v.gamma, v.bloch_k if v.bloch_k is not None else ""))
+    if args.format == "csv":
+        _emit(_csv(["e_re", "e_im", "gamma", "bloch_k"], rows), args.output)
+        return 0
+    return _report(args, {"values": [{"e_re": r[0], "gamma": r[2]} for r in rows]}, [])
 
 
 def cmd_green_check(args) -> int:
-    config = {
-        "p": args.p,
-        "q": args.q,
-        "lambda": args.lam,
-        "theta": args.theta,
-        "z_re": args.z_re,
-        "z_im": args.z_im,
-        "m": args.m,
-    }
     spec = OperatorSpec.almost_mathieu(_alpha_arg(args), args.lam, args.theta)
     rep = green_identities_check(spec, complex(args.z_re, args.z_im), args.m)
     results = {
@@ -241,20 +200,10 @@ def cmd_green_check(args) -> int:
         "l2_bound_ok": rep.l2_bound_ok,
         "ok": rep.ok,
     }
-    _emit(_json_report("green-check", config, results, []), args.output)
-    return 0 if rep.ok else 1
+    return _report(args, results, rep.failures)
 
 
 def cmd_surace(args) -> int:
-    config = {
-        "p": args.p,
-        "q": args.q,
-        "lambda": args.lam,
-        "theta": args.theta,
-        "epsilon": args.epsilon,
-        "eta": args.eta,
-        "grid_points": args.grid_points,
-    }
     spec = OperatorSpec.almost_mathieu(_alpha_arg(args), args.lam, args.theta)
     rep = surace_deviation(spec, args.epsilon, args.eta, args.grid_points)
     results = {
@@ -263,41 +212,27 @@ def cmd_surace(args) -> int:
         "slack": rep.slack,
         "ok": rep.ok,
     }
-    _emit(_json_report("surace", config, results, []), args.output)
-    return 0 if rep.ok else 1
+    failures = [] if rep.ok else [
+        f"measured_measure {_fmt(rep.measured_measure)} exceeds bound + slack "
+        f"{_fmt(rep.bound + rep.slack)}"
+    ]
+    return _report(args, results, failures)
 
 
 def cmd_product_check(args) -> int:
-    config = {
-        "count": args.count,
-        "n_max": args.n_max,
-        "beta": args.beta,
-        "seed": args.seed,
-    }
     rng = np.random.default_rng(args.seed)
-    passed = 0
-    for _ in range(args.count):
+    failures = []
+    for i in range(args.count):
         n = int(rng.integers(1, args.n_max + 1))
         chain = align_phases(random_drift_chain(rng, n, args.beta))
-        if product_growth(chain, args.beta).passed:
-            passed += 1
-    results = {"count": args.count, "passed": passed}
-    ok = passed == args.count
-    _emit(_json_report("product-check", config, results, []), args.output)
-    return 0 if ok else 1
+        cert = product_growth(chain, args.beta)
+        if not cert.passed:
+            failures.append(f"chain {i} ({n} factors): growth fails at factor {cert.fail_location}")
+    results = {"count": args.count, "passed": args.count - len(failures)}
+    return _report(args, results, failures)
 
 
 def cmd_interp_check(args) -> int:
-    config = {
-        "p": args.p,
-        "q": args.q,
-        "pt": args.pt,
-        "qt": args.qt,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "ctilde": args.ctilde,
-        "energy": args.energy,
-    }
     ip = build_intermediate(
         reduce_fraction(args.p, args.q),
         reduce_fraction(args.pt, args.qt),
@@ -320,20 +255,13 @@ def cmd_interp_check(args) -> int:
         "step_i_ok": rep.step_i_ok,
         "final_ok": rep.final_ok,
     }
-    _emit(_json_report("interp-check", config, results, []), args.output)
-    return 0 if rep.step_i_ok else 1
+    failures = [] if rep.step_i_ok else [
+        f"step (i): lhs_i {_fmt(rep.lhs_i)} exceeds rhs_i {_fmt(rep.rhs_i)}"
+    ]
+    return _report(args, results, failures)
 
 
 def cmd_measure_decay(args) -> int:
-    config = {
-        "p": args.p,
-        "q": args.q,
-        "delta": args.delta,
-        "variant": args.variant,
-        "kmin": args.kmin,
-        "kmax": args.kmax,
-        "format": args.format,
-    }
     base = _alpha_arg(args)
     if args.approximants:
         fam = []
@@ -348,29 +276,19 @@ def cmd_measure_decay(args) -> int:
     ]
     if args.format == "csv":
         _emit(_csv(["p", "q", "measure", "gate_ok"], rows), args.output)
-    else:
-        results = {
-            "rows": [
-                {"p": p, "q": q, "measure": m, "gate_ok": bool(g)}
-                for p, q, m, g in rows
-            ],
-            "fitted_rate": rep.fitted_rate,
-            "fitted_prefactor": rep.fitted_prefactor,
-            "r_squared": rep.r_squared,
-        }
-        _emit(_json_report("measure-decay", config, results, []), args.output)
-    return 0
+        return 0
+    results = {
+        "rows": [
+            {"p": p, "q": q, "measure": m, "gate_ok": bool(g)} for p, q, m, g in rows
+        ],
+        "fitted_rate": rep.fitted_rate,
+        "fitted_prefactor": rep.fitted_prefactor,
+        "r_squared": rep.r_squared,
+    }
+    return _report(args, results, [])
 
 
 def cmd_dimension(args) -> int:
-    config = {
-        "p": args.p,
-        "q": args.q,
-        "lambda": args.lam,
-        "scale_min": args.scale_min,
-        "scale_max": args.scale_max,
-        "nscales": args.nscales,
-    }
     s = spectral_union_S(_alpha_arg(args), args.lam)
     scales = list(np.geomspace(args.scale_max, args.scale_min, args.nscales))
     rep = box_counting_dimension(s, scales)
@@ -382,14 +300,11 @@ def cmd_dimension(args) -> int:
         "set_measure": s.measure,
         "n_bands": len(s.bands),
     }
-    _emit(_json_report("dimension", config, results, []), args.output)
-    return 0
+    return _report(args, results, [])
 
 
 def cmd_alpha_construct(args) -> int:
-    config = {"c": args.c, "jmax": args.jmax}
     cf, cert = construct_alpha(args.c, args.jmax)
-    re_cert = verify_conditions(cf, args.c, args.jmax)
     results = {
         "quotients": [str(n) for n in cf.quotients],
         "denominators": [str(c.q) for c in cf.convergents],
@@ -404,12 +319,17 @@ def cmd_alpha_construct(args) -> int:
                 "cond3b_margin": lev.cond3b_margin,
                 "ok": lev.ok,
             }
-            for lev in re_cert.levels
+            for lev in cert.levels
         ],
-        "all_ok": re_cert.all_ok,
+        "all_ok": cert.all_ok,
     }
-    _emit(_json_report("alpha-construct", config, results, []), args.output)
-    return 0 if re_cert.all_ok else 1
+    failures = [
+        f"level {lev['j']}: {key} {_fmt(value)} is not positive"
+        for lev in results["levels"]
+        for key, value in lev.items()
+        if key.endswith("_margin") and not value > 0
+    ]
+    return _report(args, results, failures)
 
 
 def cmd_verify(args) -> int:
@@ -417,7 +337,6 @@ def cmd_verify(args) -> int:
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    config = {"suite": args.suite, "seed": args.seed}
     suites = run_suites(names, args.seed)
     failures = [
         f"{s['name']}:{c['name']}" for s in suites for c in s["checks"] if not c["ok"]
@@ -425,8 +344,7 @@ def cmd_verify(args) -> int:
     for s in suites:
         status = "ok" if s["ok"] else "FAIL"
         print(f"{s['name']}: {status} ({s['passed']} passed, {s['failed']} failed)", file=sys.stderr)
-    _emit(_json_report("verify", config, {"suites": suites}, failures), args.output)
-    return 0 if not failures else 1
+    return _report(args, {"suites": suites}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +479,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        config = {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func",) and not callable(v)
-        }
-        sys.stdout.write(
-            _json_report(args.command, config, {}, [f"{type(exc).__name__}: {exc}"])
-        )
+        sys.stdout.write(_json_report(args, {}, [f"{type(exc).__name__}: {exc}"]))
         return 1
 
 

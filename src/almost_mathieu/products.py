@@ -310,12 +310,11 @@ def random_drift_chain(
     n_factors: int,
     beta: float,
     gamma_range: tuple[float, float] = (0.3, 1.5),
-    drift_scale: float = 1.0,
 ) -> list[HyperbolicFactor]:
     """Admissible random factor chain; intended for tests and self-checks.
 
     Starts from a random hyperbolic factor and evolves the eigenvector frame
-    by rotations of angle at most drift_scale * (beta/8) gamma e^{-gamma}
+    by rotations of angle at most (beta/8) gamma e^{-gamma}
     |det U|, half of what the drift hypothesis allows, so the resulting
     chain passes hypothesis_margins by construction.
     """
@@ -356,8 +355,7 @@ def random_drift_chain(
         factors.append(make_factor(gamma, zeta, phi_p, phi_m))
         det_u = abs(phi_p[0] * phi_m[1] - phi_m[0] * phi_p[1])
         # target drift: half of what the hypothesis allows for this factor
-        target = 0.5 * beta * gamma * math.exp(-gamma) * det_u / 4.0
-        ang = drift_scale * target
+        ang = 0.5 * beta * gamma * math.exp(-gamma) * det_u / 4.0
         cand_p, cand_m = phi_p, phi_m
         for _ in range(60):
             ca, sa = math.cos(ang), math.sin(ang)

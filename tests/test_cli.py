@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from almost_mathieu.cli import main
+from almost_mathieu import alpha, cli, greens, interpolation, products
+from almost_mathieu.cli import build_parser, main
 
 
 def run_main(capsys, *argv):
@@ -339,3 +342,111 @@ class TestVerifyCommand:
         code_b, out_b = run_proc("verify", "--suite", "products,alpha", "--seed", "7")
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+# one cheap JSON run per subcommand
+RECORD_ARGV = {
+    "butterfly": ["--qmax", "3", "--format", "json"],
+    "bands": ["--p", "1", "--q", "3"],
+    "sminus": ["--p", "1", "--q", "3"],
+    "lyapunov": ["--p", "1", "--q", "2", "--e-re", "3.0"],
+    "green-check": ["--p", "1", "--q", "2", "--z-re", "0.1", "--z-im", "0.2"],
+    "surace": ["--p", "1", "--q", "2", "--epsilon", "0.01", "--eta", "0.05",
+               "--grid-points", "201"],
+    "product-check": ["--count", "3", "--n-max", "5"],
+    "interp-check": ["--p", "1", "--q", "2", "--pt", "13", "--qt", "27",
+                     "--delta", "0.25", "--epsilon", "0.1"],
+    "measure-decay": ["--p", "1", "--q", "2", "--delta", "0.5", "--kmin", "3",
+                      "--kmax", "4"],
+    "dimension": ["--p", "1", "--q", "3", "--nscales", "4"],
+    "alpha-construct": ["--jmax", "1"],
+    "verify": ["--suite", "alpha"],
+}
+
+
+def subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestRunRecord:
+    def test_every_command_has_a_case(self):
+        assert sorted(RECORD_ARGV) == sorted(subparsers())
+
+    @pytest.mark.parametrize("command", sorted(RECORD_ARGV))
+    def test_config_keys_are_option_names_in_parser_order(self, capsys, command):
+        options = [
+            a.option_strings[-1] for a in subparsers()[command]._actions
+            if a.option_strings[-1] not in ("--help", "--output")
+        ]
+        code, out = run_main(capsys, command, *RECORD_ARGV[command])
+        doc = json.loads(out)
+        assert doc["command"] == command
+        assert doc["failures"] == []
+        assert code == 0
+        assert list(doc["config"]) == [o[2:].replace("-", "_") for o in options]
+
+    def test_error_report_has_success_config_keys(self, capsys):
+        argv = ["surace", "--p", "1", "--q", "2", "--epsilon", "0.01", "--eta", "0.05"]
+        code_1, out_1 = run_main(capsys, *argv, "--grid-points", "1")
+        _, out_2 = run_main(capsys, *argv, "--grid-points", "2")
+        doc_1, doc_2 = json.loads(out_1), json.loads(out_2)
+        assert code_1 == 1 and doc_1["failures"] and doc_1["results"] == {}
+        assert doc_2["results"] != {}
+        assert list(doc_1["config"]) == list(doc_2["config"])
+
+    def test_measure_decay_config_records_approximants(self, capsys):
+        argv = ["measure-decay", "--p", "1", "--q", "2", "--delta", "0.5"]
+        _, out_a = run_main(capsys, *argv, "--approximants", "3/7,4/9")
+        _, out_b = run_main(capsys, *argv, "--approximants", "5/11")
+        doc_a, doc_b = json.loads(out_a), json.loads(out_b)
+        assert doc_a["results"] != doc_b["results"]
+        assert doc_a["config"] != doc_b["config"]
+        assert doc_a["config"]["approximants"] == "3/7,4/9"
+
+
+def failing_green_check(*args):
+    return dataclasses.replace(greens.green_identities_check(*args), power_residual=1e-3)
+
+
+def failing_surace(*args):
+    rep = greens.surace_deviation(*args)
+    return dataclasses.replace(rep, measured_measure=rep.bound + rep.slack + 1.0)
+
+
+def failing_product_growth(chain, beta):
+    return dataclasses.replace(
+        products.product_growth(chain, beta), verdict="fail", fail_location=1
+    )
+
+
+def failing_green_comparison(*args):
+    rep = interpolation.green_comparison(*args)
+    return dataclasses.replace(rep, lhs_i=2.0 * rep.rhs_i)
+
+
+def failing_construct_alpha(c, j_max):
+    cf, cert = alpha.construct_alpha(c, j_max)
+    level = dataclasses.replace(cert.levels[0], cond2_margin=-1.0)
+    return cf, dataclasses.replace(cert, levels=(level,) + cert.levels[1:])
+
+
+@pytest.mark.parametrize(
+    "command, target, fake, named",
+    [
+        ("green-check", "green_identities_check", failing_green_check, "power_residual 0.001"),
+        ("surace", "surace_deviation", failing_surace, "measured_measure"),
+        ("product-check", "product_growth", failing_product_growth, "chain 0 ("),
+        ("interp-check", "green_comparison", failing_green_comparison, "step (i): lhs_i"),
+        ("alpha-construct", "construct_alpha", failing_construct_alpha,
+         "level 1: cond2_margin -1 is not positive"),
+    ],
+)
+def test_failed_condition_is_named_and_exits_1(capsys, monkeypatch, command, target, fake, named):
+    monkeypatch.setattr(cli, target, fake)
+    code, out = run_main(capsys, command, *RECORD_ARGV[command])
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["failures"]
+    assert named in doc["failures"][0]
