@@ -18,7 +18,9 @@ at thresholds 2 +- 2(lam/2)^q.  All of those are found the same way here:
   3. from each zero walk out to the enclosing separators and bisect the
      monotone piece down to |D| = threshold, finishing with one derivative
      step; an extremum already sitting at the threshold is a touching band
-     edge and is taken verbatim.
+     edge and is taken verbatim.  All edges are bisected in one batch of
+     at most 60 halvings, and an edge leaves the batch once its bracket
+     stops moving, with bitwise the result of 60 fixed halvings.
 
 Evaluation uses the scaled vectorized transfer recurrence from
 :mod:`almost_mathieu.core`, so nothing overflows at large q.
@@ -246,17 +248,36 @@ def _d_and_deriv_values(spec: OperatorSpec, E: np.ndarray):
     return _dense(tr, logs), _dense(dtr, logs)
 
 
-def _vector_bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Roots of a vectorized sign-changing f, one per [lo_i, hi_i] bracket."""
-    flo = f(lo)
+def _vector_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Roots of f - targets, one per sign-changing [lo_i, hi_i] bracket.
+
+    Each of the _BISECT_ITERS halvings keeps the half whose ends differ in
+    sign.  A halving that leaves a bracket unchanged (the midpoint rounds
+    onto the end it would replace) leaves it unchanged for good, so the
+    bracket leaves the batch and f is evaluated only at the energies still
+    moving.  f acts on each energy on its own, so the roots are bitwise
+    those of _BISECT_ITERS fixed halvings of every bracket.
+    """
+    roots = np.empty(len(lo))
+    live = np.arange(len(lo))  # the brackets still in the batch
+    flo = f(lo) - targets
     for _ in range(_BISECT_ITERS):
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = f(mid) - targets
         same = np.sign(fm) == np.sign(flo)
+        # compared bit for bit, so that a signed zero still counts as a move
+        moved = mid.view(np.int64) != np.where(same, lo, hi).view(np.int64)
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+        if not moved.all():
+            settled = ~moved
+            roots[live[settled]] = 0.5 * (lo[settled] + hi[settled])
+            live, lo, hi, flo, targets = (x[moved] for x in (live, lo, hi, flo, targets))
+    roots[live] = 0.5 * (lo + hi)
+    return roots
 
 
 def _band_zeros(spec: OperatorSpec) -> np.ndarray:
@@ -294,11 +315,11 @@ def _band_zeros(spec: OperatorSpec) -> np.ndarray:
     return scipy.linalg.eigvals_banded(ab)
 
 
-def _interior_extrema(spec: OperatorSpec, zeros: np.ndarray, deriv) -> np.ndarray:
+def _interior_extrema(zeros: np.ndarray, deriv) -> np.ndarray:
     """One extremum of D between each pair of consecutive zeros."""
     if len(zeros) < 2:
         return np.empty(0)
-    return _vector_bisect(deriv, zeros[:-1].copy(), zeros[1:].copy())
+    return _vector_bisect(deriv, zeros[:-1], zeros[1:], np.zeros(len(zeros) - 1))
 
 
 def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -339,12 +360,10 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
     f = lambda E: _d_values(spec, E)
     fd = lambda E: _d_and_deriv_values(spec, E)
     zeros = _band_zeros(spec)
-    extrema = _interior_extrema(spec, zeros, lambda E: fd(E)[1])
-    raw_ext = f(extrema)
-    outer_vals = f(outer)
-    _, slope = fd(zeros)
+    extrema = _interior_extrema(zeros, lambda E: fd(E)[1])
+    raw_ext, outer_vals = np.split(f(np.concatenate((extrema, outer))), [len(extrema)])
+    d_at_zeros, slope = fd(zeros)
     mono = np.where(slope >= 0.0, 1, -1)
-    d_at_zeros = f(zeros)
     mp_ext: dict[int, float] = {}
 
     # all crossing edges of all thresholds are bisected in one vectorized
@@ -428,8 +447,7 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
 
     if batch_slot:
         targets = np.asarray(batch_target)
-        g = lambda E: f(E) - targets
-        roots = _vector_bisect(g, np.asarray(batch_lo), np.asarray(batch_hi))
+        roots = _vector_bisect(f, np.asarray(batch_lo), np.asarray(batch_hi), targets)
         polished = _newton_polish(fd, roots, targets)  # one derivative step
         for (k, i, which), r, rp in zip(batch_slot, roots, polished):
             if which is None:

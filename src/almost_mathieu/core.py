@@ -15,8 +15,13 @@ multiply the matrices one energy at a time.  ``_grid_kernel`` is the one
 vectorized loop over the period: it carries the product at every energy of
 a grid, rescales it every few steps so it never overflows, and carries the
 energy derivative only when ``discriminant_and_derivative_grid`` asks for
-it (``discriminant_grid`` does not).  ``_mp_trace`` is the one mpmath loop,
-run over a list of potential values at whatever precision the caller sets.
+it (``discriminant_grid`` does not).  Its rows [a, b] (with [da, db]) and
+[c, d] (with [dc, dd]) sit in two stacked arrays updated in place, 3 or 4
+array operations a step; the energy factor is always the left operand of
+a product, because numpy's complex multiply is not bitwise commutative.
+Each energy's value depends on that energy alone, not on the rest of the
+grid.  ``_mp_trace`` is the one mpmath loop, run over a list of potential
+values at whatever precision the caller sets.
 """
 
 from __future__ import annotations
@@ -362,44 +367,46 @@ def _grid_dtype(energies: np.ndarray) -> np.dtype:
 def _grid_kernel(spec: OperatorSpec, energies: np.ndarray, with_derivative: bool):
     """The scaled one-period recurrence at every grid energy.
 
-    Carries Phi = [[a, b], [c, d]] and, when asked, its energy derivative
-    [[da, db], [dc, dd]]; every _RESCALE_EVERY steps all entries are divided
-    by max(|a|, |b|, |c|, |d|) and the log of that factor is accumulated.
+    Phi = [[a, b], [c, d]] is carried as two stacked arrays, X = [a, b] and
+    Y = [c, d], each one row per entry and one column per energy; with the
+    energy derivative, X = [a, b, da, db] and Y = [c, d, dc, dd].  One step
+    is X, Y = e X - Y, X, plus the old [a, b] added onto the derivative
+    rows, written into the third of three buffers that then rotate, so no
+    step allocates.  The factor e stays the left operand of every product:
+    numpy's complex multiply is not bitwise commutative.  Every
+    _RESCALE_EVERY steps all entries are divided by max(|a|, |b|, |c|, |d|)
+    and the log of that factor is accumulated.
     """
     E = np.asarray(energies)
     E = E.astype(_grid_dtype(E))
     q = spec.period
     V = potential_array(spec, 1, q)
 
-    a = np.ones_like(E)
-    b = np.zeros_like(E)
-    c = np.zeros_like(E)
-    d = np.ones_like(E)
-    if with_derivative:
-        da, db, dc, dd = (np.zeros_like(E) for _ in range(4))
+    k = 4 if with_derivative else 2
+    X = np.zeros((k,) + E.shape, dtype=E.dtype)
+    Y = np.zeros_like(X)
+    T = np.empty_like(X)
+    X[0] = 1.0  # a
+    Y[1] = 1.0  # d
+    e = np.empty_like(E)
     log_scale = np.zeros(E.shape, dtype=np.float64)
 
     for j in range(q):
-        e = E - V[j]
+        np.subtract(E, V[j], out=e)
+        np.multiply(e, X, out=T)
         if with_derivative:
-            da, dc = a + e * da - dc, da
-            db, dd = b + e * db - dd, db
-        a, c = e * a - c, a
-        b, d = e * b - d, b
+            T[2:] += X[:2]  # (e da + a) - dc, bitwise a + e da - dc
+        T -= Y
+        X, Y, T = T, X, Y
         if (j + 1) % _RESCALE_EVERY == 0 or j == q - 1:
-            s = np.maximum(
-                np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d))
-            )
+            s = np.maximum(np.abs(X[:2]).max(axis=0), np.abs(Y[:2]).max(axis=0))
             s = np.where(s > 0.0, s, 1.0)
-            for arr in (a, b, c, d):
-                arr /= s
-            if with_derivative:
-                for arr in (da, db, dc, dd):
-                    arr /= s
+            X /= s
+            Y /= s
             log_scale += np.log(s)
     if with_derivative:
-        return a + d, da + dd, log_scale
-    return a + d, log_scale
+        return X[0] + Y[1], X[2] + Y[3], log_scale
+    return X[0] + Y[1], log_scale
 
 
 def discriminant_grid(spec: OperatorSpec, energies: np.ndarray):

@@ -16,7 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bands import SpectralSet, jdelta_sets, spectral_union_S, spectrum_bands
+from .bands import (
+    RootFindingError,
+    SpectralSet,
+    jdelta_sets,
+    spectral_union_S,
+    spectrum_bands,
+)
 from .core import OperatorSpec, ReducedRational, reduce_fraction
 
 __all__ = [
@@ -291,10 +297,11 @@ def butterfly_generate(
 ) -> ButterflyDataset:
     """Band rows for every reduced p/q with q <= qmax, at fixed coupling.
 
-    theta_mode "union-S" tabulates the theta-union set S(p/q, lam);
-    "fixed-theta" tabulates the spectrum at the given phase.  Cells that
-    fail are recorded and generation continues; rows come in the order
-    q asc, p asc, band asc.
+    theta_mode "union-S" tabulates the theta-union set S(p/q, lam), which
+    needs lam > 0; "fixed-theta" tabulates the spectrum at the given phase.
+    A cell whose edges cannot be found (RootFindingError) is recorded and
+    generation continues; any other error stops it.  Rows come in the
+    order q asc, p asc, band asc.
     """
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
@@ -302,6 +309,8 @@ def butterfly_generate(
         raise ValueError(f"qmax {qmax} above guard {BUTTERFLY_QMAX_GUARD}")
     if theta_mode not in ("union-S", "fixed-theta"):
         raise ValueError(f"unknown theta_mode {theta_mode!r}")
+    if theta_mode == "union-S" and lam <= 0.0:
+        raise ValueError("coupling must be positive")
 
     rows: list[tuple[int, int, int, float, float]] = []
     failures: list[str] = []
@@ -312,7 +321,7 @@ def butterfly_generate(
                 s = spectral_union_S(alpha, lam)
             else:
                 s = spectrum_bands(OperatorSpec.almost_mathieu(alpha, lam, theta))
-        except Exception as exc:  # cell failures recorded, generation continues
+        except RootFindingError as exc:  # cell failures recorded, generation continues
             failures.append(f"{p}/{q}: {exc}")
             continue
         rows.extend((p, q, b.index, b.lo, b.hi) for b in s.bands)

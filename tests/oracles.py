@@ -3,7 +3,9 @@
 Each oracle takes a route that shares nothing with the library path it
 checks: exact Fraction arithmetic, hand-derived closed forms for small
 periods, dense truncated resolvent solves, finite differences, and
-eigenvalue-based band edges.
+eigenvalue-based band edges.  Two are plain-loop forms of library
+routines instead, kept as bitwise references: ``five_array_grid`` and
+``fixed_bisect``.
 """
 
 from __future__ import annotations
@@ -100,6 +102,58 @@ def dense_floquet_zeros(spec: OperatorSpec) -> np.ndarray:
     H[0, q - 1] += -1.0j
     H[q - 1, 0] += 1.0j
     return np.sort(scipy.linalg.eigvalsh(H))
+
+
+def five_array_grid(spec: OperatorSpec, energies: np.ndarray, with_derivative: bool):
+    """The scaled grid recurrence with one array per matrix entry.
+
+    The entries a, b, c, d (and da, db, dc, dd) of the transfer product
+    are separate arrays, updated with fresh temporaries at every step and
+    rescaled every 8 steps and after the last by max(|a|, |b|, |c|, |d|).
+    The library's stacked in-place kernel must agree with it bit for bit.
+    """
+    E = np.asarray(energies)
+    E = E.astype(np.complex128 if np.iscomplexobj(E) else np.float64)
+    q = spec.period
+    V = potential_array(spec, 1, q)
+    a, b, c, d = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    da, db, dc, dd = (np.zeros_like(E) for _ in range(4))
+    log_scale = np.zeros(E.shape, dtype=np.float64)
+    for j in range(q):
+        e = E - V[j]
+        if with_derivative:
+            da, dc = a + e * da - dc, da
+            db, dd = b + e * db - dd, db
+        a, c = e * a - c, a
+        b, d = e * b - d, b
+        if (j + 1) % 8 == 0 or j == q - 1:
+            s = np.maximum(
+                np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d))
+            )
+            s = np.where(s > 0.0, s, 1.0)
+            a, b, c, d = a / s, b / s, c / s, d / s
+            da, db, dc, dd = da / s, db / s, dc / s, dd / s
+            log_scale += np.log(s)
+    if with_derivative:
+        return a + d, da + dd, log_scale
+    return a + d, log_scale
+
+
+def fixed_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Roots of f - targets by exactly 60 halvings of every bracket.
+
+    Keeps the half whose ends differ in sign, as decided by the sign of
+    f - target at the midpoint against that at the lower end.
+    """
+    flo = f(lo) - targets
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid) - targets
+        same = np.sign(fm) == np.sign(flo)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def truncated_halfline_green(

@@ -28,6 +28,7 @@ from oracles import (
     dense_floquet_zeros,
     eig_band_edges,
     exact_discriminant,
+    fixed_bisect,
     mp_edge_offset,
 )
 
@@ -205,6 +206,55 @@ class TestSpectralUnion:
             spectral_union_S(reduce_fraction(1, 3), 2.0)
         with pytest.raises(RootFindingError, match="2 bands, expected 3"):
             spectrum_bands(OperatorSpec.almost_mathieu(reduce_fraction(1, 3), 2.0, 0.0))
+
+
+class TestVectorBisect:
+    """Dropping settled brackets gives the roots of 60 fixed halvings."""
+
+    def check(self, f, lo, hi, targets):
+        got = bands_module._vector_bisect(f, lo, hi, targets)
+        want = fixed_bisect(f, lo, hi, targets)
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_brackets(self, rng):
+        spec = am(3, 8, 2.0, math.pi / 16)
+        f = lambda E: bands_module._d_values(spec, E)
+        lo = rng.uniform(-4.0, 0.0, 200)
+        hi = lo + 10.0 ** rng.uniform(-15.0, 0.5, 200)
+        self.check(f, lo, hi, rng.uniform(-3.0, 3.0, 200))
+
+    def test_spectral_set_brackets(self):
+        # brackets between consecutive zeros of Delta, with and without a
+        # crossing of the target
+        spec = am(13, 21, 2.0, math.pi / 42)
+        f = lambda E: bands_module._d_values(spec, E)
+        zeros = bands_module._band_zeros(spec)
+        for targets in (np.full(20, 2.0), np.full(20, -2.0), np.zeros(20)):
+            self.check(f, zeros[:-1], zeros[1:], targets)
+
+    def test_edge_cases(self):
+        f = lambda E: np.where(E > 0.5, np.nan, E**3 - E)
+        tiny = np.nextafter(0.3, 1.0)
+        lo = np.array([-1.5, 0.0, 2.0, 0.3, 0.3, 0.2, -0.0, -2.0])
+        hi = np.array([-0.5, 0.5, 3.0, tiny, 0.3, 0.9, 0.0, 2.0])
+        # a root at a bracket end (f(lo) = 0), no sign change, one ulp,
+        # zero width, f returning NaN, signed zeros, and several roots
+        self.check(f, lo, hi, np.zeros(len(lo)))
+
+    def test_work_budget_at_233_377(self, monkeypatch):
+        # 60 fixed halvings of every edge cost 26.7M energy-steps here
+        steps = []
+        for name in ("discriminant_grid", "discriminant_and_derivative_grid"):
+            grid = getattr(bands_module, name)
+
+            def counted(spec, energies, grid=grid):
+                steps.append(spec.period * np.size(energies))
+                return grid(spec, energies)
+
+            monkeypatch.setattr(bands_module, name, counted)
+        s = spectral_union_S(reduce_fraction(233, 377), 2.0)
+        assert len(s.bands) == 377
+        assert sum(steps) <= 20.0e6
 
 
 class TestBandZeros:

@@ -129,6 +129,15 @@ class TestButterflyCommand:
             rects = [el for el in ET.fromstring(captured.out).iter() if el.tag.endswith("rect")]
             assert len(rects) == len(want) + 1  # one background, one per band row
 
+    def test_zero_coupling_fails_once(self, capsys):
+        code = main(["butterfly", "--qmax", "5", "--lambda", "0", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["failures"] == ["ValueError: coupling must be positive"]
+        assert doc["results"] == {}
+
     def test_qmax50_row_count(self, capsys):
         code, out = run_main(
             capsys, "butterfly", "--qmax", "50", "--lambda", "2", "--format", "csv"

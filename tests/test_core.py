@@ -25,6 +25,7 @@ from conftest import random_reduced
 from oracles import (
     exact_derivative,
     exact_discriminant,
+    five_array_grid,
     symbolic_discriminant_q2,
     symbolic_discriminant_q3,
 )
@@ -266,6 +267,41 @@ class TestGridEvaluation:
             mant2, _, logs2 = discriminant_and_derivative_grid(spec, Es)
             np.testing.assert_array_equal(mant, mant2)
             np.testing.assert_array_equal(logs, logs2)
+
+    # q = 8 and 9 put the last step on and just past a periodic rescale
+    @pytest.mark.parametrize("q", [1, 2, 7, 8, 9, 233])
+    def test_bitwise_equal_to_five_array_loop(self, q, rng):
+        p = 1 if q > 1 else 0
+        for lam, theta in ((2.0, math.pi / (2 * q)), (1.3, 0.4)):
+            spec = am(p, q, lam, theta)
+            for Es in (
+                np.linspace(-5.0, 5.0, 41),
+                rng.uniform(-4.0, 4.0, 17) + 1j * rng.uniform(-1.0, 1.0, 17),
+            ):
+                for got, want in (
+                    (discriminant_grid(spec, Es), five_array_grid(spec, Es, False)),
+                    (
+                        discriminant_and_derivative_grid(spec, Es),
+                        five_array_grid(spec, Es, True),
+                    ),
+                ):
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype
+                        assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("q", [1, 8, 9, 233])
+    def test_each_energy_alone_equals_batch(self, q, rng):
+        # the bisection drops settled brackets from its batch, which keeps
+        # the roots only because no energy's value depends on the others
+        spec = am(1 if q > 1 else 0, q, 2.0, math.pi / (2 * q))
+        for Es in (rng.uniform(-4.0, 4.0, 23), rng.uniform(-4.0, 4.0, 9) + 0.2j):
+            for grid in (discriminant_grid, discriminant_and_derivative_grid):
+                batch = grid(spec, Es)
+                for i in range(len(Es)):
+                    alone = grid(spec, Es[i : i + 1])
+                    for b, a in zip(batch, alone):
+                        assert b[i : i + 1].tobytes() == a.tobytes()
 
     def test_grid_no_overflow_large_q(self):
         spec = OperatorSpec.almost_mathieu(reduce_fraction(233, 377), 2.0, 0.0)

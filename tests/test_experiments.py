@@ -218,6 +218,21 @@ class TestButterfly:
         with pytest.raises(ValueError):
             butterfly_generate(BUTTERFLY_QMAX_GUARD + 1, 2.0)
 
+    def test_union_needs_positive_coupling(self):
+        with pytest.raises(ValueError, match="coupling must be positive"):
+            butterfly_generate(5, 0.0)
+        assert len(butterfly_generate(2, 0.0, theta_mode="fixed-theta").rows) == 3
+
+    def test_only_root_finding_errors_are_cell_failures(self, monkeypatch):
+        import almost_mathieu.experiments as experiments
+
+        def broken(alpha, lam):
+            raise TypeError("not a cell failure")
+
+        monkeypatch.setattr(experiments, "spectral_union_S", broken)
+        with pytest.raises(TypeError, match="not a cell failure"):
+            butterfly_generate(3, 2.0)
+
     def test_fixed_theta_mode(self):
         ds = butterfly_generate(3, 2.0, theta_mode="fixed-theta", theta=0.0)
         assert len(ds.rows) == 1 + 2 * 1 + 3 * 2
