@@ -17,10 +17,18 @@ at thresholds 2 +- 2(lam/2)^q.  All of those are found the same way here:
      between consecutive zeros),
   3. from each zero walk out to the enclosing separators and bisect the
      monotone piece down to |D| = threshold, finishing with one derivative
-     step; an extremum already sitting at the threshold is a touching band
-     edge and is taken verbatim.  All edges are bisected in one batch of
-     at most 60 halvings, and an edge leaves the batch once its bracket
-     stops moving, with bitwise the result of 60 fixed halvings.
+     step; where D does not cross the threshold before the separator, the
+     band ends there (a touching edge).  All edges are bisected in one
+     batch of at most 60 halvings, and an edge leaves the batch once its
+     bracket stops moving, with bitwise the result of 60 fixed halvings.
+
+No threshold used here swallows a gap.  D' does not vanish where |D| < 2,
+which settles the spectrum.  D_theta = Delta - 2 (lam/2)^q cos(q theta)
+(Chambers), so every D_theta has the critical points E* of Delta, and
+|D_theta(E*)| >= 2 for every theta gives |Delta(E*)| >= 2 + 2 (lam/2)^q,
+the threshold of S, above that of S-.  At lam = 2 the bound is 4, so
+J_delta^c = {|Delta| <= delta} keeps its q bands for delta <= 4; above 4,
+bands that end on the same separator are merged into one component.
 
 Evaluation uses the scaled vectorized transfer recurrence from
 :mod:`almost_mathieu.core`, so nothing overflows at large q.
@@ -40,8 +48,6 @@ from .core import (
     discriminant_and_derivative_grid,
     discriminant_grid,
     potential_array,
-    potential_eval,
-    _mp_trace,
 )
 
 _BISECT_ITERS = 60
@@ -214,22 +220,6 @@ class HolderReport:
 # scaled-evaluation helpers
 
 
-def _mp_discriminant_value(spec: OperatorSpec, E: float) -> float:
-    """D(E) in extended precision, for noise-free tangency decisions.
-
-    Potential samples are the same binary rationals the float path uses, so
-    this evaluates the identical polynomial without the eps * (internal
-    growth) evaluation noise of the double recurrence.
-    """
-    import mpmath
-
-    q = spec.period
-    dps = 35 + int(q * math.log10(abs(E) + spec.coupling + 3.0)) + 1
-    with mpmath.workdps(dps):
-        potentials = [mpmath.mpf(potential_eval(spec, j)) for j in range(1, q + 1)]
-        return float(_mp_trace(mpmath.mpf(E), potentials))
-
-
 def _dense(tr: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Saturating float values from scaled (mantissa, log) form."""
     mag = np.abs(tr)
@@ -332,20 +322,25 @@ def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> 
 
 
 def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Band]]:
-    """The closed components of {|D| <= thr} for every thr in ``thresholds``.
+    """The q pieces of {|D| <= thr} around the zeros, for every thr in ``thresholds``.
 
-    The zeros of D, its interior extrema (with their extended-precision
-    re-readings), the slopes at the zeros and the separators are computed
-    once; every crossing edge of every threshold is bisected in one
-    vectorized batch.  Each threshold is decided on its own: the edges of
-    one threshold do not depend on the others passed with it.
+    The zeros of D, its interior extrema, the slopes at the zeros and the
+    separators are computed once; every crossing edge of every threshold is
+    bisected in one vectorized batch.  Each threshold is decided on its
+    own: the edges of one threshold do not depend on the others passed
+    with it.
 
-    Every threshold used by the spectral sets satisfies |D| >= thr at the
-    interior extrema (equality produces touching bands), giving q bands
-    anchored on the zeros.  A threshold that swallows a gap falls back to
-    the merged components: every crossing of D = +thr or D = -thr between
-    consecutive separators toggles membership, so sorted crossings pair up
-    into component boundaries.
+    Piece i runs from zero i outwards to where D crosses the threshold, or
+    to the separator (the extremum between two zeros) where it does not.
+    No set the package computes swallows a gap, so a separator that reads
+    below its threshold is a touching edge read with evaluation noise.
+    D_theta' vanishes only where |D_theta| >= 2, which covers the spectrum
+    (threshold 2).  By Chambers, D_theta = Delta - 2 (lam/2)^q cos(q theta)
+    has the same critical points E* for every theta, so |Delta(E*)| >=
+    2 + 2 (lam/2)^q: the thresholds of S (equal to it), S- (2 - 2 (lam/2)^q)
+    and J_delta^c for delta <= 4 lie at or below it.  For delta > 4,
+    neighbouring pieces can end on the same separator float, and
+    :func:`_jdelta_variant1` merges them.
     """
     q = spec.period
     thrs = [float(t) for t in thresholds]
@@ -361,53 +356,22 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
     fd = lambda E: _d_and_deriv_values(spec, E)
     zeros = _band_zeros(spec)
     extrema = _interior_extrema(zeros, lambda E: fd(E)[1])
-    raw_ext, outer_vals = np.split(f(np.concatenate((extrema, outer))), [len(extrema)])
+    ext_vals, outer_vals = np.split(f(np.concatenate((extrema, outer))), [len(extrema)])
     d_at_zeros, slope = fd(zeros)
     mono = np.where(slope >= 0.0, 1, -1)
-    mp_ext: dict[int, float] = {}
 
     # all crossing edges of all thresholds are bisected in one vectorized
-    # batch; slot (k, i, which) is edge ``which`` of band i at threshold k,
-    # and merged-component crossings (which = None) are not polished
+    # batch; slot (k, i, which) is edge ``which`` of band i at threshold k
     batch_lo: list[float] = []
     batch_hi: list[float] = []
     batch_target: list[float] = []
-    batch_slot: list[tuple[int, int, int | None]] = []
-    merged: list[bool] = []
-    edges: list = []  # per threshold: (q, 2) band edges, or merged crossings
+    batch_slot: list[tuple[int, int, int]] = []
+    edges = []  # per threshold: (q, 2) band edges
     for k, thr in enumerate(thrs):
-        lo_b, hi_b = outer[2 * k], outer[2 * k + 1]
-        lo_val, hi_val = outer_vals[2 * k], outer_vals[2 * k + 1]
-
-        # Double-precision readings of D at threshold-tangent extrema carry
-        # evaluation noise far above eps near gap spikes; any extremum whose
-        # reading dips below the threshold is re-evaluated in extended
-        # precision, which cleanly separates touching bands (a closed gap,
-        # exactly at the threshold) from genuinely swallowed ones.
-        ext_vals = raw_ext.copy()
-        for i in np.nonzero(thr - np.abs(raw_ext) > 1e-9 * thr)[0]:
-            if i not in mp_ext:
-                mp_ext[i] = _mp_discriminant_value(spec, float(extrema[i]))
-            ext_vals[i] = mp_ext[i]
-        is_merged = bool(np.any(thr - np.abs(ext_vals) > max(2e-5, 1e-9 * thr)))
-        merged.append(is_merged)
-        if is_merged:
-            seps = np.concatenate(([lo_b], extrema, [hi_b]))
-            sep_vals = np.concatenate(([lo_val], raw_ext, [hi_val]))
-            for i in range(len(seps) - 1):
-                for level in (thr, -thr):
-                    if (sep_vals[i] - level) * (sep_vals[i + 1] - level) < 0.0:
-                        batch_slot.append((k, i, None))
-                        batch_lo.append(seps[i])
-                        batch_hi.append(seps[i + 1])
-                        batch_target.append(level)
-            edges.append([])
-            continue
-
-        left_sep = np.concatenate(([lo_b], extrema))
-        right_sep = np.concatenate((extrema, [hi_b]))
-        sep_vals_left = np.concatenate(([lo_val], ext_vals))
-        sep_vals_right = np.concatenate((ext_vals, [hi_val]))
+        left_sep = np.concatenate(([outer[2 * k]], extrema))
+        right_sep = np.concatenate((extrema, [outer[2 * k + 1]]))
+        sep_vals_left = np.concatenate(([outer_vals[2 * k]], ext_vals))
+        sep_vals_right = np.concatenate((ext_vals, [outer_vals[2 * k + 1]]))
 
         # target value of D at the lower/upper edge of each band
         lower_target = np.where(mono > 0, -thr, thr)
@@ -434,37 +398,19 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
                     batch_lo.append(lo_i)
                     batch_hi.append(hi_i)
                     batch_target.append(target)
-                    continue
-                # no crossing: the separator sits on the threshold (touching band)
-                if abs(abs(sep_val) - thr) > max(2e-5, 1e-9 * thr) and math.isfinite(
-                    sep_val
-                ):
-                    raise RootFindingError(
-                        f"separator value {sep_val} inconsistent with threshold {thr}",
-                        bracket=(min(sep, zeros[i]), max(sep, zeros[i])),
-                    )
-                band_edges[i, which] = sep
+                else:
+                    # D does not cross the threshold before the separator
+                    band_edges[i, which] = sep
 
     if batch_slot:
         targets = np.asarray(batch_target)
         roots = _vector_bisect(f, np.asarray(batch_lo), np.asarray(batch_hi), targets)
         polished = _newton_polish(fd, roots, targets)  # one derivative step
-        for (k, i, which), r, rp in zip(batch_slot, roots, polished):
-            if which is None:
-                edges[k].append(float(r))
-            else:
-                edges[k][i, which] = float(rp)
+        for (k, i, which), rp in zip(batch_slot, polished):
+            edges[k][i, which] = float(rp)
 
     out = []
-    for is_merged, found in zip(merged, edges):
-        if is_merged:
-            c = sorted(found)
-            if len(c) % 2 != 0:
-                raise RootFindingError(f"odd number of threshold crossings ({len(c)})")
-            out.append(
-                [Band(c[2 * j], c[2 * j + 1], j + 1, 0) for j in range(len(c) // 2)]
-            )
-            continue
+    for found in edges:
         bands = []
         for i in range(q):
             lo, hi = float(found[i, 0]), float(found[i, 1])
@@ -539,7 +485,12 @@ def last_wilkinson_sum(alpha: ReducedRational) -> float:
 
 
 def _jdelta_variant1(alpha: ReducedRational, delta_: float, bands: list[Band]) -> JDeltaResult:
-    comp = SpectralSet(tuple(bands))
+    # up to delta = 4 no gap closes; above it, pieces that end on the same
+    # separator are one component
+    if delta_ > 4.0:
+        comp = SpectralSet.from_intervals([(b.lo, b.hi) for b in bands])
+    else:
+        comp = SpectralSet(tuple(bands))
     meas = comp.measure
     bound = 2.0 * math.e * delta_ / alpha.q
     return JDeltaResult(1, delta_, comp, meas, bound, meas <= bound * (1 + 1e-12))
@@ -549,7 +500,8 @@ def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaRe
     """J_delta (energies far from the critical set) via its complement.
 
     Variant 1: J^c = {|Delta| <= delta}, q closed intervals around the zeros
-    of Delta (fewer, merged ones once delta swallows a gap).  Variant 2:
+    of Delta for delta <= 4, where every extremum of Delta reads at least 4
+    in absolute value; above 4, intervals that meet are merged.  Variant 2:
     J^c = the closed delta-neighbourhood of the q zeros, merged when
     overlapping.  The 2 e delta / q measure bound applies to variant 1 and
     is reported, never raised.

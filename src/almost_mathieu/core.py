@@ -219,11 +219,6 @@ class Mat2:
     def max_abs(self) -> float:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [[complex(self.a11), complex(self.a12)], [complex(self.a21), complex(self.a22)]]
-        )
-
 
 def _potential_like(spec: OperatorSpec, j: int, E):
     """V(j) coerced to the arithmetic of E (Fraction stays exact)."""

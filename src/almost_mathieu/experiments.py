@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .bands import (
     spectrum_bands,
 )
 from .core import OperatorSpec, ReducedRational, reduce_fraction
+from .interpolation import gate_eta
 
 __all__ = [
     "DecayRow",
@@ -41,9 +41,6 @@ __all__ = [
 ]
 
 BUTTERFLY_QMAX_GUARD = 500
-
-# closeness gate |p~/q~ - p/q| < MEASURE_DECAY_GATE^{-q} delta^2 of measure_decay
-MEASURE_DECAY_GATE = 50
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,13 @@ def measure_decay(
 ) -> DecayReport:
     """meas(S(p~/q~, 2) intersect J_delta) per approximant, with decay fit.
 
-    Measures are exact interval-union arithmetic; the closeness gate at
-    MEASURE_DECAY_GATE is flagged per row, never enforced.  The decay model
-    ln(measure) ~ prefactor + rate * q~ is least-squares fitted over the
-    rows with positive measure.
+    Measures are exact interval-union arithmetic; the closeness gate
+    |p~/q~ - p/q| < gate_eta(q, delta) is flagged per row, never enforced.
+    The decay model ln(measure) ~ prefactor + rate * q~ is least-squares
+    fitted over the rows with positive measure.
     """
     jd = jdelta_sets(base, delta, variant)
-    eta = Fraction(MEASURE_DECAY_GATE) ** (-base.q) * Fraction(delta) ** 2
+    eta = gate_eta(base.q, delta)
     base_frac = base.as_fraction()
 
     rows = []

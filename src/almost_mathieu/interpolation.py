@@ -27,12 +27,16 @@ import scipy.linalg
 
 from .core import Mat2, ReducedRational, delta as chambers_delta
 
+# the constant C of the closeness gate |p~/q~ - p/q| <= C^{-q} delta^2
+CLOSENESS_GATE = 50
+
 __all__ = [
     "IntermediatePotential",
     "WindowReport",
     "TraceMarginReport",
     "ComparisonReport",
     "TruncationError",
+    "gate_eta",
     "build_intermediate",
     "window_check",
     "inverse_blocks",
@@ -144,18 +148,21 @@ class ComparisonReport:
         return self.final_lhs <= self.final_rhs * (1.0 + 1e-12)
 
 
+def gate_eta(q: int, delta: float) -> Fraction:
+    """The closeness gate's radius CLOSENESS_GATE^{-q} delta^2, exactly."""
+    return Fraction(CLOSENESS_GATE) ** (-q) * Fraction(delta) ** 2
+
+
 def build_intermediate(
     pq: ReducedRational,
     ptqt: ReducedRational,
     delta: float,
     ctilde: float = 0.5,
-    gate_constant: float = 50.0,
 ) -> IntermediatePotential:
     """Window length l0 = floor(ctilde q~ sqrt(delta) / q), with guards.
 
-    The closeness gate |p~/q~ - p/q| <= gate_constant^{-q} delta^2 is
-    recorded, not enforced: coarse approximants are flagged and still
-    computable.
+    The closeness gate |p~/q~ - p/q| <= gate_eta(q, delta) is recorded,
+    not enforced: coarse approximants are flagged and still computable.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -164,7 +171,7 @@ def build_intermediate(
         raise ValueError(f"approximant too coarse: l0 = {l0} < 1")
     if l0 > ptqt.q:
         raise ValueError(f"window too long: l0 = {l0} > {ptqt.q}")
-    eta = Fraction(gate_constant) ** (-pq.q) * Fraction(delta) ** 2
+    eta = gate_eta(pq.q, delta)
     gap = abs(ptqt.as_fraction() - pq.as_fraction())
     return IntermediatePotential(
         base=pq,

@@ -57,10 +57,6 @@ class HyperbolicFactor:
     phi_plus: tuple[complex, complex]
     phi_minus: tuple[complex, complex]
 
-    @property
-    def U(self) -> Mat2:
-        return Mat2(self.phi_plus[0], self.phi_minus[0], self.phi_plus[1], self.phi_minus[1])
-
     def det_u(self) -> complex:
         return self.phi_plus[0] * self.phi_minus[1] - self.phi_minus[0] * self.phi_plus[1]
 

@@ -64,24 +64,52 @@ def eig_band_edges(spec: OperatorSpec) -> np.ndarray:
     D(E) = -2 at those of the antiperiodic one; touching bands come out as
     coincident eigenvalues with no special handling.
     """
-    q = spec.period
-    V = potential_array(spec, 1, q)
-    if q == 1:
-        return np.sort(np.array([V[0] - 2.0, V[0] + 2.0]))
-    edges = []
-    for corner in (1.0, -1.0):
-        H = np.diag(V.astype(np.float64))
-        for i in range(q - 1):
-            H[i, i + 1] = 1.0
-            H[i + 1, i] = 1.0
-        if q == 2:
-            H[0, 1] += corner
-            H[1, 0] += corner
-        else:
-            H[0, q - 1] += corner
-            H[q - 1, 0] += corner
-        edges.append(scipy.linalg.eigvalsh(H))
-    return np.sort(np.concatenate(edges))
+    V = potential_array(spec, 1, spec.period)
+    return np.sort(np.concatenate((_floquet_eigenvalues(V, 1.0), _floquet_eigenvalues(V, -1.0))))
+
+
+def _floquet_eigenvalues(V: np.ndarray, corner: float) -> np.ndarray:
+    """Eigenvalues of the dense Floquet matrix with real boundary phase.
+
+    ``corner`` = +1 (periodic, D = 2) or -1 (antiperiodic, D = -2) adds
+    onto the hopping at (1, q), which covers q = 2 and, on the diagonal,
+    q = 1 as well.
+    """
+    q = len(V)
+    H = np.diag(np.asarray(V, dtype=np.float64))
+    for i in range(q - 1):
+        H[i, i + 1] = 1.0
+        H[i + 1, i] = 1.0
+    H[0, q - 1] += corner
+    H[q - 1, 0] += corner
+    return scipy.linalg.eigvalsh(H)
+
+
+def _chambers_edges(p: int, q: int, lam: float, theta_plus: float, theta_minus: float):
+    """(q, 2) bands from periodic eigenvalues at theta_plus and antiperiodic ones at theta_minus."""
+    plus = _floquet_eigenvalues(am_potential_range(p, q, lam, theta_plus, q), 1.0)
+    minus = _floquet_eigenvalues(am_potential_range(p, q, lam, theta_minus, q), -1.0)
+    return np.sort(np.concatenate((plus, minus))).reshape(q, 2)
+
+
+def union_s_edges(p: int, q: int, lam: float) -> np.ndarray:
+    """The q bands of S(p/q, lam) = {|Delta| <= 2 + 2 (lam/2)^q}, as (q, 2).
+
+    By Chambers, D_theta = Delta - 2 (lam/2)^q cos(q theta): Delta reaches
+    +(2 + 2 (lam/2)^q) where D_0 = 2, the periodic eigenvalues at theta = 0,
+    and -(2 + 2 (lam/2)^q) where D_{pi/q} = -2, the antiperiodic ones at
+    theta = pi/q.
+    """
+    return _chambers_edges(p, q, lam, 0.0, math.pi / q)
+
+
+def sminus_edges(p: int, q: int, lam: float) -> np.ndarray:
+    """The q bands of {|Delta| <= 2 - 2 (lam/2)^q} for lam < 2, as (q, 2).
+
+    The thetas of :func:`union_s_edges` swap: periodic eigenvalues at
+    theta = pi/q, antiperiodic ones at theta = 0.
+    """
+    return _chambers_edges(p, q, lam, math.pi / q, 0.0)
 
 
 def dense_floquet_zeros(spec: OperatorSpec) -> np.ndarray:

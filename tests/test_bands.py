@@ -30,6 +30,8 @@ from oracles import (
     exact_discriminant,
     fixed_bisect,
     mp_edge_offset,
+    sminus_edges,
+    union_s_edges,
 )
 
 from fractions import Fraction
@@ -119,6 +121,25 @@ class TestSpectrumBands:
             oracle = eig_band_edges(spec)
             np.testing.assert_allclose(mine, oracle, atol=5e-9)
 
+    # fixed thetas whose touching edges once missed by up to 7.4e-5 (the
+    # first three) or lost bands and raised RootFindingError (the last two)
+    @pytest.mark.parametrize(
+        "p,q,lam,theta",
+        [
+            (4, 51, 1.0, 0.29496916787078636),
+            (31, 33, 1.0, 2.4028256679265296),
+            (5, 53, 1.0, 2.697277959873883),
+            (3, 55, 2.0, 3.189665801522499),
+            (55, 58, 2.0, 3.3537466245204013),
+        ],
+    )
+    def test_touching_edges_match_eigenvalue_oracle(self, p, q, lam, theta):
+        spec = am(p, q, lam, theta)
+        s = spectrum_bands(spec)
+        assert len(s.bands) == q
+        mine = np.sort(np.array([x for b in s.bands for x in (b.lo, b.hi)]))
+        np.testing.assert_allclose(mine, eig_band_edges(spec), rtol=0, atol=1e-8)
+
     def test_symmetry_of_union_under_reflection(self, rng):
         for _ in range(10):
             r = random_reduced(rng, 8)
@@ -183,17 +204,32 @@ class TestSpectralUnion:
                         assert union.distance(E) <= 1e-8
 
 
-    # cells whose union set once came back with fewer than q bands
+    # cells whose union set once came back with fewer than q bands or
+    # raised RootFindingError, and (last five) cells whose top two bands
+    # once showed a gap of up to 2.1e-5 where they touch
     @pytest.mark.parametrize(
-        "p,q",
-        [(2, 53), (50, 53), (51, 53), (2, 55), (52, 55), (53, 55), (2, 57), (55, 57), (57, 59)],
+        "p,q,lam",
+        [
+            pytest.param(p, q, lam, id=f"{p}-{q}" if lam == 2.0 else f"{p}-{q}-lam{lam:g}")
+            for p, q, lam in [
+                *[(p, q, 2.0) for p, q in [(49, 52), (2, 53), (50, 53), (51, 53), (2, 55),
+                                           (52, 55), (53, 55), (2, 57), (55, 57), (57, 59)]],
+                *[(p, q, 3.0) for p, q in [(2, 35), (33, 35), (2, 37), (35, 37), (2, 39),
+                                           (37, 39), (43, 45), (2, 47), (45, 47), (2, 49),
+                                           (47, 49), (2, 51), (49, 51), (2, 53), (50, 53),
+                                           (51, 53), (2, 55), (3, 55), (53, 55), (2, 57),
+                                           (55, 57), (3, 58), (55, 58), (2, 59), (3, 59),
+                                           (56, 59), (57, 59)]],
+                *[(p, q, 2.0) for p, q in [(2, 21), (2, 23), (21, 23), (2, 25), (23, 25)]],
+            ]
+        ],
     )
-    def test_q_bands_or_root_finding_error(self, p, q):
-        try:
-            s = spectral_union_S(reduce_fraction(p, q), 2.0)
-        except RootFindingError:
-            return
+    def test_q_bands_or_root_finding_error(self, p, q, lam):
+        s = spectral_union_S(reduce_fraction(p, q), lam)
         assert len(s.bands) == q
+        np.testing.assert_allclose(
+            np.array(s.intervals()), union_s_edges(p, q, lam), rtol=0, atol=2e-8
+        )
 
     def test_missing_bands_raise(self, monkeypatch):
         sublevel = bands_module._sublevel_bands
@@ -369,6 +405,14 @@ class TestSminus:
             atol=1e-10,
         )
 
+    def test_subcritical_touching_edges(self):
+        # S-(25/27, 1) has touching bands whose edges once missed by 1.8e-5
+        s = sminus_points(reduce_fraction(25, 27), 1.0)
+        assert len(s.bands) == 27
+        np.testing.assert_allclose(
+            np.array(s.intervals()), sminus_edges(25, 27, 1.0), rtol=0, atol=1e-8
+        )
+
     def test_supercritical_empty(self):
         s = sminus_points(HALF, 3.0)
         assert isinstance(s, SpectralSet)
@@ -449,8 +493,8 @@ class TestJDelta:
 
     def test_sweep_equals_single_sets(self):
         # the batched sweep decides every delta exactly as a lone call does,
-        # including delta = 4 (touching bands) and delta = 6 (merged bands)
-        deltas = [1e-3, 0.1, 0.5, 2.0, 4.0, 6.0]
+        # including delta = 4 (touching bands) and delta > 4 (merged bands)
+        deltas = [1e-3, 0.1, 0.5, 2.0, 4.0, 4.001, 5.0, 6.0, 8.0]
         for q in range(1, 16):
             for p in range(q):
                 if math.gcd(p, q) != 1 and not (p == 0 and q == 1):

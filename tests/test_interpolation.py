@@ -40,7 +40,8 @@ class TestBuildIntermediate:
 
     def test_gate_flags(self):
         assert not build_intermediate(HALF, FINE, 0.25, ctilde=1.0).gate_ok
-        assert build_intermediate(HALF, FINE, 0.25, ctilde=1.0, gate_constant=1.0).gate_ok
+        # eta = 50^-2 * 0.25^2 = 2.5e-5 at q = 2, and |20000/40001 - 1/2| = 1.25e-5
+        assert build_intermediate(HALF, reduce_fraction(20000, 40001), 0.25, ctilde=1.0).gate_ok
 
     def test_fine_potential_below_freeze(self):
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=1.0)
