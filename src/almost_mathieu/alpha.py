@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .core import ReducedRational
 
 __all__ = [
@@ -119,6 +117,8 @@ def _log_condition3b(c: float, j: int, q_j: int, q_next: int) -> mpmath.mpf:
     Positive g certifies the exponential-decay half of condition (3);
     equals minus the log of the condition's left/right ratio.
     """
+    import mpmath
+
     cq = mpmath.mpf(c) * mpmath.mpf(q_j) ** (j + 1)
     return (
         mpmath.mpf(q_next) / cq
@@ -129,6 +129,8 @@ def _log_condition3b(c: float, j: int, q_j: int, q_next: int) -> mpmath.mpf:
 
 def _certified_g(c: float, j: int, q_j: int, q_next: int) -> mpmath.mpf:
     """Condition (3b) margin with an agreement check across precisions."""
+    import mpmath
+
     with mpmath.workdps(60):
         g60 = _log_condition3b(c, j, q_j, q_next)
     with mpmath.workdps(100):
@@ -167,7 +169,7 @@ def _level_margins(c: float, j: int, q_j: int, q_j1: int, q_j2: int) -> LevelCer
     m2 = _sat_float(Fraction(1, q_j1**(j + 1)) - Fraction(1, q_j1 * q_j2))
     m3a = _sat_float(Fraction(q_j1 - q_j**j))
     g = _certified_g(c, j, q_j, q_j1)
-    m3b = float(g) if mpmath.isfinite(g) else math.inf
+    m3b = float(g) if math.isfinite(g) else math.inf
     return LevelCertificate(j, q_j, q_j1, m1, m2, m3a, m3b)
 
 

@@ -19,8 +19,13 @@ at thresholds 2 +- 2(lam/2)^q.  All of those are found the same way here:
      monotone piece down to |D| = threshold, finishing with one derivative
      step; where D does not cross the threshold before the separator, the
      band ends there (a touching edge).  All edges are bisected in one
-     batch of at most 60 halvings, and an edge leaves the batch once its
-     bracket stops moving, with bitwise the result of 60 fixed halvings.
+     batch of at most 60 halvings, several to a kernel call: for n
+     brackets, one call takes the 2^d - 1 midpoints of the next d levels
+     of each bracket's bisection tree, with n (2^d - 1) <= 512, and since
+     the sign of D - threshold at a bracket's lower end never changes,
+     the signs at those midpoints walk it down all d levels.  An edge
+     leaves the batch once its bracket stops moving, with bitwise the
+     result of 60 fixed halvings.
 
 No threshold used here swallows a gap.  D' does not vanish where |D| < 2,
 which settles the spectrum.  D_theta = Delta - 2 (lam/2)^q cos(q theta)
@@ -51,6 +56,7 @@ from .core import (
 )
 
 _BISECT_ITERS = 60
+_BLOCK_ENERGIES = 512  # midpoints one bisection call of f may take
 
 __all__ = [
     "Band",
@@ -238,34 +244,78 @@ def _d_and_deriv_values(spec: OperatorSpec, E: np.ndarray):
     return _dense(tr, logs), _dense(dtr, logs)
 
 
+def _block_depth(n: int, left: int) -> int:
+    """Levels of the bisection tree one call of f evaluates for n brackets.
+
+    The largest d with n (2^d - 1) <= _BLOCK_ENERGIES, at least 1 and at
+    most the ``left`` halvings still to do.
+    """
+    d = 1
+    while d < left and n * (2 ** (d + 1) - 1) <= _BLOCK_ENERGIES:
+        d += 1
+    return d
+
+
 def _vector_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Roots of f - targets, one per sign-changing [lo_i, hi_i] bracket.
 
     Each of the _BISECT_ITERS halvings keeps the half whose ends differ in
-    sign.  A halving that leaves a bracket unchanged (the midpoint rounds
-    onto the end it would replace) leaves it unchanged for good, so the
-    bracket leaves the batch and f is evaluated only at the energies still
-    moving.  f acts on each energy on its own, so the roots are bitwise
-    those of _BISECT_ITERS fixed halvings of every bracket.
+    sign.  The halvings run in blocks of d levels (:func:`_block_depth`):
+    one call of f takes, for every bracket, the 2^d - 1 midpoints of its
+    d-level tree, the same floats that d halvings in turn would compute,
+    and the signs of those values walk each bracket down the tree.  The
+    lower end moves only onto a midpoint where f - target has its sign, so
+    that sign, read once at the start, decides every level.
+
+    A halving that leaves a bracket unchanged (the midpoint rounds onto the
+    end it would replace) leaves it unchanged for good, so a bracket the
+    last level of a block did not move has settled and leaves the batch.
+    f acts on each energy on its own, so the roots are bitwise those of
+    _BISECT_ITERS fixed halvings of every bracket.
     """
     roots = np.empty(len(lo))
     live = np.arange(len(lo))  # the brackets still in the batch
-    flo = f(lo) - targets
-    for _ in range(_BISECT_ITERS):
-        if not live.size:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid) - targets
-        same = np.sign(fm) == np.sign(flo)
-        # compared bit for bit, so that a signed zero still counts as a move
-        moved = mid.view(np.int64) != np.where(same, lo, hi).view(np.int64)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+    sign_lo = np.sign(f(lo) - targets)
+    done = 0
+    while live.size and done < _BISECT_ITERS:
+        n = live.size
+        d = _block_depth(n, _BISECT_ITERS - done)
+        done += d
+        # each bracket's tree of the next d halvings in heap order: node k
+        # is the bracket [L[:, k], H[:, k]] with midpoint M[:, k] and
+        # children 2k + 1 (the lower half) and 2k + 2 (the upper half)
+        L = np.empty((n, 2 ** (d + 1) - 1))
+        H = np.empty_like(L)
+        M = np.empty((n, 2**d - 1))
+        L[:, 0], H[:, 0] = lo, hi
+        a = 0  # the first node of the level
+        for _ in range(d):
+            b = 2 * a + 1  # the first node of the next level
+            m = M[:, a:b]
+            np.multiply(0.5, L[:, a:b] + H[:, a:b], out=m)
+            L[:, b : 2 * b : 2], L[:, b + 1 : 2 * b + 1 : 2] = L[:, a:b], m
+            H[:, b : 2 * b : 2], H[:, b + 1 : 2 * b + 1 : 2] = m, H[:, a:b]
+            a = b
+        fm = f(M.ravel()).reshape(n, -1) - targets[:, None]
+        upper = (np.sign(fm) == sign_lo[:, None]).ravel()
+        # walk down with flat indices into the (n, ...) arrays
+        row_m = np.arange(0, M.size, M.shape[1])
+        k = np.zeros(n, dtype=np.intp)
+        for _ in range(d):
+            parent = k
+            k = 2 * k + 1 + upper[row_m + k]
+        row_n = np.arange(0, L.size, L.shape[1])
+        L, H = L.ravel(), H.ravel()
+        lo, hi = L[row_n + k], H[row_n + k]
+        # compared bit for bit with the bracket before the last level, so
+        # that a signed zero still counts as a move
+        moved = (lo.view(np.int64) != L[row_n + parent].view(np.int64)) | (
+            hi.view(np.int64) != H[row_n + parent].view(np.int64)
+        )
         if not moved.all():
             settled = ~moved
             roots[live[settled]] = 0.5 * (lo[settled] + hi[settled])
-            live, lo, hi, flo, targets = (x[moved] for x in (live, lo, hi, flo, targets))
+            live, lo, hi, sign_lo, targets = (x[moved] for x in (live, lo, hi, sign_lo, targets))
     roots[live] = 0.5 * (lo + hi)
     return roots
 

@@ -274,9 +274,16 @@ def cmd_measure_decay(args) -> int:
     rows = [
         (r.approximant.p, r.approximant.q, r.measure, int(r.gate_ok)) for r in rep.rows
     ]
+    failures = []
+    if rep.fitted_rate is None:
+        failures.append(
+            f"decay fit needs 2 distinct q~ with positive measure, got {rep.fit_qs}"
+        )
     if args.format == "csv":
         _emit(_csv(["p", "q", "measure", "gate_ok"], rows), args.output)
-        return 0
+        for failure in failures:
+            print(failure, file=sys.stderr)
+        return 1 if failures else 0
     results = {
         "rows": [
             {"p": p, "q": q, "measure": m, "gate_ok": bool(g)} for p, q, m, g in rows
@@ -285,7 +292,7 @@ def cmd_measure_decay(args) -> int:
         "fitted_prefactor": rep.fitted_prefactor,
         "r_squared": rep.r_squared,
     }
-    return _report(args, results, [])
+    return _report(args, results, failures)
 
 
 def cmd_dimension(args) -> int:

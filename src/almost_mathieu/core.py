@@ -32,7 +32,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
@@ -288,6 +287,8 @@ def _mp_trig_table(q: int, dps: int):
     key = (q, dps)
     table = _MP_TRIG_CACHE.get(key)
     if table is None:
+        import mpmath
+
         two_pi = 2 * mpmath.pi
         table = [
             (mpmath.cos(two_pi * m / q), mpmath.sin(two_pi * m / q)) for m in range(q)
@@ -301,6 +302,8 @@ _MP_TRIG_CACHE: dict = {}
 
 def _mp_trace(E, potentials):
     """Tr Phi_q(E) at the current mpmath precision, given V(1), ..., V(q)."""
+    import mpmath
+
     a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
     for v in potentials:
         e = E - v
@@ -310,6 +313,8 @@ def _mp_trace(E, potentials):
 
 def _mp_potentials(alpha: ReducedRational, lam, theta, table) -> list:
     """lam cos(2 pi p j / q + theta) for j = 1..q at the working precision."""
+    import mpmath
+
     cos_t = mpmath.cos(theta)
     sin_t = mpmath.sin(theta)
     out = []
@@ -330,6 +335,8 @@ def chambers_residual(
     transfer product is amplified by ||Phi_q|| ~ exp(q gamma); the returned
     residual then measures the identity rather than float64 noise.
     """
+    import mpmath
+
     q = alpha.q
     growth = abs(E) + abs(lam) + 3.0
     dps = 35 + int(q * math.log10(growth)) + 1

@@ -57,9 +57,10 @@ class DecayReport:
     delta: float
     variant: int
     rows: tuple[DecayRow, ...]
-    fitted_rate: float
-    fitted_prefactor: float
-    r_squared: float
+    fit_qs: int  # distinct q~ with positive measure; the fit needs two
+    fitted_rate: float | None
+    fitted_prefactor: float | None
+    r_squared: float | None
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,8 @@ def measure_decay(
     Measures are exact interval-union arithmetic; the closeness gate
     |p~/q~ - p/q| < gate_eta(q, delta) is flagged per row, never enforced.
     The decay model ln(measure) ~ prefactor + rate * q~ is least-squares
-    fitted over the rows with positive measure.
+    fitted over the rows with positive measure, provided they span at least
+    two distinct q~; otherwise the fitted fields are None.
     """
     jd = jdelta_sets(base, delta, variant)
     eta = gate_eta(base.q, delta)
@@ -158,19 +160,18 @@ def measure_decay(
         rows.append(DecayRow(appr, appr.q, float(inter_measure), bool(gate)))
 
     pts = [(r.q_tilde, r.measure) for r in rows if r.measure > 0.0]
-    if len(pts) >= 2:
+    fit_qs = len({x for x, _ in pts})
+    rate = prefactor = r2 = None
+    if fit_qs >= 2:
         x = np.array([p[0] for p in pts], dtype=np.float64)
         y = np.log(np.array([p[1] for p in pts], dtype=np.float64))
-        rate, intercept = np.polyfit(x, y, 1)
-        resid = y - (rate * x + intercept)
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
         ss_tot = float(np.sum((y - y.mean()) ** 2))
+        rate = float(slope)
         r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
         prefactor = float(np.exp(intercept))
-    else:
-        rate, prefactor, r2 = math.nan, math.nan, math.nan
-    return DecayReport(
-        base, float(delta), variant, tuple(rows), float(rate), prefactor, float(r2)
-    )
+    return DecayReport(base, float(delta), variant, tuple(rows), fit_qs, rate, prefactor, r2)
 
 
 def box_counting_dimension(

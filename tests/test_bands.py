@@ -244,8 +244,26 @@ class TestSpectralUnion:
             spectrum_bands(OperatorSpec.almost_mathieu(reduce_fraction(1, 3), 2.0, 0.0))
 
 
+def count_grid_work(monkeypatch) -> list[int]:
+    """Energy-steps of every grid call the band code makes from now on."""
+    steps = []
+    for name in ("discriminant_grid", "discriminant_and_derivative_grid"):
+        grid = getattr(bands_module, name)
+
+        def counted(spec, energies, grid=grid):
+            steps.append(spec.period * np.size(energies))
+            return grid(spec, energies)
+
+        monkeypatch.setattr(bands_module, name, counted)
+    return steps
+
+
+# the smallest batch size for each block depth 9, 8, ..., 1, plus larger ones
+BATCH_SIZES = (1, 2, 3, 5, 9, 17, 35, 40, 74, 300, 1000)
+
+
 class TestVectorBisect:
-    """Dropping settled brackets gives the roots of 60 fixed halvings."""
+    """Block evaluation and dropping settled brackets give the roots of 60 fixed halvings."""
 
     def check(self, f, lo, hi, targets):
         got = bands_module._vector_bisect(f, lo, hi, targets)
@@ -258,6 +276,25 @@ class TestVectorBisect:
         lo = rng.uniform(-4.0, 0.0, 200)
         hi = lo + 10.0 ** rng.uniform(-15.0, 0.5, 200)
         self.check(f, lo, hi, rng.uniform(-3.0, 3.0, 200))
+
+    def test_block_depths(self):
+        depths = [bands_module._block_depth(n, 60) for n in BATCH_SIZES]
+        assert depths == [9, 8, 7, 6, 5, 4, 3, 3, 2, 1, 1]
+        for n in BATCH_SIZES:
+            d = bands_module._block_depth(n, 60)
+            assert d == 1 or n * (2**d - 1) <= bands_module._BLOCK_ENERGIES
+            assert n * (2 ** (d + 1) - 1) > bands_module._BLOCK_ENERGIES
+        # never past the halvings still to do
+        assert [bands_module._block_depth(1, left) for left in (1, 2, 6, 9)] == [1, 2, 6, 9]
+
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    def test_every_block_depth(self, n):
+        rng = np.random.default_rng(n)
+        spec = am(5, 12, 2.0, 0.3)
+        f = lambda E: bands_module._d_values(spec, E)
+        lo = rng.uniform(-4.0, 0.0, n)
+        hi = lo + 10.0 ** rng.uniform(-12.0, 0.6, n)
+        self.check(f, lo, hi, rng.uniform(-2.5, 2.5, n))
 
     def test_spectral_set_brackets(self):
         # brackets between consecutive zeros of Delta, with and without a
@@ -277,17 +314,35 @@ class TestVectorBisect:
         # zero width, f returning NaN, signed zeros, and several roots
         self.check(f, lo, hi, np.zeros(len(lo)))
 
+    @pytest.mark.parametrize("n_random", [0, 4, 30, 300])
+    def test_brackets_settling_inside_a_block(self, n_random):
+        # brackets a few ulps wide settle after a few halvings, at every
+        # level of a block: around the root at -1, without a sign change
+        # (0.45) and where f is NaN (0.7); the root at 0 of [-0.3, 0.7] is
+        # still moving after 60 halvings
+        f = lambda E: np.where(E > 0.5, np.nan, E**3 - E)
+        special_lo = [0.7, 0.7, 0.0, -0.0, 0.2, -0.3, -0.0, 0.0]
+        special_hi = [np.nextafter(0.7, 1.0), 0.7, 0.5, 0.0, 0.9, 0.7, 0.1, -0.0]
+        for k in range(1, 12):
+            ulps = k * 2.0**k
+            special_lo += [-1.0 - k * np.spacing(1.0), 0.45, 0.7]
+            special_hi += [x + ulps * np.spacing(abs(x)) for x in (-1.0, 0.45, 0.7)]
+        rng = np.random.default_rng(n_random)
+        lo = np.concatenate((special_lo, rng.uniform(-1.5, 0.0, n_random)))
+        hi = np.concatenate((special_hi, lo[len(special_lo):] + rng.uniform(0.0, 1.5, n_random)))
+        order = rng.permutation(len(lo))
+        self.check(f, lo[order], hi[order], np.zeros(len(lo)))
+
+    def test_grid_calls_at_13_21(self, monkeypatch):
+        # one grid call a halving costs 116 calls for this set
+        steps = count_grid_work(monkeypatch)
+        s = spectral_union_S(reduce_fraction(13, 21), 2.0)
+        assert len(s.bands) == 21
+        assert len(steps) <= 40
+
     def test_work_budget_at_233_377(self, monkeypatch):
         # 60 fixed halvings of every edge cost 26.7M energy-steps here
-        steps = []
-        for name in ("discriminant_grid", "discriminant_and_derivative_grid"):
-            grid = getattr(bands_module, name)
-
-            def counted(spec, energies, grid=grid):
-                steps.append(spec.period * np.size(energies))
-                return grid(spec, energies)
-
-            monkeypatch.setattr(bands_module, name, counted)
+        steps = count_grid_work(monkeypatch)
         s = spectral_union_S(reduce_fraction(233, 377), 2.0)
         assert len(s.bands) == 377
         assert sum(steps) <= 20.0e6

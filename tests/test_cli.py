@@ -257,6 +257,53 @@ class TestOtherCommands:
         rows = json.loads(out)["results"]["rows"]
         assert [(r["p"], r["q"]) for r in rows] == [(13, 27), (21, 43)]
 
+    @pytest.mark.parametrize(
+        "argv, got",
+        [
+            (["--delta", "10"], 0),  # every measure is 0
+            (["--delta", "0.1", "--kmin", "3", "--kmax", "3"], 1),  # one row
+            (["--delta", "0.1", "--approximants", "1/2,1/2"], 1),  # one q~ twice
+        ],
+        ids=["all-zero", "one-row", "one-q-twice"],
+    )
+    def test_measure_decay_without_fit_fails(self, capsys, argv, got):
+        code, out = run_main(capsys, "measure-decay", "--p", "1", "--q", "2", *argv)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 1
+        assert doc["failures"] == [
+            f"decay fit needs 2 distinct q~ with positive measure, got {got}"
+        ]
+        results = doc["results"]
+        assert results["fitted_rate"] is None
+        assert results["fitted_prefactor"] is None
+        assert results["r_squared"] is None
+        assert results["rows"]
+
+    def test_measure_decay_csv_without_fit_fails(self, capfd):
+        code = main(["measure-decay", "--p", "1", "--q", "2", "--delta", "10", "--format", "csv"])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert out.startswith("p,q,measure,gate_ok\n")
+        assert err == "decay fit needs 2 distinct q~ with positive measure, got 0\n"
+
+    def test_mpmath_imported_only_where_used(self):
+        script = (
+            "import os, sys\n"
+            "from almost_mathieu.cli import main\n"
+            "code = main(['butterfly', '--qmax', '5', '--format', 'csv', '--output', os.devnull])\n"
+            "print(code, 'mpmath' in sys.modules)\n"
+            "code = main(['verify', '--suite', 'core', '--output', os.devnull])\n"
+            "print(code, 'mpmath' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.stdout == "0 False\n0 True\n", proc.stderr
+
     def test_console_script_installed(self):
         # The `amo` script that pip writes from [project.scripts] imports the
         # entry point, sets argv[0] to the script name and calls it with no
