@@ -7,11 +7,11 @@ from .core import (
     chambers_residual,
     delta,
     discriminant,
-    monodromy,
+    eigenvector,
+    floquet_multiplier,
     monodromy_scaled,
-    potential_eval,
+    potential_array,
     reduce_fraction,
-    transfer_matrix,
 )
 
 __version__ = "0.1.0"
@@ -23,10 +23,10 @@ __all__ = [
     "chambers_residual",
     "delta",
     "discriminant",
-    "monodromy",
+    "eigenvector",
+    "floquet_multiplier",
     "monodromy_scaled",
-    "potential_eval",
+    "potential_array",
     "reduce_fraction",
-    "transfer_matrix",
     "__version__",
 ]

@@ -442,7 +442,9 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
                 (0, left_sep[i], sep_vals_left[i], lower_target[i]),
                 (1, right_sep[i], sep_vals_right[i], upper_target[i]),
             ):
-                if (sep_val - target) * (d_at_zeros[i] - target) < 0.0:
+                # compare, not multiply: the product of the two offsets
+                # overflows where a saturated outer value meets a large target
+                if min(sep_val, d_at_zeros[i]) < target < max(sep_val, d_at_zeros[i]):
                     lo_i, hi_i = (sep, zeros[i]) if which == 0 else (zeros[i], sep)
                     batch_slot.append((k, i, which))
                     batch_lo.append(lo_i)

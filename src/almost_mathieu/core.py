@@ -5,27 +5,29 @@ is built on the one-step transfer matrix
 
     T_j(E) = [[E - V(j), -1], [1, 0]],        det T_j = 1,
 
-and the one-period product Phi_q(E) = T_q ... T_1.  The matrices here are
-generic over their scalar type: ``complex`` for everyday work and
-``fractions.Fraction`` for the exact evaluation path used by the q <= 8
-oracles.  The energy derivative is carried only by the grid kernel below.
+and the one-period product Phi_q(E) = T_q ... T_1 with its Floquet
+multipliers, the roots of mu^2 - Tr Phi_q mu + det Phi_q.
 
-The recurrence runs in three forms.  ``monodromy`` and ``monodromy_scaled``
-multiply the matrices one energy at a time.  ``_grid_kernel`` is the one
-vectorized loop over the period: it carries the product at every energy of
-a grid, rescales it every few steps so it never overflows, and carries the
-energy derivative only when ``discriminant_and_derivative_grid`` asks for
-it (``discriminant_grid`` does not).  Its rows [a, b] (with [da, db]) and
+The recurrence runs in two forms.  ``monodromy_scaled`` is the one scalar
+loop: it multiplies ``Mat2`` steps at one complex energy and rescales the
+product every few steps, and ``discriminant`` and ``delta`` read their
+values off it.  ``_grid_kernel`` is the one vectorized loop over the
+period: it carries the product at every energy of a grid, rescales it
+every few steps so it never overflows, and carries the energy derivative
+only when ``discriminant_and_derivative_grid`` asks for it
+(``discriminant_grid`` does not).  Its rows [a, b] (with [da, db]) and
 [c, d] (with [dc, dd]) sit in two stacked arrays updated in place, 3 or 4
 array operations a step; the energy factor is always the left operand of
 a product, because numpy's complex multiply is not bitwise commutative.
 Each energy's value depends on that energy alone, not on the rest of the
 grid.  ``_mp_trace`` is the one mpmath loop, run over a list of potential
-values at whatever precision the caller sets.
+values at whatever precision the caller sets.  ``floquet_multiplier`` and
+``eigenvector`` are the one place the 2x2 eigenproblem is solved.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +47,9 @@ __all__ = [
     "OperatorSpec",
     "Mat2",
     "reduce_fraction",
-    "potential_eval",
     "potential_array",
-    "transfer_matrix",
-    "monodromy",
+    "floquet_multiplier",
+    "eigenvector",
     "monodromy_scaled",
     "discriminant",
     "delta",
@@ -153,15 +154,6 @@ class OperatorSpec:
         return max(abs(v) for v in self.values)
 
 
-def potential_eval(spec: OperatorSpec, n: int) -> float:
-    """V(n); exactly periodic because the phase is reduced mod q in integers."""
-    if spec.is_almost_mathieu:
-        q = spec.alpha.q
-        m = (spec.alpha.p * n) % q
-        return spec.lam * math.cos(TWO_PI * m / q + spec.theta)
-    return spec.values[n % len(spec.values)]
-
-
 def potential_array(spec: OperatorSpec, start: int, count: int) -> np.ndarray:
     """V(start), ..., V(start + count - 1) as a float array."""
     n = np.arange(start, start + count, dtype=np.int64)
@@ -174,12 +166,12 @@ def potential_array(spec: OperatorSpec, start: int, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices over an arbitrary scalar
+# 2x2 matrices and their eigenpairs
 
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix; entries may be complex or Fraction."""
+    """2x2 matrix with float or complex entries."""
 
     a11: object
     a12: object
@@ -219,29 +211,27 @@ class Mat2:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 
 
-def _potential_like(spec: OperatorSpec, j: int, E):
-    """V(j) coerced to the arithmetic of E (Fraction stays exact)."""
-    v = potential_eval(spec, j)
-    if isinstance(E, Fraction):
-        return Fraction(v)
-    return v
+def floquet_multiplier(tr: complex, det: complex = 1) -> complex:
+    """The larger-modulus root of mu^2 - tr mu + det."""
+    s = cmath.sqrt(tr * tr - 4.0 * det)
+    if abs(tr + s) < abs(tr - s):
+        s = -s
+    return (tr + s) / 2.0
 
 
-def transfer_matrix(spec: OperatorSpec, E, j: int) -> Mat2:
-    """One-step transfer matrix [[E - V(j), -1], [1, 0]]."""
-    return Mat2(E - _potential_like(spec, j, E), -1, 1, 0)
+def eigenvector(m: Mat2, mu: complex) -> tuple[complex, complex] | None:
+    """Unit eigenvector of m for the eigenvalue mu, or None if m = mu I.
 
-
-def monodromy(spec: OperatorSpec, E) -> Mat2:
-    """One-period product T_q ... T_1 over the scalar type of E.
-
-    Grows like exp(q * gamma) off the spectrum; for large q at real energies
-    use :func:`monodromy_scaled` instead.
+    Of the two rows of adj(m - mu I), the one with the larger 1-norm is
+    taken, so an eigenvector with one zero component still comes out.
     """
-    m = Mat2.identity()
-    for j in range(1, spec.period + 1):
-        m = transfer_matrix(spec, E, j) @ m
-    return m
+    c1 = (complex(m.a12), mu - complex(m.a11))
+    c2 = (mu - complex(m.a22), complex(m.a21))
+    v = c1 if abs(c1[0]) + abs(c1[1]) >= abs(c2[0]) + abs(c2[1]) else c2
+    n = math.hypot(abs(v[0]), abs(v[1]))
+    if n == 0.0:
+        return None
+    return (v[0] / n, v[1] / n)
 
 
 def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
@@ -253,8 +243,8 @@ def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
     z = complex(z)
     m = Mat2.identity()
     log_scale = 0.0
-    for j in range(1, spec.period + 1):
-        m = transfer_matrix(spec, z, j) @ m
+    for j, v in enumerate(potential_array(spec, 1, spec.period).tolist(), 1):
+        m = Mat2(z - v, -1, 1, 0) @ m
         if j % _RESCALE_EVERY == 0:
             s = m.max_abs()
             if s > 0.0:
@@ -268,18 +258,19 @@ def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
 
 
 def discriminant(spec: OperatorSpec, E):
-    """D(E) = Tr Phi_q(E), a monic degree-q polynomial in E.
+    """D(E) = Tr Phi_q(E), a monic degree-q polynomial in E; real for real E.
 
-    Accepts complex or Fraction energies; a Fraction input is evaluated
-    exactly.
+    The value is unscaled, so it overflows where |D| leaves the float
+    range; ``discriminant_grid`` returns it in scaled form.
     """
-    return monodromy(spec, E).trace()
+    m, log_scale = monodromy_scaled(spec, E)
+    d = m.trace() * math.exp(log_scale)
+    return d if isinstance(E, complex) else d.real
 
 
 def delta(alpha: ReducedRational, lam: float, E):
     """Chambers' Delta: the discriminant evaluated at theta = pi / (2q)."""
-    spec = OperatorSpec.almost_mathieu(alpha, lam, math.pi / (2.0 * alpha.q))
-    return discriminant(spec, E)
+    return discriminant(OperatorSpec.almost_mathieu(alpha, lam, math.pi / (2.0 * alpha.q)), E)
 
 
 def _mp_trig_table(q: int, dps: int):

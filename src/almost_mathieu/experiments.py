@@ -132,6 +132,16 @@ def approximant_family(base: ReducedRational, k_min: int, k_max: int) -> list[Re
     ]
 
 
+def _log_linear_fit(x: np.ndarray, values) -> tuple[float, float, float]:
+    """Least-squares line ln(values) ~ slope x + intercept, and its R^2."""
+    y = np.log(np.array(values, dtype=np.float64))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
+
+
 def measure_decay(
     base: ReducedRational,
     delta: float,
@@ -163,13 +173,9 @@ def measure_decay(
     fit_qs = len({x for x, _ in pts})
     rate = prefactor = r2 = None
     if fit_qs >= 2:
-        x = np.array([p[0] for p in pts], dtype=np.float64)
-        y = np.log(np.array([p[1] for p in pts], dtype=np.float64))
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        rate = float(slope)
-        r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+        rate, intercept, r2 = _log_linear_fit(
+            np.array([p[0] for p in pts], dtype=np.float64), [p[1] for p in pts]
+        )
         prefactor = float(np.exp(intercept))
     return DecayReport(base, float(delta), variant, tuple(rows), fit_qs, rate, prefactor, r2)
 
@@ -217,13 +223,8 @@ def box_counting_dimension(
             total += cur_hi - cur_lo + 1
         counts.append(total)
 
-    x = np.log(1.0 / np.array(scales))
-    y = np.log(np.array(counts, dtype=np.float64))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return BoxCountReport(float(slope), tuple(scales), tuple(counts), float(r2))
+    slope, _, r2 = _log_linear_fit(np.log(1.0 / np.array(scales)), counts)
+    return BoxCountReport(slope, tuple(scales), tuple(counts), r2)
 
 
 def cover_dimension_bound(cf: CoverFamily) -> CoverBoundReport:

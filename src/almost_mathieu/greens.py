@@ -16,7 +16,6 @@ G(1, m q) = (-1)^{m-1} G(1, q)^m.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,8 @@ import numpy as np
 from .core import (
     OperatorSpec,
     discriminant_grid,
+    eigenvector,
+    floquet_multiplier,
     monodromy_scaled,
     potential_array,
 )
@@ -137,8 +138,7 @@ def lyapunov(spec: OperatorSpec, z: complex) -> LyapunovValue:
         # Spr = |T| up to O(1/T^2)
         return LyapunovValue(log_t / q, None)
     T = phase * math.exp(log_t) if log_t > -math.inf else 0j
-    s = cmath.sqrt(T * T / 4.0 - 1.0)
-    spr = max(abs(T / 2.0 + s), abs(T / 2.0 - s))
+    spr = abs(floquet_multiplier(T))
     gamma = max(0.0, math.log(max(spr, 1.0)) / q)
     if z.imag == 0.0 and abs(T.imag) < 1e-12 and abs(T.real) <= 2.0:
         k = math.acos(min(1.0, max(-1.0, T.real / 2.0))) / q
@@ -174,31 +174,22 @@ def lyapunov_grid(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
 def _contracting_eigenpair(spec: OperatorSpec, z: complex):
     """(mu phase, log |mu|, eigenvector) of the contracting monodromy branch."""
     m, log_s = monodromy_scaled(spec, z)
-    tr = m.trace()
     # det(Phi_q) = 1 structurally, so the scaled determinant is known in
     # closed form; computing it from the entries would cancel catastrophically
     # once exp(-2 gamma q) drops below eps
     det = math.exp(max(-2.0 * log_s, -700.0))
-    s = cmath.sqrt(tr * tr - 4.0 * det)
-    if abs(tr + s) < abs(tr - s):
-        s = -s
-    mu_big_hat = (tr + s) / 2.0  # expanding branch of the scaled matrix
-    mu_small_hat = det / mu_big_hat
+    # the contracting multiplier of the scaled matrix
+    mu_small_hat = det / floquet_multiplier(m.trace(), det)
     log_mu = math.log(abs(mu_small_hat)) + log_s
     if log_mu > -_UNIMODULAR_TOL * spec.period:
         raise ValueError(
             "resolvent unbounded: monodromy eigenvalues unimodular "
             f"(|mu| = exp({log_mu:.2e}))"
         )
-    # eigenvector of the scaled matrix for mu_small_hat
-    cand1 = (m.a12, mu_small_hat - m.a11)
-    cand2 = (mu_small_hat - m.a22, m.a21)
-    v = cand1 if abs(cand1[0]) + abs(cand1[1]) >= abs(cand2[0]) + abs(cand2[1]) else cand2
-    norm = math.hypot(abs(v[0]), abs(v[1]))
-    if norm == 0.0:
+    v = eigenvector(m, mu_small_hat)
+    if v is None:
         raise ValueError("degenerate contracting eigenvector")
-    phase = mu_small_hat / abs(mu_small_hat)
-    return phase, log_mu, (v[0] / norm, v[1] / norm)
+    return mu_small_hat / abs(mu_small_hat), log_mu, v
 
 
 class _FloquetSolution:

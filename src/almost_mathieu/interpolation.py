@@ -17,7 +17,6 @@ resolvent solves.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,14 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .core import Mat2, ReducedRational, delta as chambers_delta
+from .core import (
+    Mat2,
+    OperatorSpec,
+    ReducedRational,
+    delta as chambers_delta,
+    floquet_multiplier,
+    monodromy_scaled,
+)
 
 # the constant C of the closeness gate |p~/q~ - p/q| <= C^{-q} delta^2
 CLOSENESS_GATE = 50
@@ -83,16 +89,8 @@ class IntermediatePotential:
         den = d.denominator if d != 0 else 1
         return 2.0 * math.pi * frac / den
 
-    def potential(self, n: int) -> float:
-        q = self.base.q
-        if n < self.freeze_site:
-            qf = self.fine.q
-            return 2.0 * math.cos(2.0 * math.pi * ((self.fine.p * n) % qf) / qf)
-        return 2.0 * math.cos(
-            2.0 * math.pi * ((self.base.p * n) % q) / q + self.theta(n)
-        )
-
     def potential_array(self, start: int, count: int) -> np.ndarray:
+        """V~(start), ..., V~(start + count - 1)."""
         n = np.arange(start, start + count, dtype=np.int64)
         q = self.base.q
         qf = self.fine.q
@@ -192,7 +190,7 @@ def window_check(ip: IntermediatePotential, E: float) -> WindowReport:
     """
     q = ip.base.q
     thr = -2.0 - 0.75 * ip.delta
-    dval = complex(chambers_delta(ip.base, 2.0, complex(E))).real
+    dval = chambers_delta(ip.base, 2.0, E)
     d = ip.drift()
     n_j = np.arange(0, ip.freeze_site + 1, dtype=np.int64)
     if d != 0:
@@ -215,18 +213,18 @@ def inverse_blocks(ip: IntermediatePotential, E: float, epsilon: float) -> list[
     """The l0 inverse one-period transfer blocks at E + i epsilon.
 
     Each block is Q^{-1}_{jq+1} ... Q^{-1}_{(j+1)q} with
-    Q^{-1}_n = [[0, 1], [-1, E + i eps - V~(n)]]; det = 1 structurally.
+    Q^{-1}_n = [[0, 1], [-1, E + i eps - V~(n)]], the inverse of the
+    forward product T_{(j+1)q} ... T_{jq+1}.  That product has det = 1
+    structurally, so its inverse is [[d, -b], [-c, a]].
     """
     z = complex(E, epsilon)
     q = ip.base.q
     blocks = []
     for j in range(ip.l0):
-        m = None
-        for k in range(1, q + 1):
-            n = j * q + k
-            qinv = Mat2(0.0, 1.0, -1.0, z - ip.potential(n))
-            m = qinv if m is None else m @ qinv
-        blocks.append(m)
+        # an explicit potential starts at site 0, so V~((j+1) q) goes first
+        spec = OperatorSpec.explicit(np.roll(ip.potential_array(j * q + 1, q), 1))
+        m, log_s = monodromy_scaled(spec, z)
+        blocks.append(Mat2(m.a22, -m.a12, -m.a21, m.a11).scaled(math.exp(log_s)))
     return blocks
 
 
@@ -244,11 +242,7 @@ def trace_margin_check(
     for b in blocks:
         tr = complex(b.trace())
         margins.append(abs(tr) - (2.0 + ip.delta / 2.0))
-        s = cmath.sqrt(tr * tr - 4.0)
-        if abs(tr + s) < abs(tr - s):
-            s = -s
-        lam_big = (tr + s) / 2.0
-        gammas.append(math.log(max(abs(lam_big), 1.0)))
+        gammas.append(math.log(max(abs(floquet_multiplier(tr)), 1.0)))
     floor = math.acosh(1.0 + ip.delta / 4.0)
     return TraceMarginReport(
         margins=tuple(margins),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mat2
+from .core import Mat2, eigenvector, floquet_multiplier
 
 __all__ = [
     "HyperbolicFactor",
@@ -139,11 +139,7 @@ def eigensystem_2x2(T: Mat2) -> HyperbolicFactor:
     det = T.det()
     if abs(det - 1.0) > _DET_TOL:
         raise ValueError(f"determinant {det} is not 1 within {_DET_TOL}")
-    tr = complex(T.trace())
-    s = cmath.sqrt(tr * tr - 4.0)
-    if abs(tr + s) < abs(tr - s):
-        s = -s
-    lam_big = (tr + s) / 2.0
+    lam_big = floquet_multiplier(complex(T.trace()))
     if abs(abs(lam_big) - 1.0) <= _UNIT_TOL:
         raise NonHyperbolicError(
             f"non-hyperbolic factor: |eigenvalue| = {abs(lam_big)}"
@@ -153,13 +149,10 @@ def eigensystem_2x2(T: Mat2) -> HyperbolicFactor:
     zeta = cmath.phase(lam_big)
 
     def eigvec(lam: complex) -> tuple[complex, complex]:
-        c1 = (complex(T.a12), lam - complex(T.a11))
-        c2 = (lam - complex(T.a22), complex(T.a21))
-        v = c1 if abs(c1[0]) + abs(c1[1]) >= abs(c2[0]) + abs(c2[1]) else c2
-        n = math.hypot(abs(v[0]), abs(v[1]))
-        if n == 0.0:
+        v = eigenvector(T, lam)
+        if v is None:
             raise NonHyperbolicError("defective eigenvector")
-        return _canonical_phase((v[0] / n, v[1] / n))
+        return _canonical_phase(v)
 
     return HyperbolicFactor(T, gamma, zeta, eigvec(lam_big), eigvec(lam_small))
 

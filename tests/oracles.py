@@ -2,10 +2,11 @@
 
 Each oracle takes a route that shares nothing with the library path it
 checks: exact Fraction arithmetic, hand-derived closed forms for small
-periods, dense truncated resolvent solves, finite differences, and
-eigenvalue-based band edges.  Two are plain-loop forms of library
-routines instead, kept as bitwise references: ``five_array_grid`` and
-``fixed_bisect``.
+periods, dense truncated resolvent solves, finite differences,
+eigenvalue-based band edges, and numpy matrix products over potentials
+written out from their defining formulas.  Two are plain-loop forms of
+library routines instead, kept as bitwise references: ``five_array_grid``
+and ``fixed_bisect``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from almost_mathieu.core import OperatorSpec, potential_array, potential_eval
+from almost_mathieu.core import OperatorSpec, potential_array
 
 
 def exact_discriminant(spec: OperatorSpec, E: Fraction) -> Fraction:
@@ -26,8 +27,8 @@ def exact_discriminant(spec: OperatorSpec, E: Fraction) -> Fraction:
     whole product is computed without rounding.
     """
     a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
-    for j in range(1, spec.period + 1):
-        e = E - Fraction(potential_eval(spec, j))
+    for v in potential_array(spec, 1, spec.period).tolist():
+        e = E - Fraction(v)
         a, b, c, d = e * a - c, e * b - d, a, b
     return a + d
 
@@ -211,6 +212,40 @@ def am_potential_range(alpha_p: int, alpha_q: int, lam: float, theta: float, n_s
     return lam * np.cos(2.0 * math.pi * m / alpha_q + theta)
 
 
+def transfer_product(V, z: complex, inverse: bool = False) -> np.ndarray:
+    """T_n ... T_1 with T_k = [[z - V[k-1], -1], [1, 0]], as a numpy matrix.
+
+    With ``inverse`` the factors are T_k^{-1} = [[0, 1], [-1, z - V[k-1]]]
+    multiplied the other way round, T_1^{-1} ... T_n^{-1}.  No rescaling:
+    for short products only.
+    """
+    m = np.eye(2, dtype=np.complex128)
+    for v in V:
+        if inverse:
+            m = m @ np.array([[0.0, 1.0], [-1.0, z - v]], dtype=np.complex128)
+        else:
+            m = np.array([[z - v, -1.0], [1.0, 0.0]], dtype=np.complex128) @ m
+    return m
+
+
+def intermediate_potential(p: int, q: int, pt: int, qt: int, freeze: int, sites) -> np.ndarray:
+    """V~(n) = 2 cos(2 pi phase(n)) of the two-scale potential at critical coupling.
+
+    Below the freeze site the phase is pt n / qt; from it on, p n / q plus
+    the drift (pt / qt - p / q) freeze, reduced mod 1 over the common
+    denominator q qt in integers.
+    """
+    out = []
+    for n in sites:
+        if n < freeze:
+            num, den = (pt * n) % qt, qt
+        else:
+            den = q * qt
+            num = (p * qt * n + (pt * q - p * qt) * freeze) % den
+        out.append(2.0 * math.cos(2.0 * math.pi * num / den))
+    return np.array(out)
+
+
 def mp_edge_offset(spec: OperatorSpec, E: float, target: float, dps: int = 40) -> float:
     """Distance from E to the true solution of D = target, in exact-ish terms.
 
@@ -222,10 +257,12 @@ def mp_edge_offset(spec: OperatorSpec, E: float, target: float, dps: int = 40) -
 
     with mpmath.workdps(dps):
         h = mpmath.mpf(2) ** -60
+        V = [mpmath.mpf(v) for v in potential_array(spec, 1, spec.period).tolist()]
+
         def d_of(x):
             a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
-            for j in range(1, spec.period + 1):
-                e = x - mpmath.mpf(potential_eval(spec, j))
+            for v in V:
+                e = x - v
                 a, b, c, d = e * a - c, e * b - d, a, b
             return a + d
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ class TestSpectrumBands:
 
 
 class TestSpectralUnion:
+    def test_no_overflow_warning_at_233_377_lam3(self):
+        # the saturated outer readings of D (about 1e304) meet thresholds of
+        # about 1e66 here; deciding a crossing must not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = spectral_union_S(reduce_fraction(233, 377), 3.0)
+        assert len(s.bands) == 377
+
     def test_half_critical(self):
         s = spectral_union_S(HALF, 2.0)
         r8 = 2.0 * math.sqrt(2.0)

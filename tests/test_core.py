@@ -15,19 +15,21 @@ from almost_mathieu.core import (
     discriminant,
     discriminant_and_derivative_grid,
     discriminant_grid,
-    monodromy,
+    eigenvector,
+    floquet_multiplier,
     monodromy_scaled,
-    potential_eval,
+    potential_array,
     reduce_fraction,
-    transfer_matrix,
 )
 from conftest import random_reduced
 from oracles import (
+    am_potential_range,
     exact_derivative,
     exact_discriminant,
     five_array_grid,
     symbolic_discriminant_q2,
     symbolic_discriminant_q3,
+    transfer_product,
 )
 
 HALF = ReducedRational(1, 2)
@@ -66,54 +68,38 @@ class TestReduceFraction:
 class TestPotential:
     def test_direct_evaluation(self):
         spec = am(1, 2, 2.0, 0.0)
-        assert potential_eval(spec, 1) == pytest.approx(-2.0, abs=1e-15)
-        assert potential_eval(spec, 2) == pytest.approx(2.0, abs=1e-15)
+        v = potential_array(spec, 1, 2)
+        assert v[0] == pytest.approx(-2.0, abs=1e-15)
+        assert v[1] == pytest.approx(2.0, abs=1e-15)
 
     def test_quarter_phase_vanishes(self):
         spec = am(0, 1, 2.0, math.pi / 2)
-        assert abs(potential_eval(spec, 17)) < 1e-15
+        assert abs(potential_array(spec, 17, 1)[0]) < 1e-15
 
     def test_exact_periodicity(self):
         spec = am(3, 7, 2.0, 0.3)
-        for n in range(-5, 15):
-            assert potential_eval(spec, n + 7) == potential_eval(spec, n)
+        v = potential_array(spec, -5, 27)
+        assert v[7:].tobytes() == v[:-7].tobytes()
 
     def test_explicit_potential(self):
         spec = OperatorSpec.explicit([0.5, -1.0, 2.0])
         assert spec.period == 3
-        assert potential_eval(spec, 4) == -1.0
+        # explicit values are indexed from site 0
+        assert potential_array(spec, 4, 1)[0] == -1.0
+        assert potential_array(spec, 1, 3).tolist() == [-1.0, 2.0, 0.5]
 
 
-class TestTransferMatrix:
-    def test_free_plugin(self):
-        spec = OperatorSpec.explicit([0.0])
-        t = transfer_matrix(spec, 3.0, 1)
-        assert (t.a11, t.a12, t.a21, t.a22) == (3.0, -1, 1, 0)
-
-    def test_am_plugin(self):
-        t = transfer_matrix(am(1, 2, 2.0, 0.0), 0.0, 1)
-        assert t.a11 == pytest.approx(2.0, abs=1e-15)
-        assert (t.a12, t.a21, t.a22) == (-1, 1, 0)
-
-    def test_det_structurally_one(self, rng):
-        for _ in range(50):
-            spec = am(*_random_pq(rng), rng.uniform(0.5, 4.0), rng.uniform(0, 2 * math.pi))
-            E = complex(rng.uniform(-6, 6), rng.uniform(-1, 1))
-            j = int(rng.integers(-10, 10))
-            assert transfer_matrix(spec, E, j).det() == 1
-
-
-def _random_pq(rng, q_max=60):
-    r = random_reduced(rng, q_max)
-    return r.p, r.q
+def _unscaled(spec, z):
+    m, log_s = monodromy_scaled(spec, z)
+    return m.scaled(math.exp(log_s))
 
 
 class TestMonodromy:
     def test_single_step(self):
         spec = OperatorSpec.explicit([0.0])
         z = 1.7 - 0.3j
-        m = monodromy(spec, z)
-        assert (m.a11, m.a12, m.a21, m.a22) == (z, -1, 1, 0)
+        m = _unscaled(spec, z)
+        assert [m.a11, m.a12, m.a21, m.a22] == pytest.approx([z, -1, 1, 0], abs=1e-15)
 
     def test_q2_trace_identity(self, rng):
         for _ in range(20):
@@ -121,9 +107,9 @@ class TestMonodromy:
             lam = rng.uniform(0.5, 3.0)
             spec = am(1, 2, lam, theta)
             E = complex(rng.uniform(-5, 5), rng.uniform(-0.5, 0.5))
-            v1, v2 = potential_eval(spec, 1), potential_eval(spec, 2)
+            v1, v2 = am_potential_range(1, 2, lam, theta, 2)
             expected = symbolic_discriminant_q2(v1, v2, E)
-            got = monodromy(spec, E).trace()
+            got = _unscaled(spec, E).trace()
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_det_one_random_specs(self, rng):
@@ -132,31 +118,33 @@ class TestMonodromy:
             lam = float(rng.choice([1.0, 2.0, 3.0]))
             spec = OperatorSpec.almost_mathieu(r, lam, rng.uniform(0, 2 * math.pi))
             E = rng.uniform(-6, 6)
-            m = monodromy(spec, complex(E))
+            m = _unscaled(spec, complex(E))
             norm2 = sum(abs(x) ** 2 for x in (m.a11, m.a12, m.a21, m.a22))
             slack = max(1.0, 1e-3 * norm2)
             assert abs(m.det() - 1.0) <= 1e-10 * slack
 
-    def test_det_exactly_one_over_fractions(self):
-        spec = am(2, 5, 2.0, 0.4)
-        m = monodromy(spec, Fraction(37, 100))
-        assert m.det() == 1
-
     def test_scaled_matches_direct(self, rng):
         for _ in range(20):
             r = random_reduced(rng, 20)
-            spec = OperatorSpec.almost_mathieu(r, 2.0, rng.uniform(0, 2 * math.pi))
+            theta = rng.uniform(0, 2 * math.pi)
+            spec = OperatorSpec.almost_mathieu(r, 2.0, theta)
             z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 0.5))
-            direct = monodromy(spec, z)
-            m, log_s = monodromy_scaled(spec, z)
-            factor = math.exp(log_s)
+            direct = transfer_product(am_potential_range(r.p, r.q, 2.0, theta, r.q), z)
+            m = _unscaled(spec, z)
             for got, want in [
-                (m.a11 * factor, direct.a11),
-                (m.a12 * factor, direct.a12),
-                (m.a21 * factor, direct.a21),
-                (m.a22 * factor, direct.a22),
+                (m.a11, direct[0, 0]),
+                (m.a12, direct[0, 1]),
+                (m.a21, direct[1, 0]),
+                (m.a22, direct[1, 1]),
             ]:
                 assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
+
+    def test_no_overflow_large_q(self):
+        spec = OperatorSpec.almost_mathieu(reduce_fraction(233, 377), 2.0, 0.0)
+        # exp(log_s) alone would overflow a float
+        m, log_s = monodromy_scaled(spec, 8.0)
+        assert log_s > 710.0
+        assert m.max_abs() == pytest.approx(1.0, rel=1e-15)
 
 
 class TestDiscriminant:
@@ -169,7 +157,7 @@ class TestDiscriminant:
 
     def test_q3_symbolic(self, rng):
         spec = am(1, 3, 2.0, 0.7)
-        v = [potential_eval(spec, j) for j in (1, 2, 3)]
+        v = am_potential_range(1, 3, 2.0, 0.7, 3)
         for E in [-1.3, 0.2, 2.8]:
             want = symbolic_discriminant_q3(*v, E)
             assert discriminant(spec, E) == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -204,7 +192,32 @@ class TestDiscriminant:
             E = Fraction(rng.integers(-400, 400).item(), 100)
             want = float(exact_discriminant(spec, E))
             got = discriminant(spec, float(E))
+            assert isinstance(got, float)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+    def test_complex_energy_matches_exact_oracle(self, rng):
+        # D has real coefficients, so D(E + i y) = sum_k D^(k)(E) (i y)^k / k!;
+        # at q = 2 the series stops after the quadratic term
+        spec = am(1, 2, 2.0, 0.3)
+        E, y = Fraction(37, 100), 0.25
+        want = complex(exact_discriminant(spec, E), 0.0) + 1j * y * exact_derivative(spec, float(E)) - y * y
+        got = discriminant(spec, complex(0.37, y))
+        assert isinstance(got, complex)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_unscaled_value_leaves_float_range(self):
+        # log |D(8)| is about 777 at 233/377; the grid form keeps it scaled
+        spec = OperatorSpec.almost_mathieu(reduce_fraction(233, 377), 2.0, 0.0)
+        with pytest.raises(OverflowError):
+            discriminant(spec, 8.0)
+        mant, logs = discriminant_grid(spec, np.array([8.0]))
+        assert math.log(abs(mant[0])) + logs[0] > 709.8
+
+    def test_monic_degree_q_in_floats(self, rng):
+        for _ in range(10):
+            r = random_reduced(rng, 6)
+            spec = OperatorSpec.almost_mathieu(r, 2.0, rng.uniform(0, 2 * math.pi))
+            assert discriminant(spec, 1e6) / 1e6**spec.period == pytest.approx(1.0, abs=2e-5)
 
 
 class TestDelta:
@@ -326,3 +339,62 @@ class TestMat2:
         lhs = (x @ y) @ z
         rhs = x @ (y @ z)
         assert lhs == rhs
+
+
+def _random_complex_mat(rng, det_one: bool) -> Mat2:
+    a, b, c, d = rng.normal(size=4) + 1j * rng.normal(size=4)
+    if det_one:
+        # divide by a square root of the determinant: det(m / r) = det / r^2
+        r = np.sqrt(complex(a * d - b * c))
+        a, b, c, d = a / r, b / r, c / r, d / r
+    return Mat2(complex(a), complex(b), complex(c), complex(d))
+
+
+class TestFloquetMultiplier:
+    @pytest.mark.parametrize("det_one", [True, False])
+    def test_roots_match_numpy_eigvals(self, det_one, rng):
+        for _ in range(200):
+            m = _random_complex_mat(rng, det_one)
+            det = m.det() if not det_one else 1
+            mu = floquet_multiplier(m.trace(), det)
+            ev = np.linalg.eigvals(np.array([[m.a11, m.a12], [m.a21, m.a22]]))
+            big, small = sorted(ev, key=abs, reverse=True)
+            scale = max(abs(big), 1.0)
+            assert abs(mu - big) <= 1e-12 * scale
+            # the other root, from the product of the roots
+            assert abs(m.det() / mu - small) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("det_one", [True, False])
+    def test_eigenvectors_match_numpy(self, det_one, rng):
+        for _ in range(200):
+            m = _random_complex_mat(rng, det_one)
+            a = np.array([[m.a11, m.a12], [m.a21, m.a22]])
+            mu = floquet_multiplier(m.trace(), m.det())
+            for lam in (mu, m.det() / mu):
+                v = eigenvector(m, lam)
+                assert math.hypot(abs(v[0]), abs(v[1])) == pytest.approx(1.0, abs=1e-15)
+                ev, vecs = np.linalg.eig(a)
+                w = vecs[:, int(np.argmin(np.abs(ev - lam)))]
+                # the same line: |<w, v>| = 1 for unit vectors
+                assert abs(np.vdot(w, np.array(v))) == pytest.approx(1.0, abs=1e-10)
+                resid = a @ np.array(v) - lam * np.array(v)
+                assert np.linalg.norm(resid) <= 1e-12 * max(1.0, abs(lam))
+
+    def test_real_trace_outside_and_inside(self):
+        # det 1: tr = 2 cosh g gives e^g; tr = 2 cos k gives e^{i k} up to the branch
+        assert floquet_multiplier(2.0 * math.cosh(0.7)) == pytest.approx(math.exp(0.7))
+        assert abs(floquet_multiplier(2.0 * math.cos(0.4))) == pytest.approx(1.0)
+        assert floquet_multiplier(0j) == pytest.approx(1j)
+
+    def test_one_row_of_the_adjugate_vanishes(self):
+        # for mu = 3 the first row of adj(m - mu) is zero, so the second is taken
+        m = Mat2(3.0, 0.0, 1.0, 0.5)
+        assert eigenvector(m, 0.5) == pytest.approx((0.0, -1.0))
+        assert eigenvector(m, 3.0) == pytest.approx((2.5 / math.hypot(2.5, 1.0), 1.0 / math.hypot(2.5, 1.0)))
+
+    def test_scalar_matrix_has_no_eigenvector(self):
+        c = 1.5 + 0.5j
+        m = Mat2(c, 0j, 0j, c)
+        mu = floquet_multiplier(m.trace(), m.det())
+        assert mu == c
+        assert eigenvector(m, mu) is None

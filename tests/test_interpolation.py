@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from almost_mathieu.core import OperatorSpec, discriminant, reduce_fraction
+from almost_mathieu.core import OperatorSpec, discriminant, monodromy_scaled, reduce_fraction
 from almost_mathieu.interpolation import (
     TruncationError,
     build_intermediate,
@@ -14,6 +14,7 @@ from almost_mathieu.interpolation import (
     window_check,
 )
 from almost_mathieu.products import align_phases, eigensystem_2x2, hypothesis_margins, product_growth
+from oracles import intermediate_potential, transfer_product
 
 HALF = reduce_fraction(1, 2)
 ZERO = reduce_fraction(0, 1)
@@ -45,22 +46,27 @@ class TestBuildIntermediate:
 
     def test_fine_potential_below_freeze(self):
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=1.0)
+        arr = ip.potential_array(1, ip.freeze_site - 1)
         for n in range(1, ip.freeze_site):
             fine = 2.0 * math.cos(2.0 * math.pi * (13 * n % 27) / 27.0)
-            assert ip.potential(n) == pytest.approx(fine, abs=1e-14)
+            assert arr[n - 1] == pytest.approx(fine, abs=1e-14)
 
     def test_frozen_phase_after(self):
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=1.0)
         th = ip.theta(ip.freeze_site)
-        for n in range(ip.freeze_site, ip.freeze_site + 8):
+        arr = ip.potential_array(ip.freeze_site, 8)
+        for i, n in enumerate(range(ip.freeze_site, ip.freeze_site + 8)):
             want = 2.0 * math.cos(math.pi * n + th)
-            assert ip.potential(n) == pytest.approx(want, abs=1e-12)
+            assert arr[i] == pytest.approx(want, abs=1e-12)
 
     def test_array_matches_scalar(self):
+        # one site at a time reads the same floats as one window
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=1.0)
         arr = ip.potential_array(1, 40)
         for i, n in enumerate(range(1, 41)):
-            assert arr[i] == pytest.approx(ip.potential(n), abs=1e-14)
+            assert ip.potential_array(n, 1)[0] == arr[i]
+        want = intermediate_potential(1, 2, 13, 27, ip.freeze_site, range(1, 41))
+        np.testing.assert_allclose(arr, want, rtol=0.0, atol=1e-13)
 
 
 class TestWindowCheck:
@@ -121,14 +127,38 @@ class TestInverseBlocks:
         z = 0.2 + 0.1j
         blocks = inverse_blocks(ip, 0.2, 0.1)
         spec = OperatorSpec.almost_mathieu(HALF, 2.0, 0.0)
-        from almost_mathieu.core import monodromy
-
-        phi = monodromy(spec, z)
-        prod = blocks[0] @ phi
+        m, log_s = monodromy_scaled(spec, z)
+        prod = blocks[0] @ m.scaled(math.exp(log_s))
         assert complex(prod.a11) == pytest.approx(1.0, abs=1e-12)
         assert complex(prod.a22) == pytest.approx(1.0, abs=1e-12)
         assert abs(complex(prod.a12)) <= 1e-12
         assert abs(complex(prod.a21)) <= 1e-12
+
+
+    @pytest.mark.parametrize(
+        "base, fine, delta, ctilde, E, eps",
+        [
+            (HALF, FINE, 0.25, 1.0, 0.37, 0.05),
+            (HALF, reduce_fraction(500, 1001), 0.3, 0.05, 0.0, 1e-3),
+            (reduce_fraction(2, 5), reduce_fraction(21, 52), 0.5, 1.0, -1.3, 0.2),
+            (reduce_fraction(3, 7), reduce_fraction(40, 93), 0.8, 1.0, 0.9, 0.01),
+            (ZERO, reduce_fraction(1, 400), 0.5, 0.1, -3.0, 0.0),
+        ],
+    )
+    def test_match_numpy_product_oracle(self, base, fine, delta, ctilde, E, eps):
+        ip = build_intermediate(base, fine, delta, ctilde=ctilde)
+        q = base.q
+        blocks = inverse_blocks(ip, E, eps)
+        assert len(blocks) == ip.l0
+        for j, b in enumerate(blocks):
+            sites = range(j * q + 1, (j + 1) * q + 1)
+            V = intermediate_potential(base.p, q, fine.p, fine.q, ip.freeze_site, sites)
+            want = transfer_product(V, complex(E, eps), inverse=True)
+            got = np.array([[b.a11, b.a12], [b.a21, b.a22]], dtype=np.complex128)
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+            # and the blocks invert the forward one-period products
+            fwd = transfer_product(V, complex(E, eps))
+            np.testing.assert_allclose(got @ fwd, np.eye(2), rtol=0.0, atol=1e-10)
 
 
 class TestTraceMargins:
