@@ -1,18 +1,22 @@
 """Band structure and spectral sets of periodic almost Mathieu operators.
 
 The spectrum of a period-q operator is {E : |D(E)| <= 2}, a union of q
-closed bands on which the discriminant D is strictly monotone.  The union
-and intersection over the phase theta are sublevel sets of Chambers' Delta
-at thresholds 2 +- 2(lam/2)^q.  All of those are found the same way here:
+closed bands on which the discriminant D is strictly monotone.  D(E) =
+2 cos(kappa) exactly at the eigenvalues of the q x q Floquet matrix with
+boundary phase e^{i kappa}; in zigzag site order (1, q, 2, q-1, ...) that
+cyclic tridiagonal matrix has bandwidth 2, so one banded eigensolve
+(:func:`_band_zeros`) finds those roots in O(q) memory and O(q^2) time,
+however close they cluster.  The spectrum's edges are the roots at
+kappa = 0 and pi: the periodic and antiperiodic eigenvalues, which sorted
+pair up into the q bands, touching ones included.
 
-  1. anchor the q simple real zeros of the polynomial: D(E) = 2 cos(kappa)
-     exactly at the eigenvalues of the q x q Floquet matrix with boundary
-     phase e^{i kappa}, so kappa = pi/2 hands over the zeros even when
-     neighbouring zeros cluster exponentially close (grid sign-change
-     scans provably miss those at critical coupling); in zigzag site order
-     (1, q, 2, q-1, ...) that cyclic tridiagonal matrix has bandwidth 2,
-     so a banded Hermitian eigensolve finds the zeros in O(q) memory and
-     O(q^2) time,
+The union and intersection over the phase theta are sublevel sets of
+Chambers' Delta at thresholds 2 +- 2(lam/2)^q, and J_delta^c one at
+threshold delta.  Those are found by bisection:
+
+  1. anchor the q simple real zeros of Delta, the roots at kappa = pi/2
+     (grid sign-change scans provably miss clustered zeros at critical
+     coupling),
   2. locate the q-1 interior extrema (sign changes of the derivative
      between consecutive zeros),
   3. from each zero walk out to the enclosing separators and bisect the
@@ -27,10 +31,9 @@ at thresholds 2 +- 2(lam/2)^q.  All of those are found the same way here:
      leaves the batch once its bracket stops moving, with bitwise the
      result of 60 fixed halvings.
 
-No threshold used here swallows a gap.  D' does not vanish where |D| < 2,
-which settles the spectrum.  D_theta = Delta - 2 (lam/2)^q cos(q theta)
-(Chambers), so every D_theta has the critical points E* of Delta, and
-|D_theta(E*)| >= 2 for every theta gives |Delta(E*)| >= 2 + 2 (lam/2)^q,
+No threshold used here swallows a gap.  D_theta = Delta - 2 (lam/2)^q
+cos(q theta) (Chambers), and D_theta' does not vanish where |D_theta| < 2,
+so every critical point E* of Delta has |Delta(E*)| >= 2 + 2 (lam/2)^q,
 the threshold of S, above that of S-.  At lam = 2 the bound is 4, so
 J_delta^c = {|Delta| <= delta} keeps its q bands for delta <= 4; above 4,
 bands that end on the same separator are merged into one component.
@@ -320,36 +323,42 @@ def _vector_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np
     return roots
 
 
-def _band_zeros(spec: OperatorSpec) -> np.ndarray:
-    """The q simple real zeros of D, ascending, via the Floquet eigenproblem.
+def _band_zeros(spec: OperatorSpec, corner: complex | float = -1.0j) -> np.ndarray:
+    """The q real roots of D(E) = 2 cos(kappa), ascending, via the Floquet eigenproblem.
 
-    det(E - H(w)) = 0 with unimodular boundary phase w = e^{i kappa} is
-    equivalent to D(E) = 2 cos(kappa); kappa = pi/2 picks out the zeros.
-    The matrix is Hermitian, so clustered zeros are resolved exactly.
+    det(E - H(w)) = 0 with unimodular boundary phase w = e^{i kappa},
+    ``corner`` = w at (site 1, site q) and its conjugate at (site q, site 1),
+    is equivalent to D(E) = 2 cos(kappa).  The corner -i (kappa = pi/2)
+    picks out the zeros of D; +1 and -1 (kappa = 0 and pi) the periodic and
+    antiperiodic eigenvalues, where D = 2 and D = -2, which are the band
+    edges of the spectrum.  The matrix is Hermitian, so clustered roots are
+    resolved exactly; a real ``corner`` makes it real symmetric.
 
     Taken in zigzag order (sites 1, q, 2, q-1, ...) the cyclic tridiagonal
-    matrix has bandwidth 2: every hopping, the corner -i included, joins
-    positions at most two apart.  It is stored in upper band form, a
-    (3, q) array, and solved by a banded Hermitian eigensolve: O(q) memory
-    and O(q^2) time, with no dense q x q matrix.
+    matrix has bandwidth 2: every hopping, the corner included, joins
+    positions at most two apart.  It is stored in upper band form, a (3, q)
+    array, and solved by a banded eigensolve: O(q) memory and O(q^2) time,
+    with no dense q x q matrix.  For q = 1 the matrix is the single entry
+    V(1) + 2 cos(kappa).
     """
     q = spec.period
     V = potential_array(spec, 1, q)
     if q == 1:
-        return V.astype(np.float64)
+        return V + 2.0 * corner.real
     order = np.empty(q, dtype=np.intp)  # order[position] = site (0-based)
     order[0::2] = np.arange((q + 1) // 2)
     order[1::2] = np.arange(q - 1, (q - 1) // 2, -1)
     pos = np.argsort(order)
     # entries H[site i, site j]: the real hoppings 1 between neighbours, and
-    # the corner -i at (site 1, site q), which sits on positions (0, 1)
-    # above the diagonal, so no entry needs conjugating
+    # the corner at (site 1, site q), which sits on positions (0, 1) above
+    # the diagonal, so no entry needs conjugating
+    dtype = np.result_type(float, corner)
     i = np.append(np.arange(q - 1), 0)
     j = np.append(np.arange(1, q), q - 1)
-    h = np.append(np.ones(q - 1, dtype=np.complex128), -1.0j)
+    h = np.append(np.ones(q - 1, dtype=dtype), corner)
     r, c = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
     # upper band form: entry (r, c), r <= c, of the reordered matrix at ab[2 + r - c, c]
-    ab = np.zeros((3, q), dtype=np.complex128)
+    ab = np.zeros((3, q), dtype=dtype)
     ab[2] = V[order]
     np.add.at(ab, (2 + r - c, c), h)  # q = 2: the corner adds onto the hopping
     return scipy.linalg.eigvals_banded(ab)
@@ -374,23 +383,25 @@ def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> 
 def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Band]]:
     """The q pieces of {|D| <= thr} around the zeros, for every thr in ``thresholds``.
 
-    The zeros of D, its interior extrema, the slopes at the zeros and the
-    separators are computed once; every crossing edge of every threshold is
-    bisected in one vectorized batch.  Each threshold is decided on its
-    own: the edges of one threshold do not depend on the others passed
-    with it.
+    The sets S, S- (lam < 2) and J_delta^c of Chambers' Delta come from
+    here; the spectrum takes its edges from eigenvalues instead
+    (:func:`spectrum_bands`).  The zeros of D, its interior extrema, the
+    slopes at the zeros and the separators are computed once; every
+    crossing edge of every threshold is bisected in one vectorized batch.
+    Each threshold is decided on its own: the edges of one threshold do not
+    depend on the others passed with it.
 
     Piece i runs from zero i outwards to where D crosses the threshold, or
     to the separator (the extremum between two zeros) where it does not.
     No set the package computes swallows a gap, so a separator that reads
-    below its threshold is a touching edge read with evaluation noise.
-    D_theta' vanishes only where |D_theta| >= 2, which covers the spectrum
-    (threshold 2).  By Chambers, D_theta = Delta - 2 (lam/2)^q cos(q theta)
-    has the same critical points E* for every theta, so |Delta(E*)| >=
-    2 + 2 (lam/2)^q: the thresholds of S (equal to it), S- (2 - 2 (lam/2)^q)
-    and J_delta^c for delta <= 4 lie at or below it.  For delta > 4,
-    neighbouring pieces can end on the same separator float, and
-    :func:`_jdelta_variant1` merges them.
+    below its threshold is a touching edge read with evaluation noise.  By
+    Chambers, D_theta = Delta - 2 (lam/2)^q cos(q theta) has the same
+    critical points E* for every theta, and D_theta' vanishes only where
+    |D_theta| >= 2, so |Delta(E*)| >= 2 + 2 (lam/2)^q: the thresholds of S
+    (equal to it), S- (2 - 2 (lam/2)^q) and J_delta^c for delta <= 4 lie at
+    or below it.  For delta > 4, neighbouring pieces can end on the same
+    separator float, and :func:`_jdelta_variant1` merges them.  A piece
+    narrower than double-precision resolution collapses onto its zero.
     """
     q = spec.period
     thrs = [float(t) for t in thresholds]
@@ -477,16 +488,23 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
 # public operations
 
 
-def _q_bands(bands: list[Band], q: int, name: str) -> SpectralSet:
-    """The set of ``bands``, which must number q: fewer means lost measure."""
-    if len(bands) != q:
-        raise RootFindingError(f"{name} came out with {len(bands)} bands, expected {q}")
-    return SpectralSet(tuple(bands))
-
-
 def spectrum_bands(spec: OperatorSpec) -> SpectralSet:
-    """The q bands {|D_theta| <= 2} of a period-q operator."""
-    return _q_bands(_sublevel_bands(spec, [2.0])[0], spec.period, "spectrum")
+    """The q bands {|D_theta| <= 2} of a period-q operator, from eigenvalues.
+
+    Every band runs between a root of D = 2 and one of D = -2, the q
+    periodic and q antiperiodic Floquet eigenvalues, so the 2q of them
+    sorted pair up into the q bands; touching bands share a double
+    eigenvalue.  D is monic of degree q, so it increases on the top band
+    and alternates below it: band i has monotonicity (-1)^(q - i).
+    """
+    q = spec.period
+    edges = np.sort(np.concatenate((_band_zeros(spec, 1.0), _band_zeros(spec, -1.0))))
+    return SpectralSet(
+        tuple(
+            Band(float(lo), float(hi), i, 1 if (q - i) % 2 == 0 else -1)
+            for i, (lo, hi) in enumerate(edges.reshape(q, 2).tolist(), 1)
+        )
+    )
 
 
 def _delta_spec(alpha: ReducedRational, lam: float) -> OperatorSpec:
@@ -498,7 +516,10 @@ def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     thr = 2.0 + 2.0 * (lam / 2.0) ** alpha.q
-    return _q_bands(_sublevel_bands(_delta_spec(alpha, lam), [thr])[0], alpha.q, f"S({alpha})")
+    bands = _sublevel_bands(_delta_spec(alpha, lam), [thr])[0]
+    if len(bands) != alpha.q:  # fewer bands would mean lost measure
+        raise RootFindingError(f"S({alpha}) came out with {len(bands)} bands, expected {alpha.q}")
+    return SpectralSet(tuple(bands))
 
 
 def sminus_points(alpha: ReducedRational, lam: float = 2.0):

@@ -109,7 +109,7 @@ class OperatorSpec:
 
     Either the almost Mathieu form V(n) = lam * cos(2 pi alpha n + theta)
     with rational alpha = p/q (period q), or an explicit period-``len(values)``
-    potential sequence.
+    potential sequence ``values`` = (V(1), ..., V(q)).
     """
 
     alpha: ReducedRational | None = None
@@ -162,7 +162,7 @@ def potential_array(spec: OperatorSpec, start: int, count: int) -> np.ndarray:
         m = (spec.alpha.p * n) % q
         return spec.lam * np.cos(TWO_PI * m / q + spec.theta)
     vals = np.asarray(spec.values, dtype=np.float64)
-    return vals[n % len(vals)]
+    return vals[(n - 1) % len(vals)]
 
 
 # ---------------------------------------------------------------------------

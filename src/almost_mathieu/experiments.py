@@ -298,9 +298,10 @@ def butterfly_generate(
 
     theta_mode "union-S" tabulates the theta-union set S(p/q, lam), which
     needs lam > 0; "fixed-theta" tabulates the spectrum at the given phase.
-    A cell whose edges cannot be found (RootFindingError) is recorded and
-    generation continues; any other error stops it.  Rows come in the
-    order q asc, p asc, band asc.
+    A union-S cell whose edges cannot be found (RootFindingError) is
+    recorded and generation continues; any other error stops it.
+    Fixed-theta cells take their edges from Floquet eigenvalues and cannot
+    fail.  Rows come in the order q asc, p asc, band asc.
     """
     if qmax < 1:
         raise ValueError("qmax must be >= 1")

@@ -221,8 +221,7 @@ def inverse_blocks(ip: IntermediatePotential, E: float, epsilon: float) -> list[
     q = ip.base.q
     blocks = []
     for j in range(ip.l0):
-        # an explicit potential starts at site 0, so V~((j+1) q) goes first
-        spec = OperatorSpec.explicit(np.roll(ip.potential_array(j * q + 1, q), 1))
+        spec = OperatorSpec.explicit(ip.potential_array(j * q + 1, q))
         m, log_s = monodromy_scaled(spec, z)
         blocks.append(Mat2(m.a22, -m.a12, -m.a21, m.a11).scaled(math.exp(log_s)))
     return blocks

@@ -90,16 +90,33 @@ def suite_bands(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    count_ok, hull_ok = True, True
+    # the edges pair up into q bands by construction, so band-count checks
+    # each band against D itself: the i-th zero of D (a separate eigensolve)
+    # lies in band i, and D reads |D| <= 2 at the midpoint of every band at
+    # least 1e-8 wide (narrower ones read evaluation noise there)
+    hull_ok, worst, n_mid, n_out = True, 0.0, 0, 0
     for _ in range(40):
         r = _random_reduced(rng, 30)
         lam = float(rng.choice([1.0, 2.0, 3.0]))
         spec = core.OperatorSpec.almost_mathieu(r, lam, float(rng.uniform(0, 2 * math.pi)))
         s = bandsmod.spectrum_bands(spec)
-        count_ok &= len(s.bands) == r.q
+        lo, hi = np.array(s.intervals()).T
+        zeros = bandsmod._band_zeros(spec)
+        worst = max(worst, float(np.max(np.maximum(lo - zeros, zeros - hi))))
+        mid = 0.5 * (lo + hi)[hi - lo >= 1e-8]
+        tr, logs = core.discriminant_grid(spec, mid)
+        n_mid += mid.size
+        n_out += int(np.sum(np.abs(tr) * np.exp(logs) > 2.0))
         hull = 2.0 + lam + 1e-9
         hull_ok &= all(-hull <= b.lo <= b.hi <= hull for b in s.bands)
-    checks.append(_check("band-count", count_ok, "q bands per spectrum"))
+    checks.append(
+        _check(
+            "band-count",
+            worst <= 1e-12 and n_out == 0,
+            f"zero i of D outside band i by at most {worst:.3e}; "
+            f"{n_out} of {n_mid} band midpoints read |D| > 2",
+        )
+    )
     checks.append(_check("band-hull", hull_ok, "bands within [-2-lam, 2+lam]"))
 
     incl_ok = True

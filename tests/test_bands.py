@@ -22,7 +22,13 @@ from almost_mathieu.bands import (
     spectral_union_S,
     spectrum_bands,
 )
-from almost_mathieu.core import OperatorSpec, discriminant, reduce_fraction
+from almost_mathieu.core import (
+    OperatorSpec,
+    discriminant,
+    discriminant_and_derivative_grid,
+    reduce_fraction,
+)
+from almost_mathieu.experiments import butterfly_generate
 from conftest import random_reduced
 from oracles import (
     brute_force_zeros,
@@ -106,10 +112,7 @@ class TestSpectrumBands:
                 for E in (b.lo, b.hi):
                     d = discriminant(spec, E)
                     target = 2.0 if d.real > 0 else -2.0
-                    # bands below double resolution collapse onto their zero,
-                    # leaving at most the half-width (< 5e-9) as offset
-                    tol = 1e-10 if b.width > 0.0 else 1e-8
-                    assert mp_edge_offset(spec, E, target) <= tol
+                    assert mp_edge_offset(spec, E, target) <= 1e-10
 
     def test_matches_eigenvalue_oracle(self, rng):
         for _ in range(25):
@@ -120,7 +123,7 @@ class TestSpectrumBands:
             s = spectrum_bands(spec)
             mine = np.sort(np.array([x for b in s.bands for x in (b.lo, b.hi)]))
             oracle = eig_band_edges(spec)
-            np.testing.assert_allclose(mine, oracle, atol=5e-9)
+            np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-12)
 
     # fixed thetas whose touching edges once missed by up to 7.4e-5 (the
     # first three) or lost bands and raised RootFindingError (the last two)
@@ -139,7 +142,53 @@ class TestSpectrumBands:
         s = spectrum_bands(spec)
         assert len(s.bands) == q
         mine = np.sort(np.array([x for b in s.bands for x in (b.lo, b.hi)]))
-        np.testing.assert_allclose(mine, eig_band_edges(spec), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(mine, eig_band_edges(spec), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            am(0, 1, 2.0, 0.3),
+            am(1, 2, 2.0, 0.0),
+            am(1, 2, 1.0, 1.1),
+            OperatorSpec.explicit([0.7]),
+            OperatorSpec.explicit([0.3, -1.2]),
+            OperatorSpec.explicit([0.7, -1.3, 0.0, 2.5, -0.2, 1.1, -2.0]),
+            am(3, 7, 1.0, 0.4),
+            am(5, 13, 2.0, 2.0),
+            am(8, 21, 3.0, 5.0),
+            am(13, 34, 2.0, 0.0),
+        ],
+        ids=lambda spec: (
+            f"{spec.alpha.p}-{spec.alpha.q}-lam{spec.lam:g}"
+            if spec.is_almost_mathieu
+            else f"explicit-q{spec.period}"
+        ),
+    )
+    def test_monotonicity_is_the_sign_of_the_derivative(self, spec):
+        # band i of q has monotonicity (-1)^(q - i); D' read at the band
+        # midpoints by the transfer recurrence must carry that sign
+        s = spectrum_bands(spec)
+        q = spec.period
+        mid = np.array([0.5 * (b.lo + b.hi) for b in s.bands])
+        _, dtr, _ = discriminant_and_derivative_grid(spec, mid)
+        assert [b.monotonicity for b in s.bands] == [(-1) ** (q - i) for i in range(1, q + 1)]
+        assert np.array_equal(np.sign(dtr), [b.monotonicity for b in s.bands])
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0])
+    def test_fixed_theta_butterfly_matches_eigenvalue_oracle(self, lam):
+        # every cell at theta = 0 up to q = 30: q bands, no failed cell, and
+        # edges within 1e-12 of dense Floquet eigenvalues
+        ds = butterfly_generate(30, lam, "fixed-theta", 0.0)
+        assert ds.failures == ()
+        cells = {}
+        for p, q, _, lo, hi in ds.rows:
+            cells.setdefault((p, q), []).extend((lo, hi))
+        assert len(cells) == sum(1 for q in range(1, 31) for p in range(q) if math.gcd(p, q) == 1)
+        for (p, q), edges in cells.items():
+            assert len(edges) == 2 * q
+            np.testing.assert_allclose(
+                np.sort(edges), eig_band_edges(am(p, q, lam, 0.0)), rtol=0, atol=1e-12
+            )
 
     def test_symmetry_of_union_under_reflection(self, rng):
         for _ in range(10):
@@ -249,8 +298,6 @@ class TestSpectralUnion:
         )
         with pytest.raises(RootFindingError, match="2 bands, expected 3"):
             spectral_union_S(reduce_fraction(1, 3), 2.0)
-        with pytest.raises(RootFindingError, match="2 bands, expected 3"):
-            spectrum_bands(OperatorSpec.almost_mathieu(reduce_fraction(1, 3), 2.0, 0.0))
 
 
 def count_grid_work(monkeypatch) -> list[int]:

@@ -84,9 +84,23 @@ class TestPotential:
     def test_explicit_potential(self):
         spec = OperatorSpec.explicit([0.5, -1.0, 2.0])
         assert spec.period == 3
-        # explicit values are indexed from site 0
-        assert potential_array(spec, 4, 1)[0] == -1.0
-        assert potential_array(spec, 1, 3).tolist() == [-1.0, 2.0, 0.5]
+        # explicit values are V(1), ..., V(q)
+        assert potential_array(spec, 4, 1)[0] == 0.5
+        assert potential_array(spec, 1, 3).tolist() == [0.5, -1.0, 2.0]
+        assert potential_array(spec, 0, 1)[0] == 2.0
+
+    def test_explicit_copy_has_the_same_monodromy(self, rng):
+        # the explicit spec of V(1), ..., V(q) is the same operator: the
+        # whole period product agrees, not only its cyclic-invariant trace
+        for _ in range(20):
+            r = random_reduced(rng, 12)
+            spec = am(r.p, r.q, rng.uniform(0.5, 3.0), rng.uniform(0, 2 * math.pi))
+            copy = OperatorSpec.explicit(potential_array(spec, 1, r.q))
+            z = complex(rng.uniform(-4, 4), rng.uniform(-0.5, 0.5))
+            m, m_copy = _unscaled(spec, z), _unscaled(copy, z)
+            assert [m_copy.a11, m_copy.a12, m_copy.a21, m_copy.a22] == [
+                m.a11, m.a12, m.a21, m.a22
+            ]
 
 
 def _unscaled(spec, z):
