@@ -53,8 +53,10 @@ import scipy.linalg
 from .core import (
     OperatorSpec,
     ReducedRational,
+    delta_spec,
     discriminant_and_derivative_grid,
     discriminant_grid,
+    floquet_exponent,
     potential_array,
 )
 
@@ -122,8 +124,8 @@ class SpectralSet:
     def intervals(self) -> list[tuple[float, float]]:
         return [(b.lo, b.hi) for b in self.bands]
 
-    def contains(self, E: float, slack: float = 0.0) -> bool:
-        return any(b.lo - slack <= E <= b.hi + slack for b in self.bands)
+    def contains(self, E: float) -> bool:
+        return any(b.lo <= E <= b.hi for b in self.bands)
 
     def distance(self, E: float) -> float:
         if not self.bands:
@@ -507,16 +509,12 @@ def spectrum_bands(spec: OperatorSpec) -> SpectralSet:
     )
 
 
-def _delta_spec(alpha: ReducedRational, lam: float) -> OperatorSpec:
-    return OperatorSpec.almost_mathieu(alpha, lam, math.pi / (2.0 * alpha.q))
-
-
 def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
     """Union over theta of the spectra: {|Delta| <= 2 + 2 (lam/2)^q}."""
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     thr = 2.0 + 2.0 * (lam / 2.0) ** alpha.q
-    bands = _sublevel_bands(_delta_spec(alpha, lam), [thr])[0]
+    bands = _sublevel_bands(delta_spec(alpha, lam), [thr])[0]
     if len(bands) != alpha.q:  # fewer bands would mean lost measure
         raise RootFindingError(f"S({alpha}) came out with {len(bands)} bands, expected {alpha.q}")
     return SpectralSet(tuple(bands))
@@ -530,7 +528,7 @@ def sminus_points(alpha: ReducedRational, lam: float = 2.0):
     lam < 2 the set is {|Delta| <= 2 - 2 (lam/2)^q} and a SpectralSet is
     returned; for lam > 2 it is empty.
     """
-    spec = _delta_spec(alpha, lam)
+    spec = delta_spec(alpha, lam)
     if lam > 2.0:
         return SpectralSet(())
     if lam < 2.0:
@@ -551,7 +549,7 @@ def last_wilkinson_sum(alpha: ReducedRational) -> float:
     Equals 1/q identically for every reduced p/q.
     """
     pts = sminus_points(alpha, 2.0)
-    spec = _delta_spec(alpha, 2.0)
+    spec = delta_spec(alpha, 2.0)
     zeros = np.asarray(pts.energies)
     _, dp = _d_and_deriv_values(spec, zeros)
     return float(np.sum(1.0 / np.abs(dp)))
@@ -584,7 +582,7 @@ def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaRe
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     if variant == 1:
-        bands = _sublevel_bands(_delta_spec(alpha, 2.0), [delta_])[0]
+        bands = _sublevel_bands(delta_spec(alpha, 2.0), [delta_])[0]
         return _jdelta_variant1(alpha, delta_, bands)
     pts = sminus_points(alpha, 2.0)
     comp = SpectralSet.from_intervals(
@@ -607,7 +605,7 @@ def jdelta_sweep(
         raise ValueError("deltas must be positive")
     if variant != 1:
         return [jdelta_sets(alpha, d, variant) for d in deltas]
-    sets = _sublevel_bands(_delta_spec(alpha, 2.0), deltas)
+    sets = _sublevel_bands(delta_spec(alpha, 2.0), deltas)
     return [_jdelta_variant1(alpha, d, bands) for d, bands in zip(deltas, sets)]
 
 
@@ -628,7 +626,7 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
             f"J_delta^c of {alpha} at delta {delta_} has {len(bands)} bands, expected {q}"
         )
     E = np.array([x for band in bands for x in (band.lo, band.hi)])
-    val, dval = _d_and_deriv_values(_delta_spec(alpha, 2.0), E)
+    val, dval = _d_and_deriv_values(delta_spec(alpha, 2.0), E)
     edges = []
     for j, (band, zero) in enumerate(zip(bands, pts.energies)):
         for s, side in enumerate(("lower", "upper")):
@@ -657,14 +655,14 @@ def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
     """Integrated density of states via Floquet band counting, on a grid.
 
     On band j the IDS interpolates between (j-1)/q and j/q through the Bloch
-    phase arccos(D/2), oriented by the monotonicity of D; it is constant on
-    gaps, 0 below and 1 above the spectrum.  The bands are computed once.
+    phase arccos(D/2), the imaginary part of the Floquet exponent, oriented
+    by the monotonicity of D; it is constant on gaps, 0 below and 1 above
+    the spectrum.  The bands are computed once.
     """
     bands = spectrum_bands(spec)
     q = spec.period
     E = np.asarray(energies, dtype=np.float64)
-    d = _d_values(spec, E)
-    phi = np.arccos(np.clip(d / 2.0, -1.0, 1.0))
+    phi = floquet_exponent(*discriminant_grid(spec, E)).imag
     lows = np.array([b.lo for b in bands.bands])
     his = np.array([b.hi for b in bands.bands])
     mono = np.array([b.monotonicity for b in bands.bands])

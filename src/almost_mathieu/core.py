@@ -22,7 +22,9 @@ a product, because numpy's complex multiply is not bitwise commutative.
 Each energy's value depends on that energy alone, not on the rest of the
 grid.  ``_mp_trace`` is the one mpmath loop, run over a list of potential
 values at whatever precision the caller sets.  ``floquet_multiplier`` and
-``eigenvector`` are the one place the 2x2 eigenproblem is solved.
+``eigenvector`` are the one place the 2x2 eigenproblem is solved, and
+``floquet_exponent`` the one place its exponent arccosh(D/2) is taken:
+q times the Lyapunov exponent and the Bloch phase.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ __all__ = [
     "reduce_fraction",
     "potential_array",
     "floquet_multiplier",
+    "floquet_exponent",
     "eigenvector",
     "monodromy_scaled",
     "discriminant",
+    "delta_spec",
     "delta",
     "chambers_residual",
     "discriminant_grid",
@@ -219,6 +223,28 @@ def floquet_multiplier(tr: complex, det: complex = 1) -> complex:
     return (tr + s) / 2.0
 
 
+def floquet_exponent(mantissa, log_scale=0.0) -> np.ndarray:
+    """w = arccosh(D / 2) for D = mantissa * exp(log_scale), elementwise.
+
+    The Floquet multipliers of a det-1 monodromy with trace D are e^{+-w}:
+    Re w >= 0 is q times the Lyapunov exponent, exactly 0.0 where a real D
+    has |D| <= 2, and Im w is the Bloch phase, arccos(D / 2) there.  A zero
+    imaginary part of D is read as +0, so a real D gets a phase in [0, pi].
+    Where log |D| > 40, w = log D, which differs from arccosh(D / 2) by
+    O(1 / D^2), and nothing overflows.
+    """
+    m = np.asarray(mantissa, dtype=np.complex128) + 0j  # -0j -> +0j
+    mag = np.abs(m)
+    nonzero = mag > 0.0
+    safe = np.where(nonzero, mag, 1.0)
+    log_d = np.where(nonzero, np.log(safe) + log_scale, -np.inf)
+    big = log_d > 40.0
+    # D = (m / |m|) exp(log |D|), with no exp past e^40; m / |m| is divided
+    # part by part, so a real m gives exactly +-1
+    d = (m.real / safe + 1j * (m.imag / safe)) * np.exp(np.where(big, 0.0, log_d))
+    return np.where(big, log_d + 1j * np.angle(m), np.arccosh(d / 2.0))
+
+
 def eigenvector(m: Mat2, mu: complex) -> tuple[complex, complex] | None:
     """Unit eigenvector of m for the eigenvalue mu, or None if m = mu I.
 
@@ -268,9 +294,14 @@ def discriminant(spec: OperatorSpec, E):
     return d if isinstance(E, complex) else d.real
 
 
+def delta_spec(alpha: ReducedRational, lam: float) -> OperatorSpec:
+    """The operator whose discriminant is Chambers' Delta: theta = pi / (2q)."""
+    return OperatorSpec.almost_mathieu(alpha, lam, math.pi / (2.0 * alpha.q))
+
+
 def delta(alpha: ReducedRational, lam: float, E):
     """Chambers' Delta: the discriminant evaluated at theta = pi / (2q)."""
-    return discriminant(OperatorSpec.almost_mathieu(alpha, lam, math.pi / (2.0 * alpha.q)), E)
+    return discriminant(delta_spec(alpha, lam), E)
 
 
 def _mp_trig_table(q: int, dps: int):

@@ -1,9 +1,10 @@
 """Lyapunov exponents and half-line Green functions of periodic operators.
 
-The Lyapunov exponent of a period-q operator is read off the one-period
-transfer product, gamma = ln(spectral radius) / q, and vanishes exactly on
-the spectrum.  Half-line Green functions come from the decaying Floquet
-solution psi built on the contracting eigenvector of the monodromy:
+The Lyapunov exponent of a period-q operator is read off the trace D of
+the one-period transfer product, gamma = Re arccosh(D/2) / q = ln(spectral
+radius) / q, and vanishes exactly on the spectrum.  Half-line Green
+functions come from the decaying Floquet solution psi built on the
+contracting eigenvector of the monodromy:
 
     G^{[k,inf)}(k, l; z) = -psi(l) / psi(k - 1),
 
@@ -25,6 +26,7 @@ from .core import (
     OperatorSpec,
     discriminant_grid,
     eigenvector,
+    floquet_exponent,
     floquet_multiplier,
     monodromy_scaled,
     potential_array,
@@ -114,57 +116,26 @@ class SuraceReport:
 # Lyapunov exponents
 
 
-def _log_trace(spec: OperatorSpec, z: complex) -> tuple[complex, float]:
-    """(unit-phase trace, log |trace|) of the monodromy at z."""
-    m, log_s = monodromy_scaled(spec, z)
-    tr = m.trace()
-    mag = abs(tr)
-    if mag == 0.0:
-        return 0j, -math.inf
-    return tr / mag, math.log(mag) + log_s
-
-
 def lyapunov(spec: OperatorSpec, z: complex) -> LyapunovValue:
-    """gamma(z) = ln Spr(Phi_q(z)) / q, with the Bloch phase on bands.
+    """gamma(z) = Re w / q, w = arccosh(D(z) / 2), with the Bloch phase on bands.
 
+    w is the Floquet exponent (:func:`~almost_mathieu.core.floquet_exponent`).
     For real z the exponent vanishes exactly when |D(z)| <= 2, in which case
-    the monodromy eigenvalues are e^{+- i k q} and k in [0, pi/q] is
-    returned.
+    the monodromy eigenvalues are e^{+- i k q} and k = Im w / q in [0, pi/q]
+    is returned.
     """
     z = complex(z)
-    q = spec.period
-    phase, log_t = _log_trace(spec, z)
-    if log_t > 40.0:
-        # Spr = |T| up to O(1/T^2)
-        return LyapunovValue(log_t / q, None)
-    T = phase * math.exp(log_t) if log_t > -math.inf else 0j
-    spr = abs(floquet_multiplier(T))
-    gamma = max(0.0, math.log(max(spr, 1.0)) / q)
-    if z.imag == 0.0 and abs(T.imag) < 1e-12 and abs(T.real) <= 2.0:
-        k = math.acos(min(1.0, max(-1.0, T.real / 2.0))) / q
-        return LyapunovValue(0.0, k)
-    return LyapunovValue(gamma, None)
+    m, log_s = monodromy_scaled(spec, z)
+    w = complex(floquet_exponent(m.trace(), log_s))
+    if z.imag == 0.0 and w.real == 0.0:
+        return LyapunovValue(0.0, w.imag / spec.period)
+    return LyapunovValue(w.real / spec.period, None)
 
 
 def lyapunov_grid(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
-    """Vectorized gamma over an energy grid (real or complex)."""
-    q = spec.period
+    """Vectorized gamma = Re w / q over an energy grid (real or complex)."""
     E = np.asarray(energies, dtype=np.complex128)
-    tr, logs = discriminant_grid(spec, E)
-    mag = np.abs(tr)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    log_t = np.where(mag > 0.0, np.log(safe) + logs, -np.inf)
-    phase = np.where(mag > 0.0, tr / safe, 0.0)
-
-    out = np.zeros(E.shape, dtype=np.float64)
-    big = log_t > 40.0
-    out[big] = log_t[big]
-    T = phase * np.exp(np.where(big, 0.0, log_t))
-    s = np.sqrt(T * T / 4.0 - 1.0)
-    spr = np.maximum(np.abs(T / 2.0 + s), np.abs(T / 2.0 - s))
-    small = ~big
-    out[small] = np.log(np.maximum(spr[small], 1.0))
-    return np.maximum(out, 0.0) / q
+    return floquet_exponent(*discriminant_grid(spec, E)).real / spec.period
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ from .core import (
     OperatorSpec,
     ReducedRational,
     delta as chambers_delta,
-    floquet_multiplier,
+    floquet_exponent,
     monodromy_scaled,
+    potential_array,
 )
 
 # the constant C of the closeness gate |p~/q~ - p/q| <= C^{-q} delta^2
@@ -90,16 +91,16 @@ class IntermediatePotential:
         return 2.0 * math.pi * frac / den
 
     def potential_array(self, start: int, count: int) -> np.ndarray:
-        """V~(start), ..., V~(start + count - 1)."""
-        n = np.arange(start, start + count, dtype=np.int64)
-        q = self.base.q
-        qf = self.fine.q
-        fine_phase = 2.0 * math.pi * ((self.fine.p * n) % qf) / qf
-        frozen = 2.0 * math.pi * ((self.base.p * n) % q) / q + self.theta(
-            self.freeze_site
-        )
-        return np.where(
-            n < self.freeze_site, 2.0 * np.cos(fine_phase), 2.0 * np.cos(frozen)
+        """V~(start), ..., V~(start + count - 1).
+
+        The fine potential (theta 0) below the freeze site, the coarse one at
+        the frozen phase theta_{l0 q} from it on.
+        """
+        fine = OperatorSpec.almost_mathieu(self.fine, 2.0, 0.0)
+        frozen = OperatorSpec.almost_mathieu(self.base, 2.0, self.theta(self.freeze_site))
+        k = min(max(self.freeze_site - start, 0), count)  # the sites below it
+        return np.concatenate(
+            (potential_array(fine, start, k), potential_array(frozen, start + k, count - k))
         )
 
 
@@ -235,13 +236,9 @@ def trace_margin_check(
     A trace margin implies per-block eigenvalues e^{+-(gamma_j + i zeta_j)}
     with gamma_j > arccosh(1 + delta/4) >= c sqrt(delta).
     """
-    blocks = inverse_blocks(ip, E, epsilon)
-    margins = []
-    gammas = []
-    for b in blocks:
-        tr = complex(b.trace())
-        margins.append(abs(tr) - (2.0 + ip.delta / 2.0))
-        gammas.append(math.log(max(abs(floquet_multiplier(tr)), 1.0)))
+    traces = [complex(b.trace()) for b in inverse_blocks(ip, E, epsilon)]
+    margins = [abs(tr) - (2.0 + ip.delta / 2.0) for tr in traces]
+    gammas = floquet_exponent(traces).real.tolist()
     floor = math.acosh(1.0 + ip.delta / 4.0)
     return TraceMarginReport(
         margins=tuple(margins),
@@ -289,9 +286,7 @@ def green_comparison(
     q, qt = ip.base.q, ip.fine.q
     n_sites = 4 * q * qt + int(math.ceil(50.0 / epsilon))
 
-    qf = ip.fine.q
-    n = np.arange(1, n_sites + 1, dtype=np.int64)
-    v_fine = 2.0 * np.cos(2.0 * math.pi * ((ip.fine.p * n) % qf) / qf)
+    v_fine = potential_array(OperatorSpec.almost_mathieu(ip.fine, 2.0, 0.0), 1, n_sites)
     v_mid = ip.potential_array(1, n_sites)
 
     g_fine = truncated_green_row(v_fine, z, n_sites)

@@ -105,20 +105,6 @@ class ProductCertificate:
             return math.inf
 
     @property
-    def lower(self) -> float:
-        try:
-            return math.exp(self.lower_log)
-        except OverflowError:
-            return math.inf
-
-    @property
-    def upper(self) -> float:
-        try:
-            return math.exp(self.upper_log)
-        except OverflowError:
-            return math.inf
-
-    @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
@@ -328,13 +314,14 @@ def random_drift_chain(
         t = (u @ Mat2(lam, 0, 0, 1.0 / lam)) @ u_inv
         return HyperbolicFactor(t, gamma, zeta, phi_p, phi_m)
 
-    def rephased(prev_p, prev_m, p, m):
+    def rephased(prev: HyperbolicFactor, p, m):
         # fix the new frame's phases so the diagonal decomposition
         # coefficients of the previous frame come out real nonnegative;
-        # this keeps align_phases a no-op on generated chains
-        d = p[0] * m[1] - m[0] * p[1]
-        a = (m[1] * prev_p[0] - m[0] * prev_p[1]) / d
-        b = (-p[1] * prev_m[0] + p[0] * prev_m[1]) / d
+        # this keeps align_phases a no-op on generated chains.  _solve_u
+        # reads only the eigenvectors, so T stays that of prev
+        frame = HyperbolicFactor(prev.T, prev.gamma, prev.zeta, p, m)
+        a, _ = _solve_u(frame, prev.phi_plus)
+        _, b = _solve_u(frame, prev.phi_minus)
         ph_p = a / abs(a) if abs(a) > 0.0 else 1.0
         ph_m = b / abs(b) if abs(b) > 0.0 else 1.0
         return (p[0] * ph_p, p[1] * ph_p), (m[0] * ph_m, m[1] * ph_m)
@@ -342,15 +329,14 @@ def random_drift_chain(
     factors = []
     for _ in range(n_factors):
         factors.append(make_factor(gamma, zeta, phi_p, phi_m))
-        det_u = abs(phi_p[0] * phi_m[1] - phi_m[0] * phi_p[1])
+        det_u = abs(factors[-1].det_u())
         # target drift: half of what the hypothesis allows for this factor
         ang = 0.5 * beta * gamma * math.exp(-gamma) * det_u / 4.0
-        cand_p, cand_m = phi_p, phi_m
         for _ in range(60):
             ca, sa = math.cos(ang), math.sin(ang)
             cand_p = (ca * phi_p[0] - sa * phi_p[1], sa * phi_p[0] + ca * phi_p[1])
             cand_m = (ca * phi_m[0] - sa * phi_m[1], sa * phi_m[0] + ca * phi_m[1])
-            cand_p, cand_m = rephased(phi_p, phi_m, cand_p, cand_m)
+            cand_p, cand_m = rephased(factors[-1], cand_p, cand_m)
             drift = max(
                 math.hypot(abs(cand_p[0] - phi_p[0]), abs(cand_p[1] - phi_p[1])),
                 math.hypot(abs(cand_m[0] - phi_m[0]), abs(cand_m[1] - phi_m[1])),

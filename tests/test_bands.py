@@ -26,6 +26,7 @@ from almost_mathieu.core import (
     OperatorSpec,
     discriminant,
     discriminant_and_derivative_grid,
+    discriminant_grid,
     reduce_fraction,
 )
 from almost_mathieu.experiments import butterfly_generate
@@ -719,6 +720,24 @@ class TestIds:
         spec = am(1, 2, 2.0, 0.0)
         gap = ids_profile(spec, np.linspace(-1.5, 1.5, 101))
         assert np.all(gap == 0.5)
+
+    def test_phase_is_arccos_of_half_d(self):
+        # on band j the profile is (j - phi/pi)/q where D increases and
+        # (j - 1 + phi/pi)/q where it decreases, phi = arccos(D/2); D is
+        # rebuilt from its scaled form as sign * exp(log |D|), as the
+        # package does, since near a band edge phi magnifies a 1-ulp change
+        # of D to sqrt(ulp)
+        for spec in (am(1, 3, 2.0, 0.4), am(2, 5, 1.0, 0.0), am(5, 13, 2.0, 1.1)):
+            q = spec.period
+            bands = spectrum_bands(spec).bands
+            E = np.concatenate([np.linspace(b.lo, b.hi, 203)[1:-1] for b in bands])
+            tr, logs = discriminant_grid(spec, E)
+            d = np.sign(tr) * np.exp(np.log(np.abs(tr)) + logs)
+            phi = np.arccos(np.clip(d / 2.0, -1.0, 1.0))
+            j = np.repeat(np.arange(1, q + 1), 201)
+            mono = np.repeat([b.monotonicity for b in bands], 201)
+            want = np.where(mono > 0, j - phi / math.pi, j - 1 + phi / math.pi) / q
+            np.testing.assert_allclose(ids_profile(spec, E), want, rtol=0.0, atol=1e-15)
 
 
 class TestHolder:

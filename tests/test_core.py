@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from almost_mathieu.core import (
     discriminant_and_derivative_grid,
     discriminant_grid,
     eigenvector,
+    floquet_exponent,
     floquet_multiplier,
     monodromy_scaled,
     potential_array,
@@ -412,3 +414,86 @@ class TestFloquetMultiplier:
         mu = floquet_multiplier(m.trace(), m.det())
         assert mu == c
         assert eigenvector(m, mu) is None
+
+
+
+def _mp_floquet_exponent(mantissa: complex, log_scale: float) -> complex:
+    """acosh(D / 2) at 40 digits for D = mantissa * exp(log_scale); a real
+    D (zero imaginary part, of either sign) is taken on the real axis."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        m = mantissa.real if mantissa.imag == 0.0 else mantissa
+        return complex(mpmath.acosh(mpmath.mpmathify(m) * mpmath.exp(log_scale) / 2))
+
+
+def _matches_oracle(mantissa, log_scale: float = 0.0) -> complex:
+    """floquet_exponent at one point, checked against the 40-digit oracle.
+
+    D is rebuilt from log |D|, so it carries a few ulp of log |D|; arccosh
+    magnifies that by |coth w|, which is large only next to D = +-2.
+    """
+    w = complex(floquet_exponent(mantissa, log_scale))
+    want = _mp_floquet_exponent(complex(mantissa), log_scale)
+    cond = 1.0
+    if want.real < 20.0:
+        cond = max(1.0, abs(cmath.cosh(want)) / max(abs(cmath.sinh(want)), 1e-300))
+    assert abs(w - want) <= 1e-15 * max(1.0, abs(want)) * cond
+    return w
+
+
+class TestFloquetExponent:
+    def test_real_trace_within_two_is_a_pure_phase(self, rng):
+        D = np.concatenate((np.linspace(-2.0, 2.0, 4001), rng.uniform(-2.0, 2.0, 2000)))
+        w = floquet_exponent(D)
+        # the real part is exactly +0.0, not a rounding residue
+        assert np.all(w.real == 0.0) and not np.any(np.signbit(w.real))
+        assert np.all((w.imag >= 0.0) & (w.imag <= math.pi))
+        for d in D[::7]:
+            _matches_oracle(d)
+
+    def test_band_edges(self):
+        assert complex(floquet_exponent(2.0)) == 0j
+        assert complex(floquet_exponent(-2.0)) == complex(0.0, math.pi)
+        # the same D in scaled form: mantissa 0.5, scale 4
+        assert complex(floquet_exponent(-0.5, math.log(4.0))) == complex(0.0, math.pi)
+
+    @pytest.mark.parametrize("eps", [4.440892098500626e-16, 1e-12, 1e-6, 0.5])
+    def test_just_outside_two(self, eps):
+        for d, phase in ((2.0 + eps, 0.0), (-2.0 - eps, math.pi)):
+            w = _matches_oracle(d)
+            assert w.real > 0.0
+            assert w.imag == phase
+
+    def test_complex_traces(self, rng):
+        for _ in range(300):
+            m = complex(rng.normal(), rng.normal())
+            m /= max(abs(m.real), abs(m.imag))
+            _matches_oracle(m, float(rng.uniform(-5.0, 38.0)))
+
+    def test_log_form_beyond_40(self):
+        # 987/1597 at E = 5: log |D| is about 2300, far past the float range
+        m, log_s = monodromy_scaled(am(987, 1597, 2.0, 0.0), 5.0)
+        w = _matches_oracle(m.trace(), log_s)
+        assert w.real > 2000.0 and w.imag in (0.0, math.pi)
+        # either side of the switch at log |D| = 40
+        for log_s in (39.5, 40.5):
+            assert _matches_oracle(-1.0, log_s).imag == math.pi
+
+    def test_real_and_complex_energies(self, rng):
+        for _ in range(10):
+            spec = OperatorSpec.almost_mathieu(random_reduced(rng, 30), 2.0, rng.uniform(0, 2 * math.pi))
+            for z in (rng.uniform(-4.5, 4.5), complex(rng.uniform(-4.5, 4.5), rng.uniform(-1, 1))):
+                m, log_s = monodromy_scaled(spec, z)
+                _matches_oracle(m.trace(), log_s)
+
+    def test_negative_zero_imaginary_part(self):
+        # the trace of a real-energy monodromy may carry -0.0 as its
+        # imaginary part; the phase still comes out in [0, pi]
+        for d in (0.5, -1.5, -3.0, 3.0):
+            w = complex(floquet_exponent(complex(d, -0.0)))
+            assert w == complex(floquet_exponent(d))
+            assert math.copysign(1.0, w.imag) > 0.0
+        w = floquet_exponent(np.array([complex(0.5, -0.0), complex(-3.0, -0.0)]))
+        assert w[0].imag == pytest.approx(math.acos(0.25), abs=1e-15)
+        assert w[1].imag == math.pi

@@ -70,12 +70,18 @@ class TestLyapunov:
                 elif dist >= 1e-2:
                     assert gi >= 1e-6
 
-    def test_grid_matches_scalar(self, rng):
-        spec = am(2, 5, 2.0, 0.3)
-        zs = [0.1 + 0.2j, 3.7, -4.1 + 0.05j, 1.0]
-        grid = lyapunov_grid(spec, np.array(zs, dtype=complex))
-        for z, g in zip(zs, grid):
-            assert lyapunov(spec, z).gamma == pytest.approx(float(g), abs=1e-12)
+    def test_grid_matches_scalar(self):
+        # monodromy_scaled and the grid kernel carry the same scaled trace,
+        # and both read gamma off it through floquet_exponent: bit for bit
+        # equal, on the 144/233 grid of `amo lyapunov --grid 3000` and at
+        # complex energies
+        for spec, zs in (
+            (am(144, 233, 2.0, 0.7), np.linspace(-4.0, 4.0, 3000)),
+            (am(2, 5, 2.0, 0.3), np.array([0.1 + 0.2j, 3.7, -4.1 + 0.05j, 1.0])),
+        ):
+            grid = lyapunov_grid(spec, zs)
+            scalar = np.array([lyapunov(spec, z).gamma for z in zs])
+            np.testing.assert_array_equal(scalar, grid)
 
     def test_large_energy_no_overflow(self):
         spec = am(13, 89, 2.0, 0.0)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from almost_mathieu.core import OperatorSpec, discriminant, monodromy_scaled, reduce_fraction
+from almost_mathieu.core import (
+    OperatorSpec,
+    discriminant,
+    floquet_multiplier,
+    monodromy_scaled,
+    reduce_fraction,
+)
 from almost_mathieu.interpolation import (
     TruncationError,
     build_intermediate,
@@ -58,6 +64,19 @@ class TestBuildIntermediate:
         for i, n in enumerate(range(ip.freeze_site, ip.freeze_site + 8)):
             want = 2.0 * math.cos(math.pi * n + th)
             assert arr[i] == pytest.approx(want, abs=1e-12)
+
+    def test_frozen_potential_floats(self):
+        # 2 cos(2 pi (p~ n mod q~) / q~) below the freeze site and
+        # 2 cos(2 pi (p n mod q) / q + theta_freeze) from it on, bit for bit,
+        # for windows on either side of the freeze site and across it
+        ip = build_intermediate(HALF, FINE, 0.25, ctilde=1.0)
+        n0 = ip.freeze_site
+        for start, count in ((1, 40), (1, n0 - 1), (n0, 8), (n0 - 3, 1), (n0 + 5, 30)):
+            n = np.arange(start, start + count)
+            fine = 2.0 * np.cos(2.0 * math.pi * ((13 * n) % 27) / 27)
+            frozen = 2.0 * np.cos(2.0 * math.pi * (n % 2) / 2 + ip.theta(n0))
+            want = np.where(n < n0, fine, frozen)
+            np.testing.assert_array_equal(ip.potential_array(start, count), want)
 
     def test_array_matches_scalar(self):
         # one site at a time reads the same floats as one window
@@ -182,6 +201,17 @@ class TestTraceMargins:
         rep = trace_margin_check(ip, 0.0, 1e-3)
         assert rep.gamma_floor == pytest.approx(math.acosh(1.075))
         assert all(g > rep.gamma_floor for g in rep.gammas)
+
+    def test_gammas_are_log_of_the_larger_multiplier(self):
+        ip = build_intermediate(HALF, reduce_fraction(500, 1001), 0.3, ctilde=0.05)
+        # hyperbolic blocks, and blocks inside the coarse spectrum
+        for E, eps in ((0.0, 1e-3), (0.37, 0.1), (-1.0, 1e-3), (2.5, 0.01)):
+            rep = trace_margin_check(ip, E, eps)
+            want = [
+                math.log(max(abs(floquet_multiplier(complex(b.trace()))), 1.0))
+                for b in inverse_blocks(ip, E, eps)
+            ]
+            np.testing.assert_allclose(rep.gammas, want, rtol=0.0, atol=1e-14)
 
 
 class TestGreenComparison:
