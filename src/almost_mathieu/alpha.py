@@ -14,7 +14,8 @@ choosing each next quotient as the least integer that works.  Conditions
 (1), (2) and the power half of (3) are decided in exact rational
 arithmetic; the transcendental half of (3) is decided in high-precision
 floating point with a cross-checked precision margin, with integer
-candidates bracketed and settled by monotonicity.
+candidates bracketed and settled by monotonicity.  Certificates keep the
+margins in those exact forms.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "convergents",
     "construct_alpha",
     "verify_conditions",
+    "margin_sign_log10",
 ]
 
 _DIGIT_GUARD = 10**6
@@ -47,13 +49,20 @@ class ContinuedFraction:
 
 @dataclass(frozen=True)
 class LevelCertificate:
+    """The margins of the three conditions at level j; each holds iff positive.
+
+    The margins of (1), (2) and the power half of (3) are exact rationals,
+    that of the decay half of (3) a 100-digit mpmath number; they reach
+    thousands of digits, so reports give :func:`margin_sign_log10` of them.
+    """
+
     j: int
     q_j: int
     q_j1: int
-    cond1_margin: float
-    cond2_margin: float
-    cond3a_margin: float
-    cond3b_margin: float
+    cond1_margin: Fraction
+    cond2_margin: Fraction
+    cond3a_margin: Fraction
+    cond3b_margin: mpmath.mpf
 
     @property
     def ok(self) -> bool:
@@ -90,25 +99,22 @@ def convergents(quotients: list[int]) -> ContinuedFraction:
     return ContinuedFraction(tuple(qs), tuple(out))
 
 
-def _sat_float(x: Fraction) -> float:
-    """Exact-sign float image of a rational: saturates, never loses sign.
+def margin_sign_log10(x: Fraction | mpmath.mpf) -> tuple[int, float | None]:
+    """The sign of an exact margin and log10 of its magnitude, None at 0.
 
-    Margins can be exactly positive yet far below the subnormal range; the
-    pass/fail decision is the exact sign, so underflow maps to +-5e-324.
+    A float image of the margin would underflow to 0 or overflow to inf at
+    the later levels; its log10 stays in range, and is taken at 30 digits.
     """
+    import mpmath
+
     if x == 0:
-        return 0.0
-    if x > 0 and (x.numerator.bit_length() - x.denominator.bit_length()) > 3000:
-        return math.inf
-    if x < 0 and ((-x).numerator.bit_length() - x.denominator.bit_length()) > 3000:
-        return -math.inf
-    try:
-        f = float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-    if f == 0.0:
-        return 5e-324 if x > 0 else -5e-324
-    return f
+        return 0, None
+    with mpmath.workdps(30):
+        if isinstance(x, Fraction):
+            mag = mpmath.mpf(abs(x.numerator)) / x.denominator
+        else:
+            mag = abs(mpmath.mpf(x))
+        return (1 if x > 0 else -1), float(mpmath.log10(mag))
 
 
 def _log_condition3b(c: float, j: int, q_j: int, q_next: int) -> mpmath.mpf:
@@ -165,12 +171,10 @@ def _level_margins(c: float, j: int, q_j: int, q_j1: int, q_j2: int) -> LevelCer
     delta_j = Fraction(1, q_j**j)
     eta_j = Fraction(c) ** (-q_j) * delta_j**2
     gap = Fraction(1, q_j * q_j1)  # |alpha_{j+1} - alpha_j| exactly
-    m1 = _sat_float(min(eta_j, delta_j) - gap)
-    m2 = _sat_float(Fraction(1, q_j1**(j + 1)) - Fraction(1, q_j1 * q_j2))
-    m3a = _sat_float(Fraction(q_j1 - q_j**j))
-    g = _certified_g(c, j, q_j, q_j1)
-    m3b = float(g) if math.isfinite(g) else math.inf
-    return LevelCertificate(j, q_j, q_j1, m1, m2, m3a, m3b)
+    m1 = min(eta_j, delta_j) - gap
+    m2 = Fraction(1, q_j1**(j + 1)) - Fraction(1, q_j1 * q_j2)
+    m3a = Fraction(q_j1 - q_j**j)
+    return LevelCertificate(j, q_j, q_j1, m1, m2, m3a, _certified_g(c, j, q_j, q_j1))
 
 
 def verify_conditions(cf: ContinuedFraction, c: float, j_max: int) -> AlphaCertificate:

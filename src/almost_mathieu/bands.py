@@ -111,64 +111,139 @@ class Band:
         return self.lo <= E <= self.hi
 
 
-@dataclass(frozen=True)
 class SpectralSet:
-    """Ordered union of closed bands, disjoint except for touching endpoints."""
+    """Ordered union of closed bands, disjoint except for touching endpoints.
 
-    bands: tuple[Band, ...]
+    The bands are held as two read-only arrays: ``edges``, float64 of shape
+    (n, 2) with row i = (lo, hi) of band i + 1, and ``monotonicity``, int8
+    of length n with the sign of D' on each band (0 where unknown), in
+    ascending order of the lower edge.  That is 17 bytes a band.  ``bands``
+    builds :class:`Band` objects from them on every access.
+    """
+
+    __slots__ = ("_edges", "_mono")
+
+    def __init__(self, edges=(), monotonicity=None):
+        e = np.array(edges, dtype=np.float64).reshape(-1, 2)
+        if monotonicity is None:
+            m = np.zeros(len(e), dtype=np.int8)
+        else:
+            m = np.array(monotonicity, dtype=np.int8).reshape(-1)
+        if len(m) != len(e):
+            raise ValueError(f"{len(e)} bands but {len(m)} monotonicity signs")
+        if np.any(e[1:, 0] < e[:-1, 0]):
+            raise ValueError("bands must come in ascending order of their lower edges")
+        e.flags.writeable = False
+        m.flags.writeable = False
+        self._edges, self._mono = e, m
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(n, 2) float64 array, row i = (lo, hi) of band i + 1; read-only."""
+        return self._edges
+
+    @property
+    def monotonicity(self) -> np.ndarray:
+        """int8 array of the sign of D' on each band, 0 where unknown; read-only."""
+        return self._mono
+
+    @property
+    def bands(self) -> tuple[Band, ...]:
+        """The bands as :class:`Band` objects, built anew on every access."""
+        return tuple(
+            Band(lo, hi, i, m)
+            for i, ((lo, hi), m) in enumerate(zip(self._edges.tolist(), self._mono.tolist()), 1)
+        )
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpectralSet):
+            return NotImplemented
+        return np.array_equal(self._edges, other._edges) and np.array_equal(
+            self._mono, other._mono
+        )
+
+    def __hash__(self) -> int:
+        return hash((tuple(self._edges.ravel().tolist()), self._mono.tobytes()))
+
+    def __reduce__(self):
+        return SpectralSet, (self._edges, self._mono)
+
+    def __repr__(self) -> str:
+        return f"SpectralSet({self._edges.tolist()!r}, {self._mono.tolist()!r})"
 
     @property
     def measure(self) -> float:
-        return float(sum(b.width for b in self.bands))
+        # added band by band in order, bitwise the sum of a plain loop
+        return float(sum((self._edges[:, 1] - self._edges[:, 0]).tolist()))
 
     def intervals(self) -> list[tuple[float, float]]:
-        return [(b.lo, b.hi) for b in self.bands]
+        return [(lo, hi) for lo, hi in self._edges.tolist()]
 
-    def contains(self, E: float) -> bool:
-        return any(b.lo <= E <= b.hi for b in self.bands)
+    def distance(self, E):
+        """Distance from E to the set, 0 inside and inf for the empty set.
 
-    def distance(self, E: float) -> float:
-        if not self.bands:
-            return math.inf
-        best = math.inf
-        for b in self.bands:
-            if b.lo <= E <= b.hi:
-                return 0.0
-            best = min(best, abs(E - b.lo), abs(E - b.hi))
-        return best
+        Elementwise over an array of energies; a float for a scalar.  The
+        bands starting at or below E are found by bisection on the lower
+        edges; of those, the one reaching furthest up is the nearest, and of
+        the others, the first one above E.
+        """
+        E = np.asarray(E, dtype=np.float64)
+        lo, hi = self._edges[:, 0], self._edges[:, 1]
+        if not len(lo):
+            d = np.full(E.shape, math.inf)
+        else:
+            k = np.searchsorted(lo, E, side="right")  # bands [0, k) start at or below E
+            reach = np.maximum.accumulate(hi)[np.maximum(k - 1, 0)]
+            below = np.where(k > 0, np.maximum(E - reach, 0.0), math.inf)
+            above = np.where(k < len(lo), lo[np.minimum(k, len(lo) - 1)] - E, math.inf)
+            d = np.minimum(below, above)
+        return float(d) if d.ndim == 0 else d
+
+    def contains(self, E):
+        """Whether E lies in a band; elementwise over an array of energies."""
+        inside = self.distance(E) == 0.0
+        return bool(inside) if np.ndim(inside) == 0 else inside
 
     def intersection_measure(self, other: "SpectralSet") -> float:
-        """Lebesgue measure of the intersection, exact interval clipping."""
-        total = 0.0
-        mine = self.intervals()
-        theirs = other.intervals()
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            lo = max(mine[i][0], theirs[j][0])
-            hi = min(mine[i][1], theirs[j][1])
-            if hi > lo:
-                total += hi - lo
-            if mine[i][1] < theirs[j][1]:
-                i += 1
-            else:
-                j += 1
-        return total
+        """Lebesgue measure of the intersection, exact interval clipping.
+
+        Both sets must be disjoint up to touching endpoints.  The band pairs
+        that overlap come from bisection on the edges, and the lengths of
+        the overlaps are added in ascending order of position.
+        """
+        a, b = self._edges, other._edges
+        # the bands of ``other`` that can overlap band i: j0[i] <= j < j1[i]
+        j0 = np.searchsorted(b[:, 1], a[:, 0], side="right")
+        j1 = np.searchsorted(b[:, 0], a[:, 1], side="left")
+        count = np.maximum(j1 - j0, 0)
+        i = np.repeat(np.arange(len(a)), count)
+        j = np.repeat(j0 - np.cumsum(count) + count, count) + np.arange(count.sum())
+        lo = np.maximum(a[i, 0], b[j, 0])
+        hi = np.minimum(a[i, 1], b[j, 1])
+        keep = hi > lo
+        return float(sum((hi[keep] - lo[keep]).tolist()))
 
     @staticmethod
     def from_intervals(intervals, merge_overlaps: bool = True) -> "SpectralSet":
-        ivs = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
-        if merge_overlaps:
-            merged: list[list[float]] = []
-            for lo, hi in ivs:
-                if merged and lo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
-            ivs = [(lo, hi) for lo, hi in merged]
-        bands = tuple(
-            Band(lo, hi, k + 1, 0) for k, (lo, hi) in enumerate(ivs)
-        )
-        return SpectralSet(bands)
+        """The set of the (lo, hi) pairs with hi >= lo, sorted, overlaps merged.
+
+        ``intervals`` is a sequence of pairs or an (n, 2) array.  With
+        ``merge_overlaps`` the pairs that meet or overlap become one band.
+        The monotonicity of every band is 0.
+        """
+        ivs = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+        ivs = ivs[ivs[:, 1] >= ivs[:, 0]]
+        ivs = ivs[np.lexsort((ivs[:, 1], ivs[:, 0]))]
+        if merge_overlaps and len(ivs):
+            # a band starts where its lower edge lies above every upper edge before it
+            reach = np.maximum.accumulate(ivs[:, 1])
+            starts = np.flatnonzero(np.concatenate(([True], ivs[1:, 0] > reach[:-1])))
+            ends = np.append(starts[1:], len(ivs)) - 1
+            ivs = np.column_stack((ivs[starts, 0], reach[ends]))
+        return SpectralSet(ivs)
 
 
 @dataclass(frozen=True)
@@ -382,7 +457,7 @@ def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> 
     return roots - step
 
 
-def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Band]]:
+def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[SpectralSet]:
     """The q pieces of {|D| <= thr} around the zeros, for every thr in ``thresholds``.
 
     The sets S, S- (lam < 2) and J_delta^c of Chambers' Delta come from
@@ -409,7 +484,7 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
     thrs = [float(t) for t in thresholds]
     if q == 1:
         center = float(_band_zeros(spec)[0])
-        return [[Band(center - thr, center + thr, 1, +1)] for thr in thrs]
+        return [SpectralSet([(center - thr, center + thr)], [1]) for thr in thrs]
 
     bound = 2.0 + spec.coupling
     margins = [max(2.5, spec.coupling / 2.0 + 2.0, thr ** (1.0 / q) + 1.5) for thr in thrs]
@@ -421,7 +496,7 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
     extrema = _interior_extrema(zeros, lambda E: fd(E)[1])
     ext_vals, outer_vals = np.split(f(np.concatenate((extrema, outer))), [len(extrema)])
     d_at_zeros, slope = fd(zeros)
-    mono = np.where(slope >= 0.0, 1, -1)
+    mono = np.where(slope >= 0.0, 1, -1).astype(np.int8)
 
     # all crossing edges of all thresholds are bisected in one vectorized
     # batch; slot (k, i, which) is edge ``which`` of band i at threshold k
@@ -474,16 +549,10 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[list[Ba
         for (k, i, which), rp in zip(batch_slot, polished):
             edges[k][i, which] = float(rp)
 
-    out = []
     for found in edges:
-        bands = []
-        for i in range(q):
-            lo, hi = float(found[i, 0]), float(found[i, 1])
-            if hi < lo:
-                lo, hi = hi, lo
-            bands.append(Band(lo, hi, i + 1, int(mono[i])))
-        out.append(bands)
-    return out
+        swap = found[:, 1] < found[:, 0]
+        found[swap] = found[swap, ::-1]
+    return [SpectralSet(found, mono) for found in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +570,8 @@ def spectrum_bands(spec: OperatorSpec) -> SpectralSet:
     """
     q = spec.period
     edges = np.sort(np.concatenate((_band_zeros(spec, 1.0), _band_zeros(spec, -1.0))))
-    return SpectralSet(
-        tuple(
-            Band(float(lo), float(hi), i, 1 if (q - i) % 2 == 0 else -1)
-            for i, (lo, hi) in enumerate(edges.reshape(q, 2).tolist(), 1)
-        )
-    )
+    mono = np.where((q - np.arange(1, q + 1)) % 2 == 0, 1, -1)
+    return SpectralSet(edges.reshape(q, 2), mono)
 
 
 def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
@@ -514,10 +579,10 @@ def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     thr = 2.0 + 2.0 * (lam / 2.0) ** alpha.q
-    bands = _sublevel_bands(delta_spec(alpha, lam), [thr])[0]
-    if len(bands) != alpha.q:  # fewer bands would mean lost measure
-        raise RootFindingError(f"S({alpha}) came out with {len(bands)} bands, expected {alpha.q}")
-    return SpectralSet(tuple(bands))
+    s = _sublevel_bands(delta_spec(alpha, lam), [thr])[0]
+    if len(s) != alpha.q:  # fewer bands would mean lost measure
+        raise RootFindingError(f"S({alpha}) came out with {len(s)} bands, expected {alpha.q}")
+    return s
 
 
 def sminus_points(alpha: ReducedRational, lam: float = 2.0):
@@ -533,7 +598,7 @@ def sminus_points(alpha: ReducedRational, lam: float = 2.0):
         return SpectralSet(())
     if lam < 2.0:
         thr = 2.0 - 2.0 * (lam / 2.0) ** alpha.q
-        return SpectralSet(tuple(_sublevel_bands(spec, [thr])[0]))
+        return _sublevel_bands(spec, [thr])[0]
 
     # The Hermitian eigensolve places every zero within a few ulp (backward
     # stable, perfectly conditioned); a derivative polish would only chase
@@ -555,13 +620,10 @@ def last_wilkinson_sum(alpha: ReducedRational) -> float:
     return float(np.sum(1.0 / np.abs(dp)))
 
 
-def _jdelta_variant1(alpha: ReducedRational, delta_: float, bands: list[Band]) -> JDeltaResult:
+def _jdelta_variant1(alpha: ReducedRational, delta_: float, pieces: SpectralSet) -> JDeltaResult:
     # up to delta = 4 no gap closes; above it, pieces that end on the same
     # separator are one component
-    if delta_ > 4.0:
-        comp = SpectralSet.from_intervals([(b.lo, b.hi) for b in bands])
-    else:
-        comp = SpectralSet(tuple(bands))
+    comp = SpectralSet.from_intervals(pieces.edges) if delta_ > 4.0 else pieces
     meas = comp.measure
     bound = 2.0 * math.e * delta_ / alpha.q
     return JDeltaResult(1, delta_, comp, meas, bound, meas <= bound * (1 + 1e-12))
@@ -582,8 +644,7 @@ def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaRe
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     if variant == 1:
-        bands = _sublevel_bands(delta_spec(alpha, 2.0), [delta_])[0]
-        return _jdelta_variant1(alpha, delta_, bands)
+        return _jdelta_variant1(alpha, delta_, _sublevel_bands(delta_spec(alpha, 2.0), [delta_])[0])
     pts = sminus_points(alpha, 2.0)
     comp = SpectralSet.from_intervals(
         [(E - delta_, E + delta_) for E in pts.energies]
@@ -606,7 +667,7 @@ def jdelta_sweep(
     if variant != 1:
         return [jdelta_sets(alpha, d, variant) for d in deltas]
     sets = _sublevel_bands(delta_spec(alpha, 2.0), deltas)
-    return [_jdelta_variant1(alpha, d, bands) for d, bands in zip(deltas, sets)]
+    return [_jdelta_variant1(alpha, d, pieces) for d, pieces in zip(deltas, sets)]
 
 
 def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeReport:
@@ -620,23 +681,21 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
     res = jdelta_sets(alpha, delta_, 1)
     pts = sminus_points(alpha, 2.0)
     q = alpha.q
-    bands = res.complement.bands
-    if len(bands) != q:
+    n_bands = len(res.complement)
+    if n_bands != q:
         raise ValueError(
-            f"J_delta^c of {alpha} at delta {delta_} has {len(bands)} bands, expected {q}"
+            f"J_delta^c of {alpha} at delta {delta_} has {n_bands} bands, expected {q}"
         )
-    E = np.array([x for band in bands for x in (band.lo, band.hi)])
+    E = res.complement.edges.ravel()
     val, dval = _d_and_deriv_values(delta_spec(alpha, 2.0), E)
     edges = []
-    for j, (band, zero) in enumerate(zip(bands, pts.energies)):
+    for j, zero in enumerate(pts.energies):
         for s, side in enumerate(("lower", "upper")):
             n = 2 * j + s
             margin = math.e * abs(val[n]) / abs(dval[n]) - abs(E[n] - zero)
-            outward = (band.index == 1 and side == "lower") or (
-                band.index == q and side == "upper"
-            )
+            outward = (j == 0 and side == "lower") or (j == q - 1 and side == "upper")
             edges.append(
-                EdgeMargin(band.index, side, float(E[n]), zero, float(margin), not outward)
+                EdgeMargin(j + 1, side, float(E[n]), zero, float(margin), not outward)
             )
     return BandEdgeReport(delta_, tuple(edges))
 
@@ -663,9 +722,8 @@ def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
     q = spec.period
     E = np.asarray(energies, dtype=np.float64)
     phi = floquet_exponent(*discriminant_grid(spec, E)).imag
-    lows = np.array([b.lo for b in bands.bands])
-    his = np.array([b.hi for b in bands.bands])
-    mono = np.array([b.monotonicity for b in bands.bands])
+    lows, his = bands.edges.T
+    mono = bands.monotonicity
     pos = np.searchsorted(lows, E, side="right")
     idx = np.maximum(pos - 1, 0)
     below = pos == 0
@@ -700,20 +758,12 @@ def holder_inclusion_check(
     gap = abs(alpha.as_fraction() - alpha2.as_fraction())
     bound = 6.0 * math.sqrt(lam * float(gap))
     total = s1.measure
-    widths = np.array([b.width for b in s1.bands])
-    cum = np.concatenate(([0.0], np.cumsum(widths)))
-    max_dist = 0.0
-    violations = 0
-    for i in range(n_samples):
-        t = (i + 0.5) / n_samples * total
-        j = int(np.searchsorted(cum, t, side="right") - 1)
-        j = min(j, len(s1.bands) - 1)
-        E = s1.bands[j].lo + (t - cum[j])
-        d = s2.distance(E)
-        max_dist = max(max_dist, d)
-        if gap > 0 and d >= bound:
-            violations += 1
-        elif gap == 0 and d > 0.0:
-            violations += 1
+    lo, hi = s1.edges.T
+    cum = np.concatenate(([0.0], np.cumsum(hi - lo)))
+    t = (np.arange(n_samples) + 0.5) / n_samples * total
+    j = np.minimum(np.searchsorted(cum, t, side="right") - 1, len(s1) - 1)
+    d = s2.distance(lo[j] + (t - cum[j]))
+    max_dist = float(d.max(initial=0.0))
+    violations = int(np.count_nonzero(d >= bound if gap > 0 else d > 0.0))
     ratio = max_dist / bound if bound > 0 else (math.inf if max_dist > 0 else 0.0)
     return HolderReport(bound, max_dist, ratio, n_samples, violations)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .alpha import construct_alpha
+from .alpha import construct_alpha, margin_sign_log10
 from .bands import SminusPoints, sminus_points, spectral_union_S, spectrum_bands
 from .core import OperatorSpec, reduce_fraction
 from .experiments import (
@@ -88,6 +88,22 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _margin_json(x) -> dict:
+    """An exact margin by its sign and log10 of its magnitude (null at 0)."""
+    sign, log10 = margin_sign_log10(x)
+    return {"sign": sign, "log10_abs": log10}
+
+
+def _margin_text(x) -> str:
+    """An exact margin as a float where one holds it, else as +-10^log10 |margin|."""
+    sign, log10 = margin_sign_log10(x)
+    if log10 is None:
+        return "0"
+    if abs(log10) < 300:
+        return _fmt(float(x))
+    return f"{'-' if sign < 0 else ''}10^{log10:.6f}"
+
+
 def _alpha_arg(args):
     return reduce_fraction(args.p, args.q)
 
@@ -143,7 +159,10 @@ def _butterfly_svg(ds, width: int, height: int, lam: float) -> str:
 def cmd_bands(args) -> int:
     spec = OperatorSpec.almost_mathieu(_alpha_arg(args), args.lam, args.theta)
     s = spectrum_bands(spec)
-    rows = [(b.index, b.lo, b.hi, b.monotonicity) for b in s.bands]
+    rows = [
+        (i, lo, hi, m)
+        for i, ((lo, hi), m) in enumerate(zip(s.edges.tolist(), s.monotonicity.tolist()), 1)
+    ]
     if args.format == "csv":
         _emit(_csv(["band", "lo", "hi", "monotonicity"], rows), args.output)
         return 0
@@ -164,8 +183,8 @@ def cmd_sminus(args) -> int:
         results = {"points": [e for e in res.energies]}
     else:
         header = ["band", "lo", "hi"]
-        rows = [(b.index, b.lo, b.hi) for b in res.bands]
-        results = {"bands": [{"lo": b.lo, "hi": b.hi} for b in res.bands]}
+        rows = [(i, lo, hi) for i, (lo, hi) in enumerate(res.edges.tolist(), 1)]
+        results = {"bands": [{"lo": lo, "hi": hi} for _, lo, hi in rows]}
     if args.format == "csv":
         _emit(_csv(header, rows), args.output)
         return 0
@@ -272,7 +291,8 @@ def cmd_measure_decay(args) -> int:
         fam = approximant_family(base, args.kmin, args.kmax)
     rep = measure_decay(base, args.delta, args.variant, fam)
     rows = [
-        (r.approximant.p, r.approximant.q, r.measure, int(r.gate_ok)) for r in rep.rows
+        (r.approximant.p, r.approximant.q, r.measure, int(r.gate_ok), r.collapsed_bands)
+        for r in rep.rows
     ]
     failures = []
     if rep.fitted_rate is None:
@@ -280,13 +300,14 @@ def cmd_measure_decay(args) -> int:
             f"decay fit needs 2 distinct q~ with positive measure, got {rep.fit_qs}"
         )
     if args.format == "csv":
-        _emit(_csv(["p", "q", "measure", "gate_ok"], rows), args.output)
+        _emit(_csv(["p", "q", "measure", "gate_ok", "collapsed_bands"], rows), args.output)
         for failure in failures:
             print(failure, file=sys.stderr)
         return 1 if failures else 0
     results = {
         "rows": [
-            {"p": p, "q": q, "measure": m, "gate_ok": bool(g)} for p, q, m, g in rows
+            {"p": p, "q": q, "measure": m, "gate_ok": bool(g), "collapsed_bands": c}
+            for p, q, m, g, c in rows
         ],
         "fitted_rate": rep.fitted_rate,
         "fitted_prefactor": rep.fitted_prefactor,
@@ -305,13 +326,14 @@ def cmd_dimension(args) -> int:
         "scales": list(rep.scales),
         "counts": list(rep.counts),
         "set_measure": s.measure,
-        "n_bands": len(s.bands),
+        "n_bands": len(s),
     }
     return _report(args, results, [])
 
 
 def cmd_alpha_construct(args) -> int:
     cf, cert = construct_alpha(args.c, args.jmax)
+    keys = ("cond1_margin", "cond2_margin", "cond3a_margin", "cond3b_margin")
     results = {
         "quotients": [str(n) for n in cf.quotients],
         "denominators": [str(c.q) for c in cf.convergents],
@@ -320,10 +342,7 @@ def cmd_alpha_construct(args) -> int:
                 "j": lev.j,
                 "q_j": str(lev.q_j),
                 "q_j1": str(lev.q_j1),
-                "cond1_margin": lev.cond1_margin,
-                "cond2_margin": lev.cond2_margin,
-                "cond3a_margin": lev.cond3a_margin,
-                "cond3b_margin": lev.cond3b_margin,
+                **{key: _margin_json(getattr(lev, key)) for key in keys},
                 "ok": lev.ok,
             }
             for lev in cert.levels
@@ -331,10 +350,10 @@ def cmd_alpha_construct(args) -> int:
         "all_ok": cert.all_ok,
     }
     failures = [
-        f"level {lev['j']}: {key} {_fmt(value)} is not positive"
-        for lev in results["levels"]
-        for key, value in lev.items()
-        if key.endswith("_margin") and not value > 0
+        f"level {lev.j}: {key} {_margin_text(getattr(lev, key))} is not positive"
+        for lev in cert.levels
+        for key in keys
+        if not getattr(lev, key) > 0
     ]
     return _report(args, results, failures)
 

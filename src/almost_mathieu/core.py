@@ -231,7 +231,8 @@ def floquet_exponent(mantissa, log_scale=0.0) -> np.ndarray:
     has |D| <= 2, and Im w is the Bloch phase, arccos(D / 2) there.  A zero
     imaginary part of D is read as +0, so a real D gets a phase in [0, pi].
     Where log |D| > 40, w = log D, which differs from arccosh(D / 2) by
-    O(1 / D^2), and nothing overflows.
+    O(1 / D^2), and nothing overflows.  Where log_scale is 0, D is the
+    mantissa itself, with no rounding from rebuilding it.
     """
     m = np.asarray(mantissa, dtype=np.complex128) + 0j  # -0j -> +0j
     mag = np.abs(m)
@@ -242,6 +243,7 @@ def floquet_exponent(mantissa, log_scale=0.0) -> np.ndarray:
     # D = (m / |m|) exp(log |D|), with no exp past e^40; m / |m| is divided
     # part by part, so a real m gives exactly +-1
     d = (m.real / safe + 1j * (m.imag / safe)) * np.exp(np.where(big, 0.0, log_d))
+    d = np.where(np.asarray(log_scale) == 0.0, m, d)
     return np.where(big, log_d + 1j * np.angle(m), np.arccosh(d / 2.0))
 
 

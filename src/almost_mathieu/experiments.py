@@ -49,6 +49,7 @@ class DecayRow:
     q_tilde: int
     measure: float
     gate_ok: bool
+    collapsed_bands: int  # bands of S(p~/q~, 2) that came back with zero width
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,9 @@ def measure_decay(
 
     Measures are exact interval-union arithmetic; the closeness gate
     |p~/q~ - p/q| < gate_eta(q, delta) is flagged per row, never enforced.
+    Each row counts the bands of S(p~/q~, 2) that came back with zero
+    width: the edge solve collapses a band narrower than about 1e-8 onto
+    its zero, so their measure is missing from the row's.
     The decay model ln(measure) ~ prefactor + rate * q~ is least-squares
     fitted over the rows with positive measure, provided they span at least
     two distinct q~; otherwise the fitted fields are None.
@@ -167,7 +171,8 @@ def measure_decay(
         gate = appr.as_fraction() != base_frac and abs(
             appr.as_fraction() - base_frac
         ) < eta
-        rows.append(DecayRow(appr, appr.q, float(inter_measure), bool(gate)))
+        collapsed = int(np.count_nonzero(s.edges[:, 1] == s.edges[:, 0]))
+        rows.append(DecayRow(appr, appr.q, float(inter_measure), bool(gate), collapsed))
 
     pts = [(r.q_tilde, r.measure) for r in rows if r.measure > 0.0]
     fit_qs = len({x for x, _ in pts})
@@ -186,7 +191,8 @@ def box_counting_dimension(
     """Box counts N(scale) and the fitted slope of ln N against ln(1/scale).
 
     N(scale) is the number of grid boxes [k scale, (k+1) scale) meeting the
-    set, computed exactly by merging integer box ranges per band.
+    set, computed exactly by merging integer box ranges per band.  Box
+    indices are held in float64, exact while |E| / scale stays below 2^53.
     """
     scales = [float(x) for x in scales]
     if len(scales) < 2:
@@ -196,32 +202,21 @@ def box_counting_dimension(
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
 
-    intervals = s.intervals()
+    lo, hi = s.edges.T
     counts = []
     for scale in scales:
-        ranges = []
-        for lo, hi in intervals:
-            k_lo = math.floor(lo / scale)
-            k_hi = math.floor(hi / scale)
-            # boxes meeting the interval with positive length; a width-zero
-            # band still occupies the single box containing it
-            if hi <= k_hi * scale:
-                k_hi -= 1
-            ranges.append((k_lo, max(k_hi, k_lo)))
-        ranges.sort()
-        total = 0
-        cur_lo, cur_hi = None, None
-        for lo_k, hi_k in ranges:
-            if cur_lo is None:
-                cur_lo, cur_hi = lo_k, hi_k
-            elif lo_k <= cur_hi + 1:
-                cur_hi = max(cur_hi, hi_k)
-            else:
-                total += cur_hi - cur_lo + 1
-                cur_lo, cur_hi = lo_k, hi_k
-        if cur_lo is not None:
-            total += cur_hi - cur_lo + 1
-        counts.append(total)
+        k_lo = np.floor(lo / scale)
+        k_hi = np.floor(hi / scale)
+        # boxes meeting the interval with positive length; a width-zero
+        # band still occupies the single box containing it
+        k_hi = np.maximum(np.where(hi <= k_hi * scale, k_hi - 1.0, k_hi), k_lo)
+        order = np.lexsort((k_hi, k_lo))
+        k_lo, k_hi = k_lo[order], k_hi[order]
+        # box ranges that meet or abut merge; a run starts past every box before it
+        reach = np.maximum.accumulate(k_hi)
+        starts = np.flatnonzero(np.concatenate(([True], k_lo[1:] > reach[:-1] + 1.0)))
+        ends = np.append(starts[1:], len(k_lo)) - 1
+        counts.append(int(np.sum(reach[ends] - k_lo[starts] + 1.0)) if len(k_lo) else 0)
 
     slope, _, r2 = _log_linear_fit(np.log(1.0 / np.array(scales)), counts)
     return BoxCountReport(slope, tuple(scales), tuple(counts), r2)
@@ -324,5 +319,5 @@ def butterfly_generate(
         except RootFindingError as exc:  # cell failures recorded, generation continues
             failures.append(f"{p}/{q}: {exc}")
             continue
-        rows.extend((p, q, b.index, b.lo, b.hi) for b in s.bands)
+        rows.extend((p, q, i, lo, hi) for i, (lo, hi) in enumerate(s.edges.tolist(), 1))
     return ButterflyDataset(float(lam), theta_mode, tuple(rows), tuple(failures))

@@ -100,7 +100,7 @@ def suite_bands(seed: int) -> list[dict]:
         lam = float(rng.choice([1.0, 2.0, 3.0]))
         spec = core.OperatorSpec.almost_mathieu(r, lam, float(rng.uniform(0, 2 * math.pi)))
         s = bandsmod.spectrum_bands(spec)
-        lo, hi = np.array(s.intervals()).T
+        lo, hi = s.edges.T
         zeros = bandsmod._band_zeros(spec)
         worst = max(worst, float(np.max(np.maximum(lo - zeros, zeros - hi))))
         mid = 0.5 * (lo + hi)[hi - lo >= 1e-8]
@@ -108,7 +108,7 @@ def suite_bands(seed: int) -> list[dict]:
         n_mid += mid.size
         n_out += int(np.sum(np.abs(tr) * np.exp(logs) > 2.0))
         hull = 2.0 + lam + 1e-9
-        hull_ok &= all(-hull <= b.lo <= b.hi <= hull for b in s.bands)
+        hull_ok &= bool(np.all((-hull <= lo) & (lo <= hi) & (hi <= hull)))
     checks.append(
         _check(
             "band-count",
@@ -128,12 +128,9 @@ def suite_bands(seed: int) -> list[dict]:
             sigma = bandsmod.spectrum_bands(
                 core.OperatorSpec.almost_mathieu(r, 2.0, float(rng.uniform(0, 2 * math.pi)))
             )
-            incl_ok &= all(sigma.distance(E) <= 1e-8 for E in pts.energies)
-            incl_ok &= all(
-                union.distance(x) <= 1e-8
-                for b in sigma.bands
-                for x in (b.lo, 0.5 * (b.lo + b.hi), b.hi)
-            )
+            incl_ok &= bool(np.all(sigma.distance(pts.energies) <= 1e-8))
+            lo, hi = sigma.edges.T
+            incl_ok &= bool(np.all(union.distance(np.stack((lo, 0.5 * (lo + hi), hi))) <= 1e-8))
     checks.append(_check("sminus-sigma-union-inclusion", incl_ok, "S- in sigma in S"))
 
     worst = 0.0
@@ -166,8 +163,7 @@ def suite_bands(seed: int) -> list[dict]:
     for _ in range(6):
         r = _random_reduced(rng, 8)
         s = bandsmod.spectral_union_S(r, 2.0)
-        lows = np.array([b.lo for b in s.bands])
-        his = np.array([b.hi for b in s.bands])
+        lows, his = s.edges.T
         sym_ok &= bool(np.allclose(lows, -his[::-1], atol=1e-6))
     checks.append(_check("union-reflection-symmetry", sym_ok, "S symmetric under E -> -E"))
     return checks
@@ -184,11 +180,8 @@ def suite_greens(seed: int) -> list[dict]:
         s = bandsmod.spectrum_bands(spec)
         E = np.linspace(-4.5, 4.5, 300)
         g = greens.lyapunov_grid(spec, E)
-        for Ei, gi in zip(E, g):
-            if s.contains(float(Ei)):
-                zero_ok &= gi <= 1e-9
-            elif s.distance(float(Ei)) >= 1e-2:
-                zero_ok &= gi >= 1e-6
+        d = s.distance(E)
+        zero_ok &= bool(np.all(g[d == 0.0] <= 1e-9) and np.all(g[d >= 1e-2] >= 1e-6))
     checks.append(_check("gamma-zero-on-bands", zero_ok, "gamma = 0 iff on spectrum"))
 
     worst = 0.0

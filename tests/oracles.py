@@ -4,9 +4,11 @@ Each oracle takes a route that shares nothing with the library path it
 checks: exact Fraction arithmetic, hand-derived closed forms for small
 periods, dense truncated resolvent solves, finite differences,
 eigenvalue-based band edges, and numpy matrix products over potentials
-written out from their defining formulas.  Two are plain-loop forms of
-library routines instead, kept as bitwise references: ``five_array_grid``
-and ``fixed_bisect``.
+written out from their defining formulas.  Some are plain-loop forms of
+library routines instead, kept as bitwise references: ``five_array_grid``,
+``fixed_bisect``, and the interval-set loops ``loop_contains``,
+``loop_distance``, ``loop_intersection_measure``, ``loop_from_intervals``
+and ``loop_box_counts``.
 """
 
 from __future__ import annotations
@@ -295,3 +297,66 @@ def brute_force_zeros(f, lo: float, hi: float, n_grid: int = 20000) -> list[floa
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
+
+
+# ---------------------------------------------------------------------------
+# plain-loop interval-set references, over lists of (lo, hi) pairs
+
+
+def loop_contains(bands, E: float) -> bool:
+    return any(lo <= E <= hi for lo, hi in bands)
+
+
+def loop_distance(bands, E: float) -> float:
+    best = math.inf
+    for lo, hi in bands:
+        if lo <= E <= hi:
+            return 0.0
+        best = min(best, abs(E - lo), abs(E - hi))
+    return best
+
+
+def loop_intersection_measure(mine, theirs) -> float:
+    """Two-pointer clipping of two sorted sets, disjoint up to touching ends."""
+    total = 0.0
+    i = j = 0
+    while i < len(mine) and j < len(theirs):
+        lo = max(mine[i][0], theirs[j][0])
+        hi = min(mine[i][1], theirs[j][1])
+        if hi > lo:
+            total += hi - lo
+        if mine[i][1] < theirs[j][1]:
+            i += 1
+        else:
+            j += 1
+    return total
+
+
+def loop_from_intervals(intervals, merge_overlaps: bool = True) -> list[tuple[float, float]]:
+    ivs = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
+    if not merge_overlaps:
+        return ivs
+    merged: list[list[float]] = []
+    for lo, hi in ivs:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
+def loop_box_counts(bands, scales) -> list[int]:
+    """Boxes [k scale, (k+1) scale) meeting the bands, counted box by box."""
+    counts = []
+    for scale in scales:
+        boxes = set()
+        for lo, hi in bands:
+            k_lo = math.floor(lo / scale)
+            k_hi = math.floor(hi / scale)
+            # a box meets a band of positive length only if the band reaches
+            # into it; a width-zero band occupies the single box containing it
+            if hi <= k_hi * scale:
+                k_hi -= 1
+            boxes.update(range(k_lo, max(k_hi, k_lo) + 1))
+        counts.append(len(boxes))
+    return counts

@@ -295,7 +295,9 @@ class TestSpectralUnion:
         monkeypatch.setattr(
             bands_module,
             "_sublevel_bands",
-            lambda spec, thrs: [bands[:-1] for bands in sublevel(spec, thrs)],
+            lambda spec, thrs: [
+                SpectralSet(s.edges[:-1], s.monotonicity[:-1]) for s in sublevel(spec, thrs)
+            ],
         )
         with pytest.raises(RootFindingError, match="2 bands, expected 3"):
             spectral_union_S(reduce_fraction(1, 3), 2.0)

@@ -7,12 +7,23 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from almost_mathieu import alpha, cli, greens, interpolation, products
 from almost_mathieu.cli import build_parser, main
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259 does."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a JSON report")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_main(capsys, *argv):
@@ -244,7 +255,7 @@ class TestOtherCommands:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "p,q,measure,gate_ok"
+        assert lines[0] == "p,q,measure,gate_ok,collapsed_bands"
         assert len(lines) == 7
 
     def test_measure_decay_explicit_approximants(self, capsys):
@@ -287,7 +298,7 @@ class TestOtherCommands:
         code = main(["measure-decay", "--p", "1", "--q", "2", "--delta", "10", "--format", "csv"])
         out, err = capfd.readouterr()
         assert code == 1
-        assert out.startswith("p,q,measure,gate_ok\n")
+        assert out.startswith("p,q,measure,gate_ok,collapsed_bands\n")
         assert err == "decay fit needs 2 distinct q~ with positive measure, got 0\n"
 
     def test_mpmath_imported_only_where_used(self):
@@ -361,6 +372,45 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["all_ok"]
+
+    def test_alpha_margins_as_sign_and_log10(self, capsys):
+        # at j = 3 the margins are about 1e-804, 1e-2811, 1e+402 and 1e+391,
+        # which floats saturate; the report gives sign and log10 instead
+        code, out = run_main(capsys, "alpha-construct", "--c", "10", "--jmax", "3")
+        assert code == 0
+        doc = strict_json(out)["results"]
+        q = [1] + [int(x) for x in doc["denominators"]]  # q[k] = q_k
+        for lev in doc["levels"]:
+            j = lev["j"]
+            q_j, q_j1, q_j2 = q[j], q[j + 1], q[j + 2]
+            delta = Fraction(1, q_j**j)
+            eta = Fraction(10) ** (-q_j) * delta**2
+            exact = {
+                "cond1_margin": min(eta, delta) - Fraction(1, q_j * q_j1),
+                "cond2_margin": Fraction(1, q_j1 ** (j + 1)) - Fraction(1, q_j1 * q_j2),
+                "cond3a_margin": Fraction(q_j1 - q_j**j),
+            }
+            for key, x in exact.items():
+                assert lev[key]["sign"] == 1 and x > 0
+                want = math.log10(x.numerator) - math.log10(x.denominator)
+                assert lev[key]["log10_abs"] == pytest.approx(want, rel=1e-13, abs=1e-13)
+            with mpmath.workdps(60):
+                cq = 10 * mpmath.mpf(q_j) ** (j + 1)
+                g = q_j1 / cq - mpmath.log(cq) - j * mpmath.log(q_j1)
+                want = float(mpmath.log10(g))
+            assert lev["cond3b_margin"]["sign"] == 1 and g > 0
+            assert lev["cond3b_margin"]["log10_abs"] == pytest.approx(want, rel=1e-13)
+        assert [lev["j"] for lev in doc["levels"]] == [1, 3]
+        assert doc["levels"][1]["cond1_margin"]["log10_abs"] < -800
+
+    def test_measure_decay_collapsed_bands(self, capsys):
+        code, out = run_main(
+            capsys, "measure-decay", "--p", "1", "--q", "2", "--delta", "0.5",
+            "--kmin", "100", "--kmax", "101",
+        )
+        assert code == 0
+        rows = strict_json(out)["results"]["rows"]
+        assert [(r["q"], r["collapsed_bands"]) for r in rows] == [(201, 151), (203, 153)]
 
 
 class TestErrorPaths:
@@ -442,6 +492,11 @@ class TestRunRecord:
         assert doc["failures"] == []
         assert code == 0
         assert list(doc["config"]) == [o[2:].replace("-", "_") for o in options]
+
+    @pytest.mark.parametrize("command", sorted(RECORD_ARGV))
+    def test_report_is_strict_json(self, capsys, command):
+        _, out = run_main(capsys, command, *RECORD_ARGV[command])
+        strict_json(out)
 
     def test_error_report_has_success_config_keys(self, capsys):
         argv = ["surace", "--p", "1", "--q", "2", "--epsilon", "0.01", "--eta", "0.05"]

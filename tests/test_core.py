@@ -430,8 +430,9 @@ def _mp_floquet_exponent(mantissa: complex, log_scale: float) -> complex:
 def _matches_oracle(mantissa, log_scale: float = 0.0) -> complex:
     """floquet_exponent at one point, checked against the 40-digit oracle.
 
-    D is rebuilt from log |D|, so it carries a few ulp of log |D|; arccosh
-    magnifies that by |coth w|, which is large only next to D = +-2.
+    Where log_scale is not 0, D is rebuilt from log |D|, so it carries a few
+    ulp of log |D|; arccosh magnifies that by |coth w|, which is large only
+    next to D = +-2.
     """
     w = complex(floquet_exponent(mantissa, log_scale))
     want = _mp_floquet_exponent(complex(mantissa), log_scale)
@@ -451,6 +452,26 @@ class TestFloquetExponent:
         assert np.all((w.imag >= 0.0) & (w.imag <= math.pi))
         for d in D[::7]:
             _matches_oracle(d)
+
+    def test_phase_within_one_ulp_at_log_scale_zero(self):
+        # D is the mantissa itself, so the phase carries only the rounding
+        # of arccos: within 1 ulp of the 40-digit value, next to |D| = 2 too
+        import mpmath
+
+        x = np.linspace(-0.99999, 0.99999, 2001)
+        phase = floquet_exponent(2.0 * x).imag
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.acos(mpmath.mpf(v))) for v in x.tolist()])
+        assert np.all(np.abs(phase - want) <= np.spacing(want))
+
+    def test_log_scale_zero_elementwise(self):
+        m = np.array([0.5, 0.5, -1.9999, -0.99995])
+        logs = np.array([0.0, math.log(2.0), 0.0, math.log(2.0)])
+        w = floquet_exponent(m, logs)
+        assert w[0] == complex(floquet_exponent(0.5))
+        assert w[2] == complex(floquet_exponent(-1.9999))
+        for mi, li, wi in zip(m, logs, w):
+            assert wi == _matches_oracle(mi, li)
 
     def test_band_edges(self):
         assert complex(floquet_exponent(2.0)) == 0j

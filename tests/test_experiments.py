@@ -65,6 +65,16 @@ class TestMeasureDecay:
         for ra, rb in zip(rep_a.rows, rep_b.rows):
             assert ra.measure == rb.measure
 
+    def test_collapsed_bands_counted(self):
+        # at 100/201 the edge solve returns 151 of the 201 bands of S at
+        # zero width, and their measure is missing from the row's
+        rep = measure_decay(HALF, 0.5, 1, approximant_family(HALF, 100, 100))
+        s = spectral_union_S(reduce_fraction(100, 201), 2.0)
+        lo, hi = s.edges.T
+        assert rep.rows[0].collapsed_bands == int(np.count_nonzero(hi == lo)) == 151
+        rep = measure_decay(HALF, 0.5, 1, approximant_family(HALF, 3, 4))
+        assert [r.collapsed_bands for r in rep.rows] == [0, 0]
+
     def test_variant2(self):
         fam = approximant_family(HALF, 3, 8)
         rep = measure_decay(HALF, 0.3, 2, fam)
