@@ -241,13 +241,22 @@ def cmd_surace(args) -> int:
 def cmd_product_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = []
+    weakest = (None, None)  # smallest hypothesis margin, [chain, factor from 1]
     for i in range(args.count):
         n = int(rng.integers(1, args.n_max + 1))
         chain = align_phases(random_drift_chain(rng, n, args.beta))
         cert = product_growth(chain, args.beta)
         if not cert.passed:
             failures.append(f"chain {i} ({n} factors): growth fails at factor {cert.fail_location}")
-    results = {"count": args.count, "passed": args.count - len(failures)}
+        for k, margin in enumerate(cert.hypothesis_margins, 1):
+            if weakest[0] is None or margin < weakest[0]:
+                weakest = (margin, [i, k])
+    results = {
+        "count": args.count,
+        "passed": args.count - len(failures),
+        "min_hypothesis_margin": weakest[0],
+        "min_hypothesis_margin_at": weakest[1],
+    }
     return _report(args, results, failures)
 
 

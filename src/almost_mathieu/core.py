@@ -20,8 +20,9 @@ only when ``discriminant_and_derivative_grid`` asks for it
 array operations a step; the energy factor is always the left operand of
 a product, because numpy's complex multiply is not bitwise commutative.
 Each energy's value depends on that energy alone, not on the rest of the
-grid.  ``_mp_trace`` is the one mpmath loop, run over a list of potential
-values at whatever precision the caller sets.  ``floquet_multiplier`` and
+grid.  ``_fixed_trace`` is the one extended-precision loop: Python integers
+in fixed point, at the precision ``chambers_bits`` sets for
+``chambers_residual``.  ``floquet_multiplier`` and
 ``eigenvector`` are the one place the 2x2 eigenproblem is solved, and
 ``floquet_exponent`` the one place its exponent arccosh(D/2) is taken:
 q times the Lyapunov exponent and the Bloch phase.
@@ -57,6 +58,7 @@ __all__ = [
     "discriminant",
     "delta_spec",
     "delta",
+    "chambers_bits",
     "chambers_residual",
     "discriminant_grid",
     "discriminant_and_derivative_grid",
@@ -306,46 +308,61 @@ def delta(alpha: ReducedRational, lam: float, E):
     return discriminant(delta_spec(alpha, lam), E)
 
 
-def _mp_trig_table(q: int, dps: int):
-    """cos/sin of 2 pi m / q for m = 0..q-1 at the working precision."""
-    key = (q, dps)
-    table = _MP_TRIG_CACHE.get(key)
-    if table is None:
-        import mpmath
-
-        two_pi = 2 * mpmath.pi
-        table = [
-            (mpmath.cos(two_pi * m / q), mpmath.sin(two_pi * m / q)) for m in range(q)
-        ]
-        _MP_TRIG_CACHE[key] = table
-    return table
+def chambers_bits(q: int, lam: float, E: complex) -> int:
+    """Working precision of ``chambers_residual``: dps = 35 + floor(q log10 g) + 1
+    digits as ceil(3.33 dps) + 8 bits, g = |E| + |lam| + 3.  The transfer
+    product stays below g^q, so about 35 digits survive.
+    """
+    dps = 35 + int(q * math.log10(abs(E) + abs(lam) + 3.0)) + 1
+    return -(-333 * dps // 100) + 8
 
 
-_MP_TRIG_CACHE: dict = {}
+def _fixed_trace(er: int, ei: int, z: tuple, w: tuple, lam: int, q: int, bits: int) -> tuple:
+    """Tr Phi_q(E) with V(j) = lam Re(z w^j), j = 1..q, in fixed point.
+
+    Every number is an integer over 2^bits, a complex one (E = er + i ei, z
+    and w) a pair; every product is truncated back to ``bits`` by a shift.
+    """
+    (x, y), (wx, wy) = z, w
+    ar, ai, br, bi, cr, ci, dr, di = 1 << bits, 0, 0, 0, 0, 0, 1 << bits, 0
+    for _ in range(q):
+        x, y = (x * wx - y * wy) >> bits, (x * wy + y * wx) >> bits
+        e = er - ((lam * x) >> bits)
+        ar, ai, br, bi, cr, ci, dr, di = (
+            ((e * ar - ei * ai) >> bits) - cr,
+            ((e * ai + ei * ar) >> bits) - ci,
+            ((e * br - ei * bi) >> bits) - dr,
+            ((e * bi + ei * br) >> bits) - di,
+            ar, ai, br, bi,
+        )
+    return ar + dr, ai + di
 
 
-def _mp_trace(E, potentials):
-    """Tr Phi_q(E) at the current mpmath precision, given V(1), ..., V(q)."""
+def _chambers_fixed(alpha: ReducedRational, lam: float, E: complex, theta: float, bits: int):
+    """D_theta(E), Delta(E) and 2 (lam/2)^q cos(q theta) in fixed point over 2^bits.
+
+    The traces are (re, im) integer pairs.  lam cos(2 pi p j / q + phase) is
+    the real part of e^{i phase} rotated j times by w = e^{2 pi i p / q}, for
+    phase = theta and pi / (2q); those three unit numbers and the cos(q theta)
+    term are the only values taken from mpmath.
+    """
     import mpmath
 
-    a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
-    for v in potentials:
-        e = E - v
-        a, b, c, d = e * a - c, e * b - d, a, b
-    return a + d
-
-
-def _mp_potentials(alpha: ReducedRational, lam, theta, table) -> list:
-    """lam cos(2 pi p j / q + theta) for j = 1..q at the working precision."""
-    import mpmath
-
-    cos_t = mpmath.cos(theta)
-    sin_t = mpmath.sin(theta)
-    out = []
-    for j in range(1, alpha.q + 1):
-        cm, sm = table[(alpha.p * j) % alpha.q]
-        out.append(lam * (cm * cos_t - sm * sin_t))
-    return out
+    q = alpha.q
+    with mpmath.workprec(bits + 16):
+        units = [mpmath.expj(x) for x in (theta, mpmath.pi / (2 * q), 2 * mpmath.pi * alpha.p / q)]
+        term = 2 * (mpmath.mpf(lam) / 2) ** q * mpmath.cos(q * mpmath.mpf(theta))
+    # ldexp is exact, int() truncates
+    (er, ei), zt, zd, w = [
+        (int(mpmath.ldexp(c.real, bits)), int(mpmath.ldexp(c.imag, bits)))
+        for c in [complex(E)] + units
+    ]
+    lam_f = int(mpmath.ldexp(lam, bits))
+    return (
+        _fixed_trace(er, ei, zt, w, lam_f, q, bits),
+        _fixed_trace(er, ei, zd, w, lam_f, q, bits),
+        int(mpmath.ldexp(term, bits)),
+    )
 
 
 def chambers_residual(
@@ -355,31 +372,14 @@ def chambers_residual(
 
     Zero up to arithmetic error for every reduced p/q: the whole theta
     dependence of the discriminant sits in the cos(q theta) term.  The two
-    discriminants are evaluated in extended precision because rounding in the
-    transfer product is amplified by ||Phi_q|| ~ exp(q gamma); the returned
-    residual then measures the identity rather than float64 noise.
+    discriminants are evaluated in fixed point at ``chambers_bits``
+    fractional bits, because rounding in the transfer product is amplified
+    by ||Phi_q|| ~ exp(q gamma); the returned residual then measures the
+    identity rather than float64 noise.
     """
-    import mpmath
-
-    q = alpha.q
-    growth = abs(E) + abs(lam) + 3.0
-    dps = 35 + int(q * math.log10(growth)) + 1
-    with mpmath.workdps(dps):
-        table = _mp_trig_table(q, dps)
-        lam_mp = mpmath.mpf(lam)
-        theta_mp = mpmath.mpf(theta)
-        if isinstance(E, complex) and E.imag != 0.0:
-            E_mp = mpmath.mpc(E.real, E.imag)
-        else:
-            E_mp = mpmath.mpf(complex(E).real)
-        d_theta = _mp_trace(E_mp, _mp_potentials(alpha, lam_mp, theta_mp, table))
-        d_ref = _mp_trace(
-            E_mp, _mp_potentials(alpha, lam_mp, mpmath.pi / (2 * q), table)
-        )
-        resid = abs(
-            d_theta - d_ref + 2 * (lam_mp / 2) ** q * mpmath.cos(q * theta_mp)
-        )
-        return float(resid)
+    bits = chambers_bits(alpha.q, lam, E)
+    (tr, ti), (dr, di), term = _chambers_fixed(alpha, lam, E, theta, bits)
+    return math.hypot((tr - dr + term) / (1 << bits), (ti - di) / (1 << bits))
 
 
 # ---------------------------------------------------------------------------

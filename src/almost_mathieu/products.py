@@ -212,7 +212,6 @@ def product_growth(factors: list[HyperbolicFactor], beta: float) -> ProductCerti
     A = [1.0 + 0j]
     B = [0j]
     scale_log = [0.0]
-    induction_ok = abs(B[0]) <= beta * abs(A[0])
     ind_bad = None
     a, b, s_log = A[0], B[0], 0.0
     for n in range(n_fact):
@@ -291,7 +290,9 @@ def random_drift_chain(
     Starts from a random hyperbolic factor and evolves the eigenvector frame
     by rotations of angle at most (beta/8) gamma e^{-gamma}
     |det U|, half of what the drift hypothesis allows, so the resulting
-    chain passes hypothesis_margins by construction.
+    chain passes hypothesis_margins by construction.  Each new frame is
+    re-phased to keep align_phases a no-op.  The loop is plain complex
+    arithmetic in the operation order of ``Mat2`` products and ``_solve_u``.
     """
     lo_g, hi_g = gamma_range
     gamma = float(rng.uniform(lo_g, hi_g))
@@ -303,48 +304,45 @@ def random_drift_chain(
         det_u = p[0] * m_[1] - m_[0] * p[1]
         if abs(det_u) >= 0.3:
             break
-    phi_p = (complex(p[0]), complex(p[1]))
-    phi_m = (complex(m_[0]), complex(m_[1]))
-
-    def make_factor(gamma, zeta, phi_p, phi_m):
-        lam = cmath.exp(complex(gamma, zeta))
-        u = Mat2(phi_p[0], phi_m[0], phi_p[1], phi_m[1])
-        d = u.det()
-        u_inv = Mat2(u.a22 / d, -u.a12 / d, -u.a21 / d, u.a11 / d)
-        t = (u @ Mat2(lam, 0, 0, 1.0 / lam)) @ u_inv
-        return HyperbolicFactor(t, gamma, zeta, phi_p, phi_m)
-
-    def rephased(prev: HyperbolicFactor, p, m):
-        # fix the new frame's phases so the diagonal decomposition
-        # coefficients of the previous frame come out real nonnegative;
-        # this keeps align_phases a no-op on generated chains.  _solve_u
-        # reads only the eigenvectors, so T stays that of prev
-        frame = HyperbolicFactor(prev.T, prev.gamma, prev.zeta, p, m)
-        a, _ = _solve_u(frame, prev.phi_plus)
-        _, b = _solve_u(frame, prev.phi_minus)
-        ph_p = a / abs(a) if abs(a) > 0.0 else 1.0
-        ph_m = b / abs(b) if abs(b) > 0.0 else 1.0
-        return (p[0] * ph_p, p[1] * ph_p), (m[0] * ph_m, m[1] * ph_m)
+    p0, p1 = complex(p[0]), complex(p[1])
+    m0, m1 = complex(m_[0]), complex(m_[1])
+    steps = rng.uniform([-0.05, -0.02], [0.05, 0.02], size=(n_factors, 2)).tolist()
 
     factors = []
-    for _ in range(n_factors):
-        factors.append(make_factor(gamma, zeta, phi_p, phi_m))
-        det_u = abs(factors[-1].det_u())
+    for n in range(n_factors):
+        lam = cmath.exp(complex(gamma, zeta))
+        d = p0 * m1 - m0 * p1
+        # T = U diag(lam, 1/lam) U^-1, the first product being [[l0, r0], [l1, r1]]
+        i11, i12, i21, i22 = m1 / d, -m0 / d, -p1 / d, p0 / d
+        l0, l1, r0, r1 = p0 * lam, p1 * lam, m0 * (1.0 / lam), m1 * (1.0 / lam)
+        t = Mat2(l0 * i11 + r0 * i21, l0 * i12 + r0 * i22,
+                 l1 * i11 + r1 * i21, l1 * i12 + r1 * i22)
+        factors.append(HyperbolicFactor(t, gamma, zeta, (p0, p1), (m0, m1)))
+        det_u = abs(d)
         # target drift: half of what the hypothesis allows for this factor
-        ang = 0.5 * beta * gamma * math.exp(-gamma) * det_u / 4.0
+        bound = 0.5 * beta * gamma * math.exp(-gamma)
+        ang = bound * det_u / 4.0
         for _ in range(60):
             ca, sa = math.cos(ang), math.sin(ang)
-            cand_p = (ca * phi_p[0] - sa * phi_p[1], sa * phi_p[0] + ca * phi_p[1])
-            cand_m = (ca * phi_m[0] - sa * phi_m[1], sa * phi_m[0] + ca * phi_m[1])
-            cand_p, cand_m = rephased(factors[-1], cand_p, cand_m)
+            c0, c1 = ca * p0 - sa * p1, sa * p0 + ca * p1
+            k0, k1 = ca * m0 - sa * m1, sa * m0 + ca * m1
+            # re-phase the candidate so that the previous frame's diagonal
+            # coefficients in it come out real nonnegative
+            dc = c0 * k1 - k0 * c1
+            a = (k1 * p0 - k0 * p1) / dc
+            b = (-c1 * m0 + c0 * m1) / dc
+            na, nb = abs(a), abs(b)
+            ph_p = a / na if na > 0.0 else 1.0
+            ph_m = b / nb if nb > 0.0 else 1.0
+            c0, c1, k0, k1 = c0 * ph_p, c1 * ph_p, k0 * ph_m, k1 * ph_m
             drift = max(
-                math.hypot(abs(cand_p[0] - phi_p[0]), abs(cand_p[1] - phi_p[1])),
-                math.hypot(abs(cand_m[0] - phi_m[0]), abs(cand_m[1] - phi_m[1])),
+                math.hypot(abs(c0 - p0), abs(c1 - p1)),
+                math.hypot(abs(k0 - m0), abs(k1 - m1)),
             )
-            if 4.0 * drift / det_u <= 0.5 * beta * gamma * math.exp(-gamma):
+            if 4.0 * drift / det_u <= bound:
                 break
             ang /= 2.0
-        phi_p, phi_m = cand_p, cand_m
-        gamma = float(min(hi_g, max(lo_g, gamma + rng.uniform(-0.05, 0.05))))
-        zeta = float(zeta + rng.uniform(-0.02, 0.02))
+        p0, p1, m0, m1 = c0, c1, k0, k1
+        gamma = float(min(hi_g, max(lo_g, gamma + steps[n][0])))
+        zeta = float(zeta + steps[n][1])
     return factors

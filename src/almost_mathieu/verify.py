@@ -42,7 +42,7 @@ def suite_core(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    worst = 0.0
+    worst, bits = 0.0, 0
     for _ in range(200):
         r = _random_reduced(rng, 40)
         lam = float(rng.choice([1.0, 2.0, 3.0]))
@@ -50,7 +50,9 @@ def suite_core(seed: int) -> list[dict]:
         theta = float(rng.uniform(0, 2 * math.pi))
         res = core.chambers_residual(r, lam, E, theta)
         worst = max(worst, res / (1e-9 * max(1.0, abs(E) ** r.q)))
-    checks.append(_check("chambers-residual", worst <= 1.0, f"worst ratio {worst:.3e}"))
+        bits = max(bits, core.chambers_bits(r.q, lam, E))
+    detail = f"worst ratio {worst:.3e}, working precision up to {bits} bits"
+    checks.append(_check("chambers-residual", worst <= 1.0, detail))
 
     worst = 0.0
     for _ in range(100):

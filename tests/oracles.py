@@ -6,13 +6,14 @@ periods, dense truncated resolvent solves, finite differences,
 eigenvalue-based band edges, and numpy matrix products over potentials
 written out from their defining formulas.  Some are plain-loop forms of
 library routines instead, kept as bitwise references: ``five_array_grid``,
-``fixed_bisect``, and the interval-set loops ``loop_contains``,
-``loop_distance``, ``loop_intersection_measure``, ``loop_from_intervals``
-and ``loop_box_counts``.
+``fixed_bisect``, ``reference_drift_chain``, and the interval-set loops
+``loop_contains``, ``loop_distance``, ``loop_intersection_measure``,
+``loop_from_intervals`` and ``loop_box_counts``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -360,3 +361,90 @@ def loop_box_counts(bands, scales) -> list[int]:
             boxes.update(range(k_lo, max(k_hi, k_lo) + 1))
         counts.append(len(boxes))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Chambers' formula and drift chains
+
+
+def mp_discriminant(p: int, q: int, lam: float, theta, E, dps: int = 60):
+    """Tr Phi_q(E) at ``dps`` digits, potentials straight from mpmath.cos.
+
+    V(j) = lam cos(2 pi p j / q + theta) is evaluated afresh for every j, so
+    no rotation and no fixed-point arithmetic are shared with the library.
+    ``theta=None`` is Chambers' pi / (2q), taken at the full ``dps`` digits;
+    a complex E with a nonzero imaginary part gives an mpc.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        if theta is None:
+            theta = mpmath.pi / (2 * q)
+        E = complex(E)
+        x = mpmath.mpc(E.real, E.imag) if E.imag != 0.0 else mpmath.mpf(E.real)
+        a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for j in range(1, q + 1):
+            e = x - mpmath.mpf(lam) * mpmath.cos(2 * mpmath.pi * p * j / q + theta)
+            a, b, c, d = e * a - c, e * b - d, a, b
+        return +(a + d)
+
+
+def reference_drift_chain(rng, n_factors: int, beta: float, gamma_range=(0.3, 1.5)):
+    """The factor-by-factor ``Mat2`` form of ``products.random_drift_chain``.
+
+    Kept as a bitwise reference: every factor, and the generator state after
+    the chain, must come out identical from the library's plain-complex loop.
+    """
+    from almost_mathieu.core import Mat2
+    from almost_mathieu.products import HyperbolicFactor, _solve_u
+
+    lo_g, hi_g = gamma_range
+    gamma = float(rng.uniform(lo_g, hi_g))
+    zeta = float(rng.uniform(-math.pi / 4, math.pi / 4))
+    while True:
+        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        p = raw[:, 0] / np.linalg.norm(raw[:, 0])
+        m_ = raw[:, 1] / np.linalg.norm(raw[:, 1])
+        det_u = p[0] * m_[1] - m_[0] * p[1]
+        if abs(det_u) >= 0.3:
+            break
+    phi_p = (complex(p[0]), complex(p[1]))
+    phi_m = (complex(m_[0]), complex(m_[1]))
+
+    def make_factor(gamma, zeta, phi_p, phi_m):
+        lam = cmath.exp(complex(gamma, zeta))
+        u = Mat2(phi_p[0], phi_m[0], phi_p[1], phi_m[1])
+        d = u.det()
+        u_inv = Mat2(u.a22 / d, -u.a12 / d, -u.a21 / d, u.a11 / d)
+        t = (u @ Mat2(lam, 0, 0, 1.0 / lam)) @ u_inv
+        return HyperbolicFactor(t, gamma, zeta, phi_p, phi_m)
+
+    def rephased(prev, p, m):
+        frame = HyperbolicFactor(prev.T, prev.gamma, prev.zeta, p, m)
+        a, _ = _solve_u(frame, prev.phi_plus)
+        _, b = _solve_u(frame, prev.phi_minus)
+        ph_p = a / abs(a) if abs(a) > 0.0 else 1.0
+        ph_m = b / abs(b) if abs(b) > 0.0 else 1.0
+        return (p[0] * ph_p, p[1] * ph_p), (m[0] * ph_m, m[1] * ph_m)
+
+    factors = []
+    for _ in range(n_factors):
+        factors.append(make_factor(gamma, zeta, phi_p, phi_m))
+        det_u = abs(factors[-1].det_u())
+        ang = 0.5 * beta * gamma * math.exp(-gamma) * det_u / 4.0
+        for _ in range(60):
+            ca, sa = math.cos(ang), math.sin(ang)
+            cand_p = (ca * phi_p[0] - sa * phi_p[1], sa * phi_p[0] + ca * phi_p[1])
+            cand_m = (ca * phi_m[0] - sa * phi_m[1], sa * phi_m[0] + ca * phi_m[1])
+            cand_p, cand_m = rephased(factors[-1], cand_p, cand_m)
+            drift = max(
+                math.hypot(abs(cand_p[0] - phi_p[0]), abs(cand_p[1] - phi_p[1])),
+                math.hypot(abs(cand_m[0] - phi_m[0]), abs(cand_m[1] - phi_m[1])),
+            )
+            if 4.0 * drift / det_u <= 0.5 * beta * gamma * math.exp(-gamma):
+                break
+            ang /= 2.0
+        phi_p, phi_m = cand_p, cand_m
+        gamma = float(min(hi_g, max(lo_g, gamma + rng.uniform(-0.05, 0.05))))
+        zeta = float(zeta + rng.uniform(-0.02, 0.02))
+    return factors

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from almost_mathieu import alpha, cli, greens, interpolation, products
@@ -237,6 +239,22 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["results"]["passed"] == 20
 
+    def test_product_check_weakest_margin(self, capsys):
+        code, out = run_main(
+            capsys, "product-check", "--count", "30", "--n-max", "40", "--seed", "5"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        rng = np.random.default_rng(5)
+        margins = []
+        for i in range(30):
+            n = int(rng.integers(1, 41))
+            chain = products.align_phases(products.random_drift_chain(rng, n, 0.5))
+            margins += [(m, [i, k + 1]) for k, m in enumerate(products.hypothesis_margins(chain, 0.5))]
+        want = min(margins, key=lambda item: item[0])
+        assert results["min_hypothesis_margin"] == want[0] > 0.0
+        assert results["min_hypothesis_margin_at"] == want[1]
+
     def test_interp_check(self, capsys):
         code, out = run_main(
             capsys,
@@ -448,6 +466,21 @@ class TestVerifyCommand:
         code_b, out_b = run_proc("verify", "--suite", "products,alpha", "--seed", "7")
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_precision_and_weakest_margin_byte_identical(self):
+        outs = []
+        for argv in (
+            ("verify", "--suite", "core", "--seed", "7"),
+            ("product-check", "--count", "10", "--n-max", "30", "--seed", "2"),
+        ):
+            (code_a, out_a), (code_b, out_b) = run_proc(*argv), run_proc(*argv)
+            assert code_a == code_b == 0
+            assert out_a == out_b
+            outs.append(json.loads(out_a)["results"])
+        detail = outs[0]["suites"][0]["checks"][0]["detail"]
+        assert re.fullmatch(r"worst ratio \S+, working precision up to \d+ bits", detail)
+        assert outs[1]["min_hypothesis_margin"] > 0.0
+        assert len(outs[1]["min_hypothesis_margin_at"]) == 2
 
 
 # one cheap JSON run per subcommand

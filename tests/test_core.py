@@ -11,6 +11,8 @@ from almost_mathieu.core import (
     Mat2,
     OperatorSpec,
     ReducedRational,
+    _chambers_fixed,
+    chambers_bits,
     chambers_residual,
     delta,
     discriminant,
@@ -29,6 +31,7 @@ from oracles import (
     exact_derivative,
     exact_discriminant,
     five_array_grid,
+    mp_discriminant,
     symbolic_discriminant_q2,
     symbolic_discriminant_q3,
     transfer_product,
@@ -267,6 +270,52 @@ class TestChambersResidual:
             theta = rng.uniform(0, 2 * math.pi)
             tol = 1e-9 * max(1.0, abs(E) ** r.q)
             assert chambers_residual(r, lam, E, theta) <= tol
+
+
+class TestFixedPointDiscriminants:
+    """D_theta and Delta of ``chambers_residual`` against 60-digit mpmath."""
+
+    @staticmethod
+    def assert_match(r, lam, E, theta):
+        import mpmath
+
+        bits = chambers_bits(r.q, lam, E)
+        tol = 1e-25 * max(1.0, (abs(E) + abs(lam) + 3.0) ** r.q)
+        for (re, im), th in zip(_chambers_fixed(r, lam, E, theta, bits)[:2], (theta, None)):
+            want = mp_discriminant(r.p, r.q, lam, th, E)
+            with mpmath.workdps(60):
+                err = abs(mpmath.mpc(re, im) / mpmath.mpf(2) ** bits - want)
+            assert err <= tol, (r, lam, E, theta, float(err))
+
+    def test_real_energies(self, rng):
+        for _ in range(150):
+            r = random_reduced(rng, 60)
+            lam = float(rng.choice([1.0, 2.0, 3.0]))
+            self.assert_match(r, lam, float(rng.uniform(-6, 6)), float(rng.uniform(0, 2 * math.pi)))
+
+    def test_complex_energies(self, rng):
+        for _ in range(100):
+            r = random_reduced(rng, 60)
+            lam = float(rng.choice([1.0, 2.0, 3.0]))
+            E = complex(rng.uniform(-6, 6), 1.0 - rng.uniform(0.0, 1.0))
+            self.assert_match(r, lam, E, float(rng.uniform(0, 2 * math.pi)))
+
+    @pytest.mark.parametrize("r", [ZERO, HALF])
+    def test_periods_one_and_two(self, r):
+        for lam in (1.0, 2.0, 3.0):
+            for E in (-6.0, -1.25, 0.0, 0.7, 6.0, 0.3 + 1.0j, -2.0 + 0.01j):
+                for theta in (0.0, 0.4, math.pi / 2, 5.9):
+                    self.assert_match(r, lam, E, theta)
+
+    def test_couplings_with_many_bits(self, rng):
+        for _ in range(40):
+            r = random_reduced(rng, 60)
+            lam = float(rng.uniform(0.1, 3.0))
+            self.assert_match(r, lam, float(rng.uniform(-6, 6)), float(rng.uniform(0, 2 * math.pi)))
+
+    def test_max_q_and_extreme_energy(self):
+        for p in (1, 17, 59):
+            self.assert_match(reduce_fraction(p, 60), 3.0, -6.0 + 1.0j, 2.0)
 
 
 class TestGridEvaluation:

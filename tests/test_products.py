@@ -13,6 +13,7 @@ from almost_mathieu.products import (
     product_growth,
     random_drift_chain,
 )
+from oracles import reference_drift_chain
 
 
 def diag_factor(gamma):
@@ -183,3 +184,25 @@ class TestProductGrowth:
             k = len(chain)
             log_a = cert.scale_log[k] + math.log(abs(cert.A[k]))
             assert log_a >= (1.0 - 0.5) * cert.sum_gamma - 1e-9
+
+
+def factor_bits(f):
+    """Every field of a factor as exact hex strings, signed zeros told apart."""
+    numbers = (f.T.a11, f.T.a12, f.T.a21, f.T.a22, f.gamma, f.zeta, *f.phi_plus, *f.phi_minus)
+    return [(complex(x).real.hex(), complex(x).imag.hex()) for x in numbers]
+
+
+class TestDriftChainBitwise:
+    @pytest.mark.parametrize("gamma_range", [None, (0.05, 3.0)])
+    def test_matches_reference_chain(self, gamma_range):
+        extra = {} if gamma_range is None else {"gamma_range": gamma_range}
+        for seed in range(50):
+            n = 1 + (37 * seed) % 100
+            beta = (0.1, 0.5, 0.9)[seed % 3]
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_drift_chain(rng_a, n, beta, **extra)
+            want = reference_drift_chain(rng_b, n, beta, **extra)
+            assert len(got) == len(want) == n
+            for f, g in zip(got, want):
+                assert factor_bits(f) == factor_bits(g)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
