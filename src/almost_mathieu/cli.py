@@ -198,14 +198,17 @@ def cmd_lyapunov(args) -> int:
         return _report(args, {"gamma": v.gamma, "bloch_k": v.bloch_k}, [])
     hull = 2.0 + args.lam
     energies = np.linspace(-hull, hull, args.grid)
+    header = ["e_re", "e_im", "gamma", "bloch_k"]
     rows = []
     for E in energies:
         v = lyapunov(spec, complex(E, args.e_im))
-        rows.append((float(E), args.e_im, v.gamma, v.bloch_k if v.bloch_k is not None else ""))
+        rows.append((float(E), args.e_im, v.gamma, v.bloch_k))
     if args.format == "csv":
-        _emit(_csv(["e_re", "e_im", "gamma", "bloch_k"], rows), args.output)
+        # off the spectrum bloch_k is None: an empty CSV cell, a JSON null
+        cells = [r[:3] + ("" if r[3] is None else r[3],) for r in rows]
+        _emit(_csv(header, cells), args.output)
         return 0
-    return _report(args, {"values": [{"e_re": r[0], "gamma": r[2]} for r in rows]}, [])
+    return _report(args, {"values": [dict(zip(header, r)) for r in rows]}, [])
 
 
 def cmd_green_check(args) -> int:

@@ -9,11 +9,12 @@ and the one-period product Phi_q(E) = T_q ... T_1 with its Floquet
 multipliers, the roots of mu^2 - Tr Phi_q mu + det Phi_q.
 
 The recurrence runs in two forms.  ``monodromy_scaled`` is the one scalar
-loop: it multiplies ``Mat2`` steps at one complex energy and rescales the
-product every few steps, and ``discriminant`` and ``delta`` read their
-values off it.  ``_grid_kernel`` is the one vectorized loop over the
-period: it carries the product at every energy of a grid, rescales it
-every few steps so it never overflows, and carries the energy derivative
+loop: it carries a ``Mat2`` product at one complex energy, with each step's
+matrix product written out, and rescales it every few steps;
+``discriminant`` and ``delta`` read their values off it.  ``_grid_kernel``
+is the one vectorized loop over the period: it carries the product at
+every energy of a grid, rescales it every few steps so it never
+overflows, and carries the energy derivative
 only when ``discriminant_and_derivative_grid`` asks for it
 (``discriminant_grid`` does not).  Its rows [a, b] (with [da, db]) and
 [c, d] (with [dc, dd]) sit in two stacked arrays updated in place, 3 or 4
@@ -269,12 +270,26 @@ def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
 
     The true monodromy is ``mantissa * exp(log_scale)`` entrywise; rescaling
     along the way keeps the entries representable for any q.
+
+    A step is ``Mat2(e, -1, 1, 0) @ m`` with e = z - V(j), written out with
+    the operations ``Mat2.__matmul__`` performs, in its order, so no step
+    matrix is built and every entry keeps its type and its bits.  The
+    factors -1, 1 and 0 stay: ``e * a - c`` or a bare ``a`` would turn a
+    -0.0 part into +0.0 (1 * (a + bj) has the imaginary part b + 0 a), and
+    the signed zeros feed the branch cuts of the Green functions.  ``Mat2``
+    stays the carrier, so the rescale and the return use its methods.
     """
     z = complex(z)
     m = Mat2.identity()
     log_scale = 0.0
     for j, v in enumerate(potential_array(spec, 1, spec.period).tolist(), 1):
-        m = Mat2(z - v, -1, 1, 0) @ m
+        e = z - v
+        m = Mat2(
+            e * m.a11 + -1 * m.a21,
+            e * m.a12 + -1 * m.a22,
+            1 * m.a11 + 0 * m.a21,
+            1 * m.a12 + 0 * m.a22,
+        )
         if j % _RESCALE_EVERY == 0:
             s = m.max_abs()
             if s > 0.0:

@@ -6,7 +6,8 @@ periods, dense truncated resolvent solves, finite differences,
 eigenvalue-based band edges, and numpy matrix products over potentials
 written out from their defining formulas.  Some are plain-loop forms of
 library routines instead, kept as bitwise references: ``five_array_grid``,
-``fixed_bisect``, ``reference_drift_chain``, and the interval-set loops
+``fixed_bisect``, ``mat2_step_monodromy``, ``reference_drift_chain``, and
+the interval-set loops
 ``loop_contains``, ``loop_distance``, ``loop_intersection_measure``,
 ``loop_from_intervals`` and ``loop_box_counts``.
 """
@@ -229,6 +230,34 @@ def transfer_product(V, z: complex, inverse: bool = False) -> np.ndarray:
         else:
             m = np.array([[z - v, -1.0], [1.0, 0.0]], dtype=np.complex128) @ m
     return m
+
+
+def mat2_step_monodromy(spec: OperatorSpec, z: complex):
+    """The ``Mat2``-step form of ``core.monodromy_scaled``.
+
+    Kept as a bitwise reference: each step builds the step matrix and
+    multiplies it onto the running product with ``Mat2.__matmul__``, and the
+    product is rescaled every 8 steps and after the last by its largest
+    entry.  The library's written-out step must give the same entry types
+    and bits, signed zeros included, and the same log scale.
+    """
+    from almost_mathieu.core import Mat2
+
+    z = complex(z)
+    m = Mat2.identity()
+    log_scale = 0.0
+    for j, v in enumerate(potential_array(spec, 1, spec.period).tolist(), 1):
+        m = Mat2(z - v, -1, 1, 0) @ m
+        if j % 8 == 0:
+            s = m.max_abs()
+            if s > 0.0:
+                m = m.scaled(1.0 / s)
+                log_scale += math.log(s)
+    s = m.max_abs()
+    if s > 0.0:
+        m = m.scaled(1.0 / s)
+        log_scale += math.log(s)
+    return m, log_scale
 
 
 def intermediate_potential(p: int, q: int, pt: int, qt: int, freeze: int, sites) -> np.ndarray:

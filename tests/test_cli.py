@@ -201,6 +201,29 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["results"]["gamma"] == pytest.approx(math.acosh(1.5), rel=1e-9)
 
+    @pytest.mark.parametrize("e_im", ["0", "0.25"])
+    def test_lyapunov_grid_json_carries_the_csv_fields(self, capsys, e_im):
+        argv = ("lyapunov", "--p", "1", "--q", "2", "--grid", "41", "--e-im", e_im)
+        code, out = run_main(capsys, *argv, "--format", "json")
+        assert code == 0
+        values = strict_json(out)["results"]["values"]
+        code, out = run_main(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "e_re,e_im,gamma,bloch_k"
+        assert len(values) == len(lines) - 1 == 41
+        for row, line in zip(values, lines[1:]):
+            assert list(row) == ["e_re", "e_im", "gamma", "bloch_k"]
+            e_re, e_im_cell, gamma, bloch_k = line.split(",")
+            assert (row["e_re"], row["e_im"], row["gamma"]) == (
+                float(e_re), float(e_im_cell), float(gamma)
+            )
+            assert row["bloch_k"] == (None if bloch_k == "" else float(bloch_k))
+        # a phase on the bands at a real energy, null off them and at any complex one
+        on_bands = [row["bloch_k"] is not None for row in values]
+        assert any(on_bands) == (e_im == "0")
+        assert not all(on_bands)
+
     def test_green_check(self, capsys):
         code, out = run_main(
             capsys,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from oracles import (
     exact_derivative,
     exact_discriminant,
     five_array_grid,
+    mat2_step_monodromy,
     mp_discriminant,
     symbolic_discriminant_q2,
     symbolic_discriminant_q3,
@@ -164,6 +166,42 @@ class TestMonodromy:
         m, log_s = monodromy_scaled(spec, 8.0)
         assert log_s > 710.0
         assert m.max_abs() == pytest.approx(1.0, rel=1e-15)
+
+
+def _bits(x):
+    """Type and exact real/imaginary bit patterns; signed zeros differ."""
+    return type(x), struct.pack("<dd", x.real, x.imag)
+
+
+# real, complex, both zeros and the band-edge values +-2
+_BIT_ENERGIES = (
+    0.5, -1.3, 3.7, 2.0, -2.0, 0j, complex(0.0, -0.0),
+    0.3 + 0.2j, -1.1 - 0.4j, 2.0 - 0.01j, complex(-0.0, 1e-3),
+)
+
+
+def _bit_specs():
+    for p, q in ((0, 1), (1, 2), (1, 3), (3, 8), (5, 16), (13, 21), (144, 233)):
+        for lam in (1.0, 2.0, 3.0):
+            for theta in (0.0, 0.7):
+                yield am(p, q, lam, theta)
+    # q = 8 and 9 put the last step on and just past a periodic rescale
+    for n in (1, 2, 7, 8, 9, 24):
+        yield OperatorSpec.explicit(
+            [0.0 if j % 3 == 0 else (-1.0) ** j * 0.37 * j for j in range(n)]
+        )
+
+
+class TestMonodromyBitwise:
+    def test_equal_to_mat2_step_loop(self):
+        for spec in _bit_specs():
+            for E in _BIT_ENERGIES:
+                m, log_s = monodromy_scaled(spec, E)
+                want, want_log = mat2_step_monodromy(spec, E)
+                assert [_bits(x) for x in (m.a11, m.a12, m.a21, m.a22)] == [
+                    _bits(x) for x in (want.a11, want.a12, want.a21, want.a22)
+                ], (spec, E)
+                assert _bits(log_s) == _bits(want_log), (spec, E)
 
 
 class TestDiscriminant:
