@@ -196,7 +196,8 @@ def cmd_lyapunov(args) -> int:
     if not args.grid:
         v = lyapunov(spec, complex(args.e_re, args.e_im))
         return _report(args, {"gamma": v.gamma, "bloch_k": v.bloch_k}, [])
-    hull = 2.0 + args.lam
+    # the spectrum lies in [-2 - |lam|, 2 + |lam|] for either sign of lam
+    hull = 2.0 + abs(args.lam)
     energies = np.linspace(-hull, hull, args.grid)
     header = ["e_re", "e_im", "gamma", "bloch_k"]
     rows = []
@@ -205,7 +206,7 @@ def cmd_lyapunov(args) -> int:
         rows.append((float(E), args.e_im, v.gamma, v.bloch_k))
     if args.format == "csv":
         # off the spectrum bloch_k is None: an empty CSV cell, a JSON null
-        cells = [r[:3] + ("" if r[3] is None else r[3],) for r in rows]
+        cells = (r[:3] + ("" if r[3] is None else r[3],) for r in rows)
         _emit(_csv(header, cells), args.output)
         return 0
     return _report(args, {"values": [dict(zip(header, r)) for r in rows]}, [])

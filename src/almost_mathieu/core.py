@@ -9,8 +9,10 @@ and the one-period product Phi_q(E) = T_q ... T_1 with its Floquet
 multipliers, the roots of mu^2 - Tr Phi_q mu + det Phi_q.
 
 The recurrence runs in two forms.  ``monodromy_scaled`` is the one scalar
-loop: it carries a ``Mat2`` product at one complex energy, with each step's
-matrix product written out, and rescales it every few steps;
+loop: it carries the product at one complex energy in four plain local
+variables, with each step's matrix product written out (the factors -1, 1
+and 0 kept, so signed zeros come out as a ``Mat2`` product gives them),
+rescales it every few steps and builds one ``Mat2`` at the end;
 ``discriminant`` and ``delta`` read their values off it.  ``_grid_kernel``
 is the one vectorized loop over the period: it carries the product at
 every energy of a grid, rescales it every few steps so it never
@@ -271,35 +273,39 @@ def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
     The true monodromy is ``mantissa * exp(log_scale)`` entrywise; rescaling
     along the way keeps the entries representable for any q.
 
-    A step is ``Mat2(e, -1, 1, 0) @ m`` with e = z - V(j), written out with
-    the operations ``Mat2.__matmul__`` performs, in its order, so no step
-    matrix is built and every entry keeps its type and its bits.  The
-    factors -1, 1 and 0 stay: ``e * a - c`` or a bare ``a`` would turn a
-    -0.0 part into +0.0 (1 * (a + bj) has the imaginary part b + 0 a), and
-    the signed zeros feed the branch cuts of the Green functions.  ``Mat2``
-    stays the carrier, so the rescale and the return use its methods.
+    The product is carried in four local variables, starting from the
+    integers 1, 0, 0, 1, and one ``Mat2`` is built at the end.  A step is
+    ``Mat2(e, -1, 1, 0) @ m`` with e = z - V(j), written out with the
+    operations ``Mat2.__matmul__`` performs, in its order, and a rescale
+    those of ``Mat2.max_abs`` and ``Mat2.scaled``, so every entry keeps its
+    type and its bits.  The factors -1, 1 and 0 stay: ``e * a - c`` or a
+    bare ``a`` would turn a -0.0 part into +0.0 (1 * (a + bj) has the
+    imaginary part b + 0 a), and the signed zeros feed the branch cuts of
+    the Green functions.
     """
     z = complex(z)
-    m = Mat2.identity()
+    a11, a12, a21, a22 = 1, 0, 0, 1
     log_scale = 0.0
     for j, v in enumerate(potential_array(spec, 1, spec.period).tolist(), 1):
         e = z - v
-        m = Mat2(
-            e * m.a11 + -1 * m.a21,
-            e * m.a12 + -1 * m.a22,
-            1 * m.a11 + 0 * m.a21,
-            1 * m.a12 + 0 * m.a22,
+        a11, a12, a21, a22 = (
+            e * a11 + -1 * a21,
+            e * a12 + -1 * a22,
+            1 * a11 + 0 * a21,
+            1 * a12 + 0 * a22,
         )
         if j % _RESCALE_EVERY == 0:
-            s = m.max_abs()
+            s = max(abs(a11), abs(a12), abs(a21), abs(a22))
             if s > 0.0:
-                m = m.scaled(1.0 / s)
+                f = 1.0 / s
+                a11, a12, a21, a22 = a11 * f, a12 * f, a21 * f, a22 * f
                 log_scale += math.log(s)
-    s = m.max_abs()
+    s = max(abs(a11), abs(a12), abs(a21), abs(a22))
     if s > 0.0:
-        m = m.scaled(1.0 / s)
+        f = 1.0 / s
+        a11, a12, a21, a22 = a11 * f, a12 * f, a21 * f, a22 * f
         log_scale += math.log(s)
-    return m, log_scale
+    return Mat2(a11, a12, a21, a22), log_scale
 
 
 def discriminant(spec: OperatorSpec, E):

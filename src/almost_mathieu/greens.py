@@ -133,7 +133,12 @@ def lyapunov(spec: OperatorSpec, z: complex) -> LyapunovValue:
 
 
 def lyapunov_grid(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
-    """Vectorized gamma = Re w / q over an energy grid (real or complex)."""
+    """Vectorized gamma = Re w / q over an energy grid (real or complex).
+
+    Real energies are cast to complex and run the complex grid kernel too,
+    about twice the time of the float kernel; the float kernel rounds
+    differently in the last bits, so switching would move gamma bitwise.
+    """
     E = np.asarray(energies, dtype=np.complex128)
     return floquet_exponent(*discriminant_grid(spec, E)).real / spec.period
 

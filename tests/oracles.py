@@ -238,7 +238,7 @@ def mat2_step_monodromy(spec: OperatorSpec, z: complex):
     Kept as a bitwise reference: each step builds the step matrix and
     multiplies it onto the running product with ``Mat2.__matmul__``, and the
     product is rescaled every 8 steps and after the last by its largest
-    entry.  The library's written-out step must give the same entry types
+    entry.  The library's four-variable loop must give the same entry types
     and bits, signed zeros included, and the same log scale.
     """
     from almost_mathieu.core import Mat2

@@ -17,6 +17,7 @@ import pytest
 
 from almost_mathieu import alpha, cli, greens, interpolation, products
 from almost_mathieu.cli import build_parser, main
+from oracles import mat2_step_monodromy
 
 
 def strict_json(text: str):
@@ -223,6 +224,39 @@ class TestOtherCommands:
         on_bands = [row["bloch_k"] is not None for row in values]
         assert any(on_bands) == (e_im == "0")
         assert not all(on_bands)
+
+    def test_lyapunov_grid_negative_lambda(self, capsys):
+        # -lam cos(x + theta) = lam cos(x + theta + pi): the grid at lambda -2
+        # spans the same hull [-4, 4] as at lambda 2, with the same exponents
+        # at theta + pi
+        def grid(lam, theta):
+            code, out = run_main(
+                capsys, "lyapunov", "--p", "2", "--q", "5", "--lambda", lam,
+                "--theta", theta, "--grid", "41", "--format", "csv",
+            )
+            assert code == 0
+            return [line.split(",") for line in out.strip().split("\n")[1:]]
+
+        neg, pos = grid("-2", "0.3"), grid("2", repr(0.3 + math.pi))
+        e_re = [float(row[0]) for row in neg]
+        assert e_re[0] == -4.0 and e_re[-1] == 4.0
+        assert e_re == sorted(e_re) and len(set(e_re)) == 41
+        assert e_re == [float(row[0]) for row in pos]
+        for a, b in zip(neg, pos):
+            assert float(a[2]) == pytest.approx(float(b[2]), rel=0, abs=1e-12)
+
+    def test_lyapunov_grid_bytes_equal_the_mat2_step_loop(self, capsys, monkeypatch):
+        # the whole CLI path, not only the loop, gives the step-matrix bytes
+        argv = (
+            "lyapunov", "--p", "144", "--q", "233", "--theta", "0.7",
+            "--grid", "600", "--format", "csv",
+        )
+        code, want = run_main(capsys, *argv)
+        monkeypatch.setattr(greens, "monodromy_scaled", mat2_step_monodromy)
+        code_oracle, got = run_main(capsys, *argv)
+        assert code == code_oracle == 0
+        assert got == want
+        assert len(want.split("\n")) == 602
 
     def test_green_check(self, capsys):
         code, out = run_main(

@@ -192,16 +192,44 @@ def _bit_specs():
         )
 
 
+def _assert_bitwise_mat2_step(spec, E):
+    m, log_s = monodromy_scaled(spec, E)
+    want, want_log = mat2_step_monodromy(spec, E)
+    assert [_bits(x) for x in (m.a11, m.a12, m.a21, m.a22)] == [
+        _bits(x) for x in (want.a11, want.a12, want.a21, want.a22)
+    ], (spec, E)
+    assert _bits(log_s) == _bits(want_log), (spec, E)
+
+
+# a real or a complex energy, either part possibly a signed zero
+_bit_parts = st.floats(-6.0, 6.0) | st.sampled_from([0.0, -0.0])
+_bit_energy = _bit_parts | st.builds(complex, _bit_parts, _bit_parts)
+
+
 class TestMonodromyBitwise:
     def test_equal_to_mat2_step_loop(self):
         for spec in _bit_specs():
             for E in _BIT_ENERGIES:
-                m, log_s = monodromy_scaled(spec, E)
-                want, want_log = mat2_step_monodromy(spec, E)
-                assert [_bits(x) for x in (m.a11, m.a12, m.a21, m.a22)] == [
-                    _bits(x) for x in (want.a11, want.a12, want.a21, want.a22)
-                ], (spec, E)
-                assert _bits(log_s) == _bits(want_log), (spec, E)
+                _assert_bitwise_mat2_step(spec, E)
+
+    def test_many_rescales_at_987_1597(self):
+        # log |D| is about 2400 at E = 5: about 200 rescales, each rounding
+        spec = am(987, 1597, 2.0, 0.0)
+        for E in (5.0, complex(5.0, -0.0), complex(5.0, 0.01)):
+            _assert_bitwise_mat2_step(spec, E)
+        m, log_s = monodromy_scaled(spec, 5.0)
+        assert 2300.0 < log_s < 2500.0
+
+    @given(
+        st.integers(1, 40).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q))),
+        st.floats(0.0, 3.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        _bit_energy,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_mat2_step_loop_property(self, pq, lam, theta, E):
+        spec = OperatorSpec.almost_mathieu(reduce_fraction(*pq), lam, theta)
+        _assert_bitwise_mat2_step(spec, E)
 
 
 class TestDiscriminant:
