@@ -12,13 +12,14 @@ pair up into the q bands, touching ones included.
 
 The union and intersection over the phase theta are sublevel sets of
 Chambers' Delta at thresholds 2 +- 2(lam/2)^q, and J_delta^c one at
-threshold delta.  Those are found by bisection:
+threshold delta.  Those are found in three steps:
 
   1. anchor the q simple real zeros of Delta, the roots at kappa = pi/2
      (grid sign-change scans provably miss clustered zeros at critical
      coupling),
-  2. locate the q-1 interior extrema (sign changes of the derivative
-     between consecutive zeros),
+  2. solve the q-1 separators, the critical points of Delta between
+     consecutive zeros, as the roots of D'/D = sum_j 1/(E - z_j) over those
+     zeros (:func:`_interior_extrema`); for even q the middle one is 0,
   3. from each zero walk out to the enclosing separators and bisect the
      monotone piece down to |D| = threshold, finishing with one derivative
      step; where D does not cross the threshold before the separator, the
@@ -62,6 +63,8 @@ from .core import (
 
 _BISECT_ITERS = 60
 _BLOCK_ENERGIES = 512  # midpoints one bisection call of f may take
+_NEWTON_ITERS = 100  # steps a separator may take before RootFindingError
+_SUM_BLOCK = 4096  # entries of 1/(E - z_j) one block of a separator sum holds
 
 __all__ = [
     "Band",
@@ -441,11 +444,71 @@ def _band_zeros(spec: OperatorSpec, corner: complex | float = -1.0j) -> np.ndarr
     return scipy.linalg.eigvals_banded(ab)
 
 
-def _interior_extrema(zeros: np.ndarray, deriv) -> np.ndarray:
-    """One extremum of D between each pair of consecutive zeros."""
-    if len(zeros) < 2:
+def _log_derivative(E: np.ndarray, zeros: np.ndarray):
+    """g = sum_j 1/(E - z_j) and g' = -sum_j 1/(E - z_j)^2, elementwise over E.
+
+    For D = prod_j (E - z_j), g = D'/D.  The sums run over blocks of rows
+    of the (len(E), len(zeros)) array of 1/(E - z_j), at most
+    _SUM_BLOCK entries each, so no such array is ever held whole.
+    """
+    g = np.empty(len(E))
+    dg = np.empty(len(E))
+    rows = max(1, _SUM_BLOCK // len(zeros))
+    for s in range(0, len(E), rows):
+        r = 1.0 / (E[s : s + rows, None] - zeros)
+        g[s : s + rows] = r.sum(axis=1)
+        dg[s : s + rows] = -(r * r).sum(axis=1)
+    return g, dg
+
+
+def _interior_extrema(zeros: np.ndarray) -> np.ndarray:
+    """The critical point of D between each pair of consecutive zeros.
+
+    D is monic with the simple real ``zeros`` z_1 < ... < z_q, so between
+    z_i and z_i+1 its one critical point is the one root of
+    g(E) = D'/D = sum_j 1/(E - z_j), which falls from +inf to -inf across
+    the gap (g' < 0).  All q - 1 roots are solved together from the
+    midpoints by Newton steps on phi = (E - z_i)(E - z_i+1) g, which has the
+    same root without the two poles, each kept inside the bracket that the
+    signs of g have left, with a bisection step wherever Newton would leave
+    it.  A root is done once its step is at most 2 ulp of the larger end of
+    its gap (5 steps from q = 5 to 1597 at lam = 2); one that is not done
+    after _NEWTON_ITERS steps raises :class:`RootFindingError` rather than
+    being returned unconverged.  The sums cost O(q^2) a step, in blocks of
+    at most _SUM_BLOCK entries (:func:`_log_derivative`), and no evaluation
+    of D is needed.  The separators are as accurate as the zeros: moving
+    z_j moves a critical point by at most as much.
+    """
+    n = len(zeros) - 1
+    if n < 1:
         return np.empty(0)
-    return _vector_bisect(deriv, zeros[:-1], zeros[1:], np.zeros(len(zeros) - 1))
+    lo, hi = zeros[:-1].copy(), zeros[1:].copy()
+    E = 0.5 * (lo + hi)
+    tol = 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    live = np.arange(n)  # the roots still being solved
+    for _ in range(_NEWTON_ITERS):
+        x = E[live]
+        g, dg = _log_derivative(x, zeros)
+        # g > 0: the root lies above x, g < 0: below it
+        a = lo[live] = np.where(g > 0.0, x, lo[live])
+        b = hi[live] = np.where(g < 0.0, x, hi[live])
+        # Newton on phi = (x - z_i)(x - z_i+1) g, free of the two poles
+        u, v = x - zeros[live], x - zeros[live + 1]
+        new = x - u * v * g / ((u + v) * g + u * v * dg)
+        # x itself is a bracket end once g is read there; any other end may
+        # still be a zero of D, so Newton must land strictly inside
+        bisect = ~(((new > a) & (new < b)) | (new == x))
+        new[bisect] = 0.5 * (a[bisect] + b[bisect])
+        E[live] = new
+        done = np.abs(new - x) <= tol[live]
+        live = live[~done]
+        if not live.size:
+            return E
+    k = int(live[0])
+    raise RootFindingError(
+        f"{live.size} separators not converged after {_NEWTON_ITERS} Newton steps",
+        (float(lo[k]), float(hi[k])),
+    )
 
 
 def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -462,14 +525,21 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[Spectra
 
     The sets S, S- (lam < 2) and J_delta^c of Chambers' Delta come from
     here; the spectrum takes its edges from eigenvalues instead
-    (:func:`spectrum_bands`).  The zeros of D, its interior extrema, the
-    slopes at the zeros and the separators are computed once; every
-    crossing edge of every threshold is bisected in one vectorized batch.
-    Each threshold is decided on its own: the edges of one threshold do not
+    (:func:`spectrum_bands`).  ``spec`` must be ``delta_spec(alpha, lam)``,
+    whose D is Delta.  The zeros of D, the separators, the values of D
+    there and the slopes at the zeros are computed once; every crossing
+    edge of every threshold is bisected in one vectorized batch.  Each
+    threshold is decided on its own: the edges of one threshold do not
     depend on the others passed with it.
 
     Piece i runs from zero i outwards to where D crosses the threshold, or
-    to the separator (the extremum between two zeros) where it does not.
+    to the separator (the critical point between two zeros, from
+    :func:`_interior_extrema`) where it does not.  For even q, Delta(-E) =
+    Delta(E), so the middle separator is exactly 0 with Delta(0) =
+    (-1)^(q/2) (2 + 2 (lam/2)^q), the closed central gap; both are taken
+    from that fact and not from the float kernel, so the two middle bands
+    of S end at exactly 0.
+
     No set the package computes swallows a gap, so a separator that reads
     below its threshold is a touching edge read with evaluation noise.  By
     Chambers, D_theta = Delta - 2 (lam/2)^q cos(q theta) has the same
@@ -493,8 +563,13 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[Spectra
     f = lambda E: _d_values(spec, E)
     fd = lambda E: _d_and_deriv_values(spec, E)
     zeros = _band_zeros(spec)
-    extrema = _interior_extrema(zeros, lambda E: fd(E)[1])
+    extrema = _interior_extrema(zeros)
     ext_vals, outer_vals = np.split(f(np.concatenate((extrema, outer))), [len(extrema)])
+    if q % 2 == 0:
+        # the closed central gap, from the symmetry of Delta (docstring)
+        c = q // 2 - 1
+        extrema[c] = 0.0
+        ext_vals[c] = (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q)
     d_at_zeros, slope = fd(zeros)
     mono = np.where(slope >= 0.0, 1, -1).astype(np.int8)
 

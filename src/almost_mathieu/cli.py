@@ -135,7 +135,7 @@ def cmd_butterfly(args) -> int:
 
 
 def _butterfly_svg(ds, width: int, height: int, lam: float) -> str:
-    hull = 2.0 + lam
+    hull = 2.0 + abs(lam)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -304,6 +304,30 @@ def mp_edge_offset(spec: OperatorSpec, E: float, target: float, dps: int = 40) -
         return float(abs(val) / abs(deriv))
 
 
+def mp_critical_offset(spec: OperatorSpec, E: float, dps: int = 50) -> float:
+    """|D'(E) / D''(E)| at ``dps`` digits: how far E is from a critical point of D.
+
+    The transfer product is carried with its first and second derivatives
+    in E, so D' and D'' are exact polynomials evaluated at ``dps`` digits;
+    the Newton step to the nearby root of D' then bounds the placement
+    error of a separator to first order.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)
+        x = mpmath.mpf(E)
+        # rows (a, b) and (c, d) of the product, with first (1) and second (2) derivatives
+        a, b, c, d = one, zero, zero, one
+        a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = zero
+        for v in potential_array(spec, 1, spec.period).tolist():
+            e = x - mpmath.mpf(v)
+            a2, b2, c2, d2 = 2 * a1 + e * a2 - c2, 2 * b1 + e * b2 - d2, a2, b2
+            a1, b1, c1, d1 = a + e * a1 - c1, b + e * b1 - d1, a1, b1
+            a, b, c, d = e * a - c, e * b - d, a, b
+        return float(abs((a1 + d1) / (a2 + d2)))
+
+
 def brute_force_zeros(f, lo: float, hi: float, n_grid: int = 20000) -> list[float]:
     """All sign-change roots of a scalar callable on [lo, hi], by bisection."""
     xs = np.linspace(lo, hi, n_grid)

@@ -2,8 +2,11 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import almost_mathieu.bands as bands_module
 from almost_mathieu.bands import (
@@ -24,6 +27,7 @@ from almost_mathieu.bands import (
 )
 from almost_mathieu.core import (
     OperatorSpec,
+    delta_spec,
     discriminant,
     discriminant_and_derivative_grid,
     discriminant_grid,
@@ -37,6 +41,8 @@ from oracles import (
     eig_band_edges,
     exact_discriminant,
     fixed_bisect,
+    mp_critical_offset,
+    mp_discriminant,
     mp_edge_offset,
     sminus_edges,
     union_s_edges,
@@ -405,6 +411,122 @@ class TestVectorBisect:
         s = spectral_union_S(reduce_fraction(233, 377), 2.0)
         assert len(s.bands) == 377
         assert sum(steps) <= 20.0e6
+
+
+def exact_log_derivative_sign(E: float, zeros) -> int:
+    """Sign of sum_j 1/(E - z_j) over the float zeros, in exact rationals."""
+    x = Fraction(E)
+    total = sum(Fraction(1) / (x - Fraction(z)) for z in zeros.tolist())
+    return (total > 0) - (total < 0)
+
+
+class TestSeparators:
+    """The critical points of Delta between its zeros, from g = D'/D = sum 1/(E - z_j)."""
+
+    @pytest.mark.parametrize(
+        "p,q,indices",
+        [
+            # every fourth separator, the two furthest off over all 376 (338,
+            # 339) and the top three
+            (233, 377, sorted(set(range(0, 376, 4)) | {338, 339, 373, 374, 375})),
+            # the gaps where 60 halvings of D' were furthest off, and a sample
+            (987, 1597, sorted(set(range(0, 1596, 100)) | {373, 374, 1592, 1593, 1594, 1595})),
+        ],
+        ids=["233-377", "987-1597"],
+    )
+    def test_against_50_digit_critical_points(self, p, q, indices):
+        # bisecting D' placed these to 5.4e-13 at 987/1597
+        spec = delta_spec(reduce_fraction(p, q), 2.0)
+        seps = bands_module._interior_extrema(bands_module._band_zeros(spec))
+        assert len(seps) == q - 1
+        offsets = [mp_critical_offset(spec, seps[i]) for i in indices]
+        assert max(offsets) <= 1e-14
+
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda q: st.tuples(
+                st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1), st.just(q)
+            )
+        ),
+        st.floats(0.1, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_root_of_g_in_its_gap(self, pq, lam):
+        p, q = pq
+        zeros = bands_module._band_zeros(delta_spec(reduce_fraction(p, q), lam))
+        seps = bands_module._interior_extrema(zeros)
+        assert np.all((zeros[:-1] < seps) & (seps < zeros[1:]))
+        # g falls through 0 within 2 ulp (of the larger bracket end) of each
+        # separator, read in exact arithmetic on the same float zeros
+        for i, s in enumerate(seps.tolist()):
+            tol = 2.0 * np.spacing(max(abs(zeros[i]), abs(zeros[i + 1])))
+            assert exact_log_derivative_sign(s - tol, zeros) > 0, (i, s)
+            assert exact_log_derivative_sign(s + tol, zeros) < 0, (i, s)
+
+    def test_unconverged_separator_raises(self, monkeypatch):
+        monkeypatch.setattr(bands_module, "_NEWTON_ITERS", 2)
+        zeros = bands_module._band_zeros(delta_spec(reduce_fraction(13, 21), 2.0))
+        with pytest.raises(RootFindingError, match="not converged") as info:
+            bands_module._interior_extrema(zeros)
+        lo, hi = info.value.bracket
+        assert lo < hi
+
+    def test_sums_in_bounded_blocks(self):
+        # no (q - 1) x q array: every block holds at most _SUM_BLOCK entries
+        zeros = bands_module._band_zeros(delta_spec(reduce_fraction(233, 377), 2.0))
+        E = 0.5 * (zeros[:-1] + zeros[1:])
+        tracemalloc.start()
+        g, dg = bands_module._log_derivative(E, zeros)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 4 * 8 * bands_module._SUM_BLOCK + 8 * 8 * len(E)
+        want = [math.fsum(1.0 / (e - z) for z in zeros.tolist()) for e in E.tolist()]
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-9)
+        assert np.all(dg < 0.0)
+
+
+# the even-q cells of `amo butterfly --qmax 25 --lambda 2` whose touching
+# centre edges the bisection once placed to about sqrt(eps)
+EVEN_BUTTERFLY_CELLS = [
+    (1, 4), (1, 6), (5, 6), (7, 8), (1, 10), (3, 10), (7, 10), (9, 10), (5, 12),
+    (7, 12), (1, 14), (13, 14), (9, 16), (1, 18), (17, 18), (3, 20), (7, 20),
+    (11, 20), (13, 20), (17, 20), (19, 20), (5, 22), (7, 22), (15, 22), (19, 22),
+    (21, 22),
+]
+
+
+class TestEvenCentre:
+    """For even q, Delta is even: S's middle bands touch at exactly 0."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
+    def test_middle_bands_meet_at_zero(self, lam):
+        for q in range(2, 61, 2):
+            for p in range(1, q):
+                if math.gcd(p, q) != 1:
+                    continue
+                s = spectral_union_S(reduce_fraction(p, q), lam)
+                c = q // 2
+                assert s.edges[c - 1, 1] == 0.0 and s.edges[c, 0] == 0.0, (p, q)
+                ref = union_s_edges(p, q, lam)
+                assert abs(ref[c - 1, 1]) <= 1e-12 and abs(ref[c, 0]) <= 1e-12, (p, q)
+
+    @pytest.mark.parametrize(
+        "p,q", EVEN_BUTTERFLY_CELLS, ids=[f"{p}-{q}" for p, q in EVEN_BUTTERFLY_CELLS]
+    )
+    def test_butterfly_cells_within_1e10(self, p, q):
+        # the README's placement bound: 1e-10, or 1e-8 for a band narrower
+        # than 1e-8, which may collapse onto its zero
+        s = spectral_union_S(reduce_fraction(p, q), 2.0)
+        ref = union_s_edges(p, q, 2.0)
+        tol = np.where(ref[:, 1] - ref[:, 0] >= 1e-8, 1e-10, 1e-8)
+        assert np.all(np.abs(s.edges - ref).max(axis=1) <= tol)
+
+    def test_centre_value_is_the_threshold(self):
+        # |Delta(0)| = 2 + 2 (lam/2)^q, the sign (-1)^(q/2), at 60 digits
+        for p, q, lam in [(1, 2, 3.0), (1, 4, 0.5), (5, 12, 2.0), (7, 22, 1.0), (13, 30, 3.0)]:
+            got = mp_discriminant(p, q, lam, None, 0.0)
+            want = (-1) ** (q // 2) * (2 + 2 * (mpmath.mpf(lam) / 2) ** q)
+            assert abs(got - want) <= mpmath.mpf(10) ** -40 * abs(want)
 
 
 class TestBandZeros:

@@ -111,6 +111,22 @@ class TestButterflyCommand:
         want = 1 + sum(q * totient(q) for q in range(2, 7))
         assert len(rects) == want + 1  # one background + one per band row
 
+    @pytest.mark.parametrize("lam", ["-2", "-3"])
+    def test_svg_negative_coupling(self, capsys, lam):
+        # the drawing spans [-2 - |lam|, 2 + |lam|]; 2 + lam is 0 at lam = -2
+        code, out = run_main(
+            capsys, "butterfly", "--qmax", "5", "--lambda", lam,
+            "--theta-mode", "fixed-theta", "--theta", "0", "--format", "svg",
+        )
+        assert code == 0
+        root = ET.fromstring(out)
+        width = float(root.get("width"))
+        rects = [el for el in root.iter() if el.tag.endswith("rect")][1:]
+        assert len(rects) == 1 + sum(q * totient(q) for q in range(2, 6))
+        for r in rects:
+            x, w = float(r.get("x")), float(r.get("width"))
+            assert 0.0 <= x and x + w <= width + 0.1
+
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_failed_cell_named_on_stderr(self, capsys, monkeypatch, fmt):
         import almost_mathieu.experiments as experiments
