@@ -10,9 +10,10 @@ however close they cluster.  The spectrum's edges are the roots at
 kappa = 0 and pi: the periodic and antiperiodic eigenvalues, which sorted
 pair up into the q bands, touching ones included.
 
-The union and intersection over the phase theta are sublevel sets of
-Chambers' Delta at thresholds 2 +- 2(lam/2)^q, and J_delta^c one at
-threshold delta.  Those are found in three steps:
+The union and intersection over the phase theta, for lam > 0, are
+sublevel sets of Chambers' Delta at thresholds 2 +- 2(lam/2)^q, and
+J_delta^c one at threshold delta.  Each set is one call at its own
+threshold (:func:`_sublevel_bands`), in three steps:
 
   1. anchor the q simple real zeros of Delta, the roots at kappa = pi/2
      (grid sign-change scans provably miss clustered zeros at critical
@@ -67,7 +68,6 @@ _NEWTON_ITERS = 100  # steps a separator may take before RootFindingError
 _SUM_BLOCK = 4096  # entries of 1/(E - z_j) one block of a separator sum holds
 
 __all__ = [
-    "Band",
     "SpectralSet",
     "SminusPoints",
     "JDeltaResult",
@@ -82,8 +82,6 @@ __all__ = [
     "jdelta_sets",
     "jdelta_sweep",
     "band_edge_bound_check",
-    "set_measure",
-    "ids_eval",
     "ids_profile",
     "holder_inclusion_check",
 ]
@@ -97,31 +95,13 @@ class RootFindingError(RuntimeError):
         self.bracket = bracket
 
 
-@dataclass(frozen=True)
-class Band:
-    """One closed band [lo, hi]; monotonicity is the sign of D' on it."""
-
-    lo: float
-    hi: float
-    index: int
-    monotonicity: int
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, E: float) -> bool:
-        return self.lo <= E <= self.hi
-
-
 class SpectralSet:
     """Ordered union of closed bands, disjoint except for touching endpoints.
 
     The bands are held as two read-only arrays: ``edges``, float64 of shape
     (n, 2) with row i = (lo, hi) of band i + 1, and ``monotonicity``, int8
     of length n with the sign of D' on each band (0 where unknown), in
-    ascending order of the lower edge.  That is 17 bytes a band.  ``bands``
-    builds :class:`Band` objects from them on every access.
+    ascending order of the lower edge.  That is 17 bytes a band.
     """
 
     __slots__ = ("_edges", "_mono")
@@ -149,14 +129,6 @@ class SpectralSet:
     def monotonicity(self) -> np.ndarray:
         """int8 array of the sign of D' on each band, 0 where unknown; read-only."""
         return self._mono
-
-    @property
-    def bands(self) -> tuple[Band, ...]:
-        """The bands as :class:`Band` objects, built anew on every access."""
-        return tuple(
-            Band(lo, hi, i, m)
-            for i, ((lo, hi), m) in enumerate(zip(self._edges.tolist(), self._mono.tolist()), 1)
-        )
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -520,17 +492,14 @@ def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> 
     return roots - step
 
 
-def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[SpectralSet]:
-    """The q pieces of {|D| <= thr} around the zeros, for every thr in ``thresholds``.
+def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
+    """The q pieces of {|D| <= thr} around the zeros of D.
 
     The sets S, S- (lam < 2) and J_delta^c of Chambers' Delta come from
     here; the spectrum takes its edges from eigenvalues instead
     (:func:`spectrum_bands`).  ``spec`` must be ``delta_spec(alpha, lam)``,
-    whose D is Delta.  The zeros of D, the separators, the values of D
-    there and the slopes at the zeros are computed once; every crossing
-    edge of every threshold is bisected in one vectorized batch.  Each
-    threshold is decided on its own: the edges of one threshold do not
-    depend on the others passed with it.
+    whose D is Delta.  Every crossing edge is bisected in one vectorized
+    batch.
 
     Piece i runs from zero i outwards to where D crosses the threshold, or
     to the separator (the critical point between two zeros, from
@@ -551,83 +520,72 @@ def _sublevel_bands(spec: OperatorSpec, thresholds: list[float]) -> list[Spectra
     narrower than double-precision resolution collapses onto its zero.
     """
     q = spec.period
-    thrs = [float(t) for t in thresholds]
+    thr = float(thr)
     if q == 1:
         center = float(_band_zeros(spec)[0])
-        return [SpectralSet([(center - thr, center + thr)], [1]) for thr in thrs]
+        return SpectralSet([(center - thr, center + thr)], [1])
 
-    bound = 2.0 + spec.coupling
-    margins = [max(2.5, spec.coupling / 2.0 + 2.0, thr ** (1.0 / q) + 1.5) for thr in thrs]
-    outer = np.array([x for m in margins for x in (-bound - m, bound + m)])
+    outer = 2.0 + spec.coupling + max(2.5, spec.coupling / 2.0 + 2.0, thr ** (1.0 / q) + 1.5)
 
     f = lambda E: _d_values(spec, E)
     fd = lambda E: _d_and_deriv_values(spec, E)
     zeros = _band_zeros(spec)
     extrema = _interior_extrema(zeros)
-    ext_vals, outer_vals = np.split(f(np.concatenate((extrema, outer))), [len(extrema)])
+    sep = np.concatenate(([-outer], extrema, [outer]))
+    sep_vals = f(sep)
     if q % 2 == 0:
         # the closed central gap, from the symmetry of Delta (docstring)
-        c = q // 2 - 1
-        extrema[c] = 0.0
-        ext_vals[c] = (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q)
+        c = q // 2
+        sep[c] = 0.0
+        sep_vals[c] = (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q)
     d_at_zeros, slope = fd(zeros)
     mono = np.where(slope >= 0.0, 1, -1).astype(np.int8)
 
-    # all crossing edges of all thresholds are bisected in one vectorized
-    # batch; slot (k, i, which) is edge ``which`` of band i at threshold k
+    # target value of D at the lower/upper edge of each band
+    lower_target = np.where(mono > 0, -thr, thr)
+    upper_target = np.where(mono > 0, thr, -thr)
+
+    # every crossing edge is bisected in one vectorized batch; slot (i,
+    # which) is edge ``which`` of band i, and band i lies between
+    # separators i and i + 1
     batch_lo: list[float] = []
     batch_hi: list[float] = []
     batch_target: list[float] = []
-    batch_slot: list[tuple[int, int, int]] = []
-    edges = []  # per threshold: (q, 2) band edges
-    for k, thr in enumerate(thrs):
-        left_sep = np.concatenate(([outer[2 * k]], extrema))
-        right_sep = np.concatenate((extrema, [outer[2 * k + 1]]))
-        sep_vals_left = np.concatenate(([outer_vals[2 * k]], ext_vals))
-        sep_vals_right = np.concatenate((ext_vals, [outer_vals[2 * k + 1]]))
-
-        # target value of D at the lower/upper edge of each band
-        lower_target = np.where(mono > 0, -thr, thr)
-        upper_target = np.where(mono > 0, thr, -thr)
-
-        band_edges = np.empty((q, 2))
-        edges.append(band_edges)
-        for i in range(q):
-            est_width = 2.0 * thr / max(abs(slope[i]), 1e-300)
-            if abs(d_at_zeros[i]) >= thr * (1.0 - 1e-12) or est_width < 1e-8:
-                # band at or below double-precision resolution (readings of
-                # D around it are noise); both edges collapse onto the zero,
-                # which the eigensolve knows exactly -- the measure lost is
-                # below 1e-8 per band
-                band_edges[i] = zeros[i]
-                continue
-            for which, sep, sep_val, target in (
-                (0, left_sep[i], sep_vals_left[i], lower_target[i]),
-                (1, right_sep[i], sep_vals_right[i], upper_target[i]),
-            ):
-                # compare, not multiply: the product of the two offsets
-                # overflows where a saturated outer value meets a large target
-                if min(sep_val, d_at_zeros[i]) < target < max(sep_val, d_at_zeros[i]):
-                    lo_i, hi_i = (sep, zeros[i]) if which == 0 else (zeros[i], sep)
-                    batch_slot.append((k, i, which))
-                    batch_lo.append(lo_i)
-                    batch_hi.append(hi_i)
-                    batch_target.append(target)
-                else:
-                    # D does not cross the threshold before the separator
-                    band_edges[i, which] = sep
+    batch_slot: list[tuple[int, int]] = []
+    found = np.empty((q, 2))
+    for i in range(q):
+        est_width = 2.0 * thr / max(abs(slope[i]), 1e-300)
+        if abs(d_at_zeros[i]) >= thr * (1.0 - 1e-12) or est_width < 1e-8:
+            # band at or below double-precision resolution (readings of
+            # D around it are noise); both edges collapse onto the zero,
+            # which the eigensolve knows exactly -- the measure lost is
+            # below 1e-8 per band
+            found[i] = zeros[i]
+            continue
+        for which, target in ((0, lower_target[i]), (1, upper_target[i])):
+            s, s_val = sep[i + which], sep_vals[i + which]
+            # compare, not multiply: the product of the two offsets
+            # overflows where a saturated outer value meets a large target
+            if min(s_val, d_at_zeros[i]) < target < max(s_val, d_at_zeros[i]):
+                lo_i, hi_i = (s, zeros[i]) if which == 0 else (zeros[i], s)
+                batch_slot.append((i, which))
+                batch_lo.append(lo_i)
+                batch_hi.append(hi_i)
+                batch_target.append(target)
+            else:
+                # D does not cross the threshold before the separator
+                found[i, which] = s
 
     if batch_slot:
         targets = np.asarray(batch_target)
         roots = _vector_bisect(f, np.asarray(batch_lo), np.asarray(batch_hi), targets)
         polished = _newton_polish(fd, roots, targets)  # one derivative step
-        for (k, i, which), rp in zip(batch_slot, polished):
-            edges[k][i, which] = float(rp)
+        for (i, which), rp in zip(batch_slot, polished):
+            found[i, which] = float(rp)
 
-    for found in edges:
-        swap = found[:, 1] < found[:, 0]
-        found[swap] = found[swap, ::-1]
-    return [SpectralSet(found, mono) for found in edges]
+    swap = found[:, 1] < found[:, 0]
+    found[swap] = found[swap, ::-1]
+    return SpectralSet(found, mono)
 
 
 # ---------------------------------------------------------------------------
@@ -654,26 +612,28 @@ def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     thr = 2.0 + 2.0 * (lam / 2.0) ** alpha.q
-    s = _sublevel_bands(delta_spec(alpha, lam), [thr])[0]
+    s = _sublevel_bands(delta_spec(alpha, lam), thr)
     if len(s) != alpha.q:  # fewer bands would mean lost measure
         raise RootFindingError(f"S({alpha}) came out with {len(s)} bands, expected {alpha.q}")
     return s
 
 
 def sminus_points(alpha: ReducedRational, lam: float = 2.0):
-    """Intersection over theta of the spectra.
+    """Intersection over theta of the spectra, for a coupling lam > 0.
 
     At lam = 2 this degenerates to the q zeros of Delta, found directly by
     zero-finding rather than as a sublevel set at threshold zero; for
-    lam < 2 the set is {|Delta| <= 2 - 2 (lam/2)^q} and a SpectralSet is
-    returned; for lam > 2 it is empty.
+    0 < lam < 2 the set is {|Delta| <= 2 - 2 (lam/2)^q} and a SpectralSet
+    is returned; for lam > 2 it is empty.
     """
+    if lam <= 0.0:
+        raise ValueError("coupling must be positive")
     spec = delta_spec(alpha, lam)
     if lam > 2.0:
         return SpectralSet(())
     if lam < 2.0:
         thr = 2.0 - 2.0 * (lam / 2.0) ** alpha.q
-        return _sublevel_bands(spec, [thr])[0]
+        return _sublevel_bands(spec, thr)
 
     # The Hermitian eigensolve places every zero within a few ulp (backward
     # stable, perfectly conditioned); a derivative polish would only chase
@@ -719,7 +679,7 @@ def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaRe
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     if variant == 1:
-        return _jdelta_variant1(alpha, delta_, _sublevel_bands(delta_spec(alpha, 2.0), [delta_])[0])
+        return _jdelta_variant1(alpha, delta_, _sublevel_bands(delta_spec(alpha, 2.0), delta_))
     pts = sminus_points(alpha, 2.0)
     comp = SpectralSet.from_intervals(
         [(E - delta_, E + delta_) for E in pts.energies]
@@ -730,19 +690,8 @@ def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaRe
 def jdelta_sweep(
     alpha: ReducedRational, deltas: list[float], variant: int = 1
 ) -> list[JDeltaResult]:
-    """jdelta_sets over many deltas, equal to it delta by delta.
-
-    Variant 1 shares one zero/extremum structure across the deltas and
-    bisects all their edges in a single vectorized batch, which is what
-    makes full (q, delta) grids cheap.
-    """
-    deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
-        raise ValueError("deltas must be positive")
-    if variant != 1:
-        return [jdelta_sets(alpha, d, variant) for d in deltas]
-    sets = _sublevel_bands(delta_spec(alpha, 2.0), deltas)
-    return [_jdelta_variant1(alpha, d, pieces) for d, pieces in zip(deltas, sets)]
+    """:func:`jdelta_sets` at each delta in turn."""
+    return [jdelta_sets(alpha, d, variant) for d in deltas]
 
 
 def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeReport:
@@ -773,16 +722,6 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
                 EdgeMargin(j + 1, side, float(E[n]), zero, float(margin), not outward)
             )
     return BandEdgeReport(delta_, tuple(edges))
-
-
-def set_measure(s: SpectralSet) -> float:
-    """Lebesgue measure of a finite union of bands."""
-    return s.measure
-
-
-def ids_eval(spec: OperatorSpec, E: float) -> float:
-    """Integrated density of states at one energy; see :func:`ids_profile`."""
-    return float(ids_profile(spec, np.array([E], dtype=np.float64))[0])
 
 
 def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .greens import green_identities_check, lyapunov, surace_deviation
 from .interpolation import build_intermediate, green_comparison
-from .products import align_phases, product_growth, random_drift_chain
+from .products import product_growth, random_drift_chain
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -248,7 +248,7 @@ def cmd_product_check(args) -> int:
     weakest = (None, None)  # smallest hypothesis margin, [chain, factor from 1]
     for i in range(args.count):
         n = int(rng.integers(1, args.n_max + 1))
-        chain = align_phases(random_drift_chain(rng, n, args.beta))
+        chain = random_drift_chain(rng, n, args.beta)
         cert = product_growth(chain, args.beta)
         if not cert.passed:
             failures.append(f"chain {i} ({n} factors): growth fails at factor {cert.fail_location}")

@@ -46,7 +46,6 @@ BUTTERFLY_QMAX_GUARD = 500
 @dataclass(frozen=True)
 class DecayRow:
     approximant: ReducedRational
-    q_tilde: int
     measure: float
     gate_ok: bool
     collapsed_bands: int  # bands of S(p~/q~, 2) that came back with zero width
@@ -172,9 +171,9 @@ def measure_decay(
             appr.as_fraction() - base_frac
         ) < eta
         collapsed = int(np.count_nonzero(s.edges[:, 1] == s.edges[:, 0]))
-        rows.append(DecayRow(appr, appr.q, float(inter_measure), bool(gate), collapsed))
+        rows.append(DecayRow(appr, float(inter_measure), bool(gate), collapsed))
 
-    pts = [(r.q_tilde, r.measure) for r in rows if r.measure > 0.0]
+    pts = [(r.approximant.q, r.measure) for r in rows if r.measure > 0.0]
     fit_qs = len({x for x, _ in pts})
     rate = prefactor = r2 = None
     if fit_qs >= 2:

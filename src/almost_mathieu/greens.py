@@ -34,7 +34,6 @@ from .core import (
 
 __all__ = [
     "LyapunovValue",
-    "HalfLineGreen",
     "GreenIdentityReport",
     "SuraceReport",
     "lyapunov",
@@ -53,14 +52,6 @@ class LyapunovValue:
 
     gamma: float
     bloch_k: float | None = None
-
-
-@dataclass(frozen=True)
-class HalfLineGreen:
-    value: complex
-    k: int
-    l: int
-    z: complex
 
 
 @dataclass(frozen=True)
@@ -240,7 +231,7 @@ class _FloquetSolution:
         return total / (1.0 - ratio)
 
 
-def green_halfline(spec: OperatorSpec, k: int, l: int, z: complex) -> HalfLineGreen:
+def green_halfline(spec: OperatorSpec, k: int, l: int, z: complex) -> complex:
     """G^{[k,inf)}(k, l; z) from the decaying Floquet solution.
 
     Requires a bounded resolvent: Im z > 0 always works; real z works off
@@ -248,9 +239,7 @@ def green_halfline(spec: OperatorSpec, k: int, l: int, z: complex) -> HalfLineGr
     """
     if l < k:
         raise ValueError("need l >= k")
-    sol = _FloquetSolution(spec, z)
-    value = -sol.ratio(l, k - 1)
-    return HalfLineGreen(value, k, l, complex(z))
+    return -_FloquetSolution(spec, z).ratio(l, k - 1)
 
 
 def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdentityReport:
@@ -300,21 +289,20 @@ def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdent
 
 
 def surace_deviation(
-    spec: OperatorSpec, epsilon: float, eta: float, grid: int | np.ndarray = 10001
+    spec: OperatorSpec, epsilon: float, eta: float, grid: int = 10001
 ) -> SuraceReport:
     """Grid estimate of meas{E : |gamma(E + i eps) - gamma(E)| >= eta}.
 
-    The true measure is at most pi eps / eta; the grid estimate carries a
-    declared resolution slack of 2 * mesh * (number of indicator sign
-    changes).  The grid needs at least two points to have a mesh.
+    The estimate counts the points of a uniform grid of ``grid`` energies
+    over [-2 - c, 2 + c], c = ``spec.coupling``.  The true measure is at
+    most pi eps / eta; the grid estimate carries a declared resolution
+    slack of 2 * mesh * (number of indicator sign changes).  The grid needs
+    at least two points to have a mesh.
     """
     if epsilon <= 0.0 or eta <= 0.0:
         raise ValueError("epsilon and eta must be positive")
-    if isinstance(grid, (int, np.integer)):
-        hull = 2.0 + spec.coupling
-        E = np.linspace(-hull, hull, int(grid))
-    else:
-        E = np.sort(np.asarray(grid, dtype=np.float64))
+    hull = 2.0 + spec.coupling
+    E = np.linspace(-hull, hull, grid)
     if len(E) < 2:
         raise ValueError(f"surace_deviation needs at least 2 grid points, got {len(E)}")
     mesh = float(E[1] - E[0])

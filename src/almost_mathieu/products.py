@@ -291,7 +291,9 @@ def random_drift_chain(
     by rotations of angle at most (beta/8) gamma e^{-gamma}
     |det U|, half of what the drift hypothesis allows, so the resulting
     chain passes hypothesis_margins by construction.  Each new frame is
-    re-phased to keep align_phases a no-op.  The loop is plain complex
+    re-phased so that the previous frame's diagonal coefficients in it are
+    real and nonnegative, the condition :func:`align_phases` establishes, so
+    the chain needs no align_phases pass.  The loop is plain complex
     arithmetic in the operation order of ``Mat2`` products and ``_solve_u``.
     """
     lo_g, hi_g = gamma_range

@@ -191,7 +191,7 @@ def suite_greens(seed: int) -> list[dict]:
         r = _random_reduced(rng, 15)
         spec = core.OperatorSpec.almost_mathieu(r, 2.0, float(rng.uniform(0, 2 * math.pi)))
         z = complex(rng.uniform(-4.5, 4.5), rng.uniform(0.05, 1.0))
-        g = greens.green_halfline(spec, 1, r.q, z).value
+        g = greens.green_halfline(spec, 1, r.q, z)
         worst = max(worst, abs(greens.lyapunov(spec, z).gamma + math.log(abs(g)) / r.q))
     checks.append(_check("gamma-green-relation", worst <= 1e-6, f"worst {worst:.3e}"))
 
@@ -226,7 +226,7 @@ def suite_products(seed: int) -> list[dict]:
     all_pass = True
     for _ in range(200):
         n = int(rng.integers(2, 100))
-        chain = products.align_phases(products.random_drift_chain(rng, n, 0.5))
+        chain = products.random_drift_chain(rng, n, 0.5)
         cert = products.product_growth(chain, 0.5)
         all_pass &= cert.passed and cert.induction_ok and cert.lower_chain_ok
     checks.append(_check("growth-sandwich", all_pass, "200 chains, beta = 1/2"))
@@ -234,7 +234,7 @@ def suite_products(seed: int) -> list[dict]:
     recomp_ok = True
     for _ in range(20):
         n = int(rng.integers(2, 20))
-        chain = products.align_phases(products.random_drift_chain(rng, n, 0.5))
+        chain = products.random_drift_chain(rng, n, 0.5)
         if sum(f.gamma for f in chain) > 30:
             continue
         cert = products.product_growth(chain, 0.5)
@@ -388,7 +388,7 @@ def suite_experiments(seed: int) -> list[dict]:
     )
 
     s_one = bandsmod.spectral_union_S(core.reduce_fraction(144, 233), 1.0)
-    meas = bandsmod.set_measure(s_one)
+    meas = s_one.measure
     checks.append(
         _check("lambda-one-measure-limit", abs(meas - 2.0) <= 0.2, f"measure {meas:.4f}")
     )

@@ -117,6 +117,19 @@ def sminus_edges(p: int, q: int, lam: float) -> np.ndarray:
     return _chambers_edges(p, q, lam, math.pi / q, 0.0)
 
 
+def jdelta_edges(p: int, q: int, delta: float) -> np.ndarray:
+    """The q bands of J_delta^c = {|Delta| <= delta} at lam = 2, 0 < delta <= 4, as (q, 2).
+
+    At lam = 2, D_theta = Delta - 2 cos(q theta): Delta = delta where
+    D_theta = 2 with 2 cos(q theta) = delta - 2, and Delta = -delta where
+    D_theta = -2 with 2 cos(q theta) = 2 - delta.  At delta = 4 these are
+    the thetas of :func:`union_s_edges`.
+    """
+    plus = math.acos((delta - 2.0) / 2.0) / q
+    minus = math.acos((2.0 - delta) / 2.0) / q
+    return _chambers_edges(p, q, 2.0, plus, minus)
+
+
 def dense_floquet_zeros(spec: OperatorSpec) -> np.ndarray:
     """The q zeros of D, from the dense q x q Floquet matrix in site order.
 

@@ -15,12 +15,10 @@ from almost_mathieu.bands import (
     SpectralSet,
     band_edge_bound_check,
     holder_inclusion_check,
-    ids_eval,
     ids_profile,
     jdelta_sets,
     jdelta_sweep,
     last_wilkinson_sum,
-    set_measure,
     sminus_points,
     spectral_union_S,
     spectrum_bands,
@@ -41,6 +39,7 @@ from oracles import (
     eig_band_edges,
     exact_discriminant,
     fixed_bisect,
+    jdelta_edges,
     mp_critical_offset,
     mp_discriminant,
     mp_edge_offset,
@@ -62,9 +61,9 @@ def am(p, q, lam, theta):
 class TestSpectrumBands:
     def test_touching_central_bands(self):
         s = spectrum_bands(am(1, 2, 2.0, math.pi / 2))
-        assert len(s.bands) == 2
+        assert len(s) == 2
         np.testing.assert_allclose(
-            [s.bands[0].lo, s.bands[0].hi, s.bands[1].lo, s.bands[1].hi],
+            s.edges.ravel(),
             [-2.0, 0.0, 0.0, 2.0],
             atol=1e-10,
         )
@@ -73,20 +72,20 @@ class TestSpectrumBands:
         s = spectrum_bands(am(1, 2, 2.0, 0.0))
         r8 = 2.0 * math.sqrt(2.0)
         np.testing.assert_allclose(
-            [s.bands[0].lo, s.bands[0].hi, s.bands[1].lo, s.bands[1].hi],
+            s.edges.ravel(),
             [-r8, -2.0, 2.0, r8],
             atol=1e-10,
         )
 
     def test_free_operator(self):
         s = spectrum_bands(am(0, 1, 2.0, math.pi / 2))
-        assert len(s.bands) == 1
-        np.testing.assert_allclose([s.bands[0].lo, s.bands[0].hi], [-2, 2], atol=1e-12)
+        assert len(s) == 1
+        np.testing.assert_allclose(s.edges[0], [-2, 2], atol=1e-12)
 
     def test_explicit_free_period_two(self):
         s = spectrum_bands(OperatorSpec.explicit([0.0, 0.0]))
         np.testing.assert_allclose(
-            [b.lo for b in s.bands] + [b.hi for b in s.bands],
+            s.edges.T.ravel(),
             [-2.0, 0.0, 0.0, 2.0],
             atol=1e-10,
         )
@@ -98,13 +97,13 @@ class TestSpectrumBands:
             theta = rng.uniform(0, 2 * math.pi)
             spec = OperatorSpec.almost_mathieu(r, lam, theta)
             s = spectrum_bands(spec)
-            assert len(s.bands) == r.q
+            assert len(s) == r.q
             hull = 2.0 + lam + 1e-9
             prev_hi = -math.inf
-            for b in s.bands:
-                assert -hull <= b.lo <= b.hi <= hull
-                assert b.lo >= prev_hi - 1e-9
-                prev_hi = b.hi
+            for lo, hi in s.edges.tolist():
+                assert -hull <= lo <= hi <= hull
+                assert lo >= prev_hi - 1e-9
+                prev_hi = hi
 
     def test_edges_within_1e10_of_true_edges(self, rng):
         # |D(edge)| = 2 within 1e-10 read as edge placement: the float64
@@ -115,11 +114,10 @@ class TestSpectrumBands:
             lam = float(rng.choice([1.0, 2.0, 3.0]))
             spec = OperatorSpec.almost_mathieu(r, lam, rng.uniform(0, 2 * math.pi))
             s = spectrum_bands(spec)
-            for b in s.bands:
-                for E in (b.lo, b.hi):
-                    d = discriminant(spec, E)
-                    target = 2.0 if d.real > 0 else -2.0
-                    assert mp_edge_offset(spec, E, target) <= 1e-10
+            for E in s.edges.ravel().tolist():
+                d = discriminant(spec, E)
+                target = 2.0 if d.real > 0 else -2.0
+                assert mp_edge_offset(spec, E, target) <= 1e-10
 
     def test_matches_eigenvalue_oracle(self, rng):
         for _ in range(25):
@@ -128,7 +126,7 @@ class TestSpectrumBands:
                 r, float(rng.choice([1.0, 2.0, 3.0])), rng.uniform(0, 2 * math.pi)
             )
             s = spectrum_bands(spec)
-            mine = np.sort(np.array([x for b in s.bands for x in (b.lo, b.hi)]))
+            mine = np.sort(s.edges.ravel())
             oracle = eig_band_edges(spec)
             np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-12)
 
@@ -147,8 +145,8 @@ class TestSpectrumBands:
     def test_touching_edges_match_eigenvalue_oracle(self, p, q, lam, theta):
         spec = am(p, q, lam, theta)
         s = spectrum_bands(spec)
-        assert len(s.bands) == q
-        mine = np.sort(np.array([x for b in s.bands for x in (b.lo, b.hi)]))
+        assert len(s) == q
+        mine = np.sort(s.edges.ravel())
         np.testing.assert_allclose(mine, eig_band_edges(spec), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -176,10 +174,10 @@ class TestSpectrumBands:
         # midpoints by the transfer recurrence must carry that sign
         s = spectrum_bands(spec)
         q = spec.period
-        mid = np.array([0.5 * (b.lo + b.hi) for b in s.bands])
-        _, dtr, _ = discriminant_and_derivative_grid(spec, mid)
-        assert [b.monotonicity for b in s.bands] == [(-1) ** (q - i) for i in range(1, q + 1)]
-        assert np.array_equal(np.sign(dtr), [b.monotonicity for b in s.bands])
+        lo, hi = s.edges.T
+        _, dtr, _ = discriminant_and_derivative_grid(spec, 0.5 * (lo + hi))
+        assert s.monotonicity.tolist() == [(-1) ** (q - i) for i in range(1, q + 1)]
+        assert np.array_equal(np.sign(dtr), s.monotonicity)
 
     @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0])
     def test_fixed_theta_butterfly_matches_eigenvalue_oracle(self, lam):
@@ -201,8 +199,7 @@ class TestSpectrumBands:
         for _ in range(10):
             r = random_reduced(rng, 8)
             s = spectral_union_S(r, 2.0)
-            lows = np.array([b.lo for b in s.bands])
-            his = np.array([b.hi for b in s.bands])
+            lows, his = s.edges.T
             # placement noise near threshold-tangent edges is ~1e-8
             np.testing.assert_allclose(lows, -his[::-1], atol=1e-6)
 
@@ -227,31 +224,31 @@ class TestSpectralUnion:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             s = spectral_union_S(reduce_fraction(233, 377), 3.0)
-        assert len(s.bands) == 377
+        assert len(s) == 377
 
     def test_half_critical(self):
         s = spectral_union_S(HALF, 2.0)
         r8 = 2.0 * math.sqrt(2.0)
-        assert s.bands[0].lo == pytest.approx(-r8, abs=1e-10)
-        assert s.bands[-1].hi == pytest.approx(r8, abs=1e-10)
-        assert set_measure(s) == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-9)
+        assert s.edges[0, 0] == pytest.approx(-r8, abs=1e-10)
+        assert s.edges[-1, 1] == pytest.approx(r8, abs=1e-10)
+        assert s.measure == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-9)
 
     def test_free_union(self):
         s = spectral_union_S(ZERO, 2.0)
-        np.testing.assert_allclose([s.bands[0].lo, s.bands[0].hi], [-4, 4], atol=1e-12)
+        np.testing.assert_allclose(s.edges[0], [-4, 4], atol=1e-12)
 
     def test_half_lambda_one(self):
         # Delta_{1/2,1}(E) = E^2 - 5/2 by the 2x2 product, threshold 5/2,
         # so S = [-sqrt5, sqrt5] as two bands touching at 0
         s = spectral_union_S(HALF, 1.0)
         r5 = math.sqrt(5.0)
-        assert len(s.bands) == 2
+        assert len(s) == 2
         np.testing.assert_allclose(
-            [s.bands[0].lo, s.bands[0].hi, s.bands[1].lo, s.bands[1].hi],
+            s.edges.ravel(),
             [-r5, 0.0, 0.0, r5],
             atol=1e-10,
         )
-        assert set_measure(s) == pytest.approx(2.0 * r5, abs=1e-9)
+        assert s.measure == pytest.approx(2.0 * r5, abs=1e-9)
 
     def test_inclusion_chain(self, rng):
         for _ in range(8):
@@ -264,8 +261,8 @@ class TestSpectralUnion:
                 sigma = spectrum_bands(OperatorSpec.almost_mathieu(r, lam, theta))
                 for E in pts.energies:
                     assert sigma.distance(E) <= 1e-8
-                for b in sigma.bands:
-                    for E in (b.lo, 0.5 * (b.lo + b.hi), b.hi):
+                for lo, hi in sigma.edges.tolist():
+                    for E in (lo, 0.5 * (lo + hi), hi):
                         assert union.distance(E) <= 1e-8
 
 
@@ -291,20 +288,19 @@ class TestSpectralUnion:
     )
     def test_q_bands_or_root_finding_error(self, p, q, lam):
         s = spectral_union_S(reduce_fraction(p, q), lam)
-        assert len(s.bands) == q
+        assert len(s) == q
         np.testing.assert_allclose(
             np.array(s.intervals()), union_s_edges(p, q, lam), rtol=0, atol=2e-8
         )
 
     def test_missing_bands_raise(self, monkeypatch):
         sublevel = bands_module._sublevel_bands
-        monkeypatch.setattr(
-            bands_module,
-            "_sublevel_bands",
-            lambda spec, thrs: [
-                SpectralSet(s.edges[:-1], s.monotonicity[:-1]) for s in sublevel(spec, thrs)
-            ],
-        )
+
+        def one_band_short(spec, thr):
+            s = sublevel(spec, thr)
+            return SpectralSet(s.edges[:-1], s.monotonicity[:-1])
+
+        monkeypatch.setattr(bands_module, "_sublevel_bands", one_band_short)
         with pytest.raises(RootFindingError, match="2 bands, expected 3"):
             spectral_union_S(reduce_fraction(1, 3), 2.0)
 
@@ -399,18 +395,20 @@ class TestVectorBisect:
         self.check(f, lo[order], hi[order], np.zeros(len(lo)))
 
     def test_grid_calls_at_13_21(self, monkeypatch):
-        # one grid call a halving costs 116 calls for this set
+        # 22 calls: the separators take none, and the bisection several
+        # halvings a call, where one halving a call would take 61
         steps = count_grid_work(monkeypatch)
         s = spectral_union_S(reduce_fraction(13, 21), 2.0)
-        assert len(s.bands) == 21
-        assert len(steps) <= 40
+        assert len(s) == 21
+        assert len(steps) <= 22
 
     def test_work_budget_at_233_377(self, monkeypatch):
-        # 60 fixed halvings of every edge cost 26.7M energy-steps here
+        # 60 fixed halvings of every edge cost 26.7M energy-steps here, this
+        # code 13,046,462 over 52 calls
         steps = count_grid_work(monkeypatch)
         s = spectral_union_S(reduce_fraction(233, 377), 2.0)
-        assert len(s.bands) == 377
-        assert sum(steps) <= 20.0e6
+        assert len(s) == 377
+        assert sum(steps) <= 13.1e6
 
 
 def exact_log_derivative_sign(E: float, zeros) -> int:
@@ -636,7 +634,7 @@ class TestSminus:
         assert isinstance(s, SpectralSet)
         # {|E^2 - 5/2| <= 3/2} = [-2, -1] u [1, 2]
         np.testing.assert_allclose(
-            [b.lo for b in s.bands] + [b.hi for b in s.bands],
+            s.edges.T.ravel(),
             [-2.0, 1.0, -1.0, 2.0],
             atol=1e-10,
         )
@@ -644,7 +642,7 @@ class TestSminus:
     def test_subcritical_touching_edges(self):
         # S-(25/27, 1) has touching bands whose edges once missed by 1.8e-5
         s = sminus_points(reduce_fraction(25, 27), 1.0)
-        assert len(s.bands) == 27
+        assert len(s) == 27
         np.testing.assert_allclose(
             np.array(s.intervals()), sminus_edges(25, 27, 1.0), rtol=0, atol=1e-8
         )
@@ -652,7 +650,7 @@ class TestSminus:
     def test_supercritical_empty(self):
         s = sminus_points(HALF, 3.0)
         assert isinstance(s, SpectralSet)
-        assert len(s.bands) == 0
+        assert len(s) == 0
 
 
 class TestLastWilkinson:
@@ -680,7 +678,7 @@ class TestJDelta:
         res = jdelta_sets(HALF, 0.5, 1)
         lo1, hi1 = math.sqrt(3.5), math.sqrt(4.5)
         np.testing.assert_allclose(
-            [b.lo for b in res.complement.bands] + [b.hi for b in res.complement.bands],
+            res.complement.edges.T.ravel(),
             [-hi1, lo1, -lo1, hi1],
             atol=1e-10,
         )
@@ -692,7 +690,7 @@ class TestJDelta:
     def test_variant2_free(self):
         res = jdelta_sets(ZERO, 1.0, 2)
         np.testing.assert_allclose(
-            [res.complement.bands[0].lo, res.complement.bands[0].hi],
+            res.complement.edges[0],
             [-1.0, 1.0],
             atol=1e-10,
         )
@@ -700,7 +698,7 @@ class TestJDelta:
     def test_variant2_half(self):
         res = jdelta_sets(HALF, 0.1, 2)
         np.testing.assert_allclose(
-            [b.lo for b in res.complement.bands] + [b.hi for b in res.complement.bands],
+            res.complement.edges.T.ravel(),
             [-2.1, 1.9, -1.9, 2.1],
             atol=1e-10,
         )
@@ -720,27 +718,39 @@ class TestJDelta:
 
     def test_variant2_merging_neighborhoods(self):
         res = jdelta_sets(HALF, 5.0, 2)
-        assert len(res.complement.bands) == 1
+        assert len(res.complement) == 1
         np.testing.assert_allclose(
-            [res.complement.bands[0].lo, res.complement.bands[0].hi],
+            res.complement.edges[0],
             [-7.0, 7.0],
             atol=1e-9,
         )
 
     def test_sweep_equals_single_sets(self):
-        # the batched sweep decides every delta exactly as a lone call does,
-        # including delta = 4 (touching bands) and delta > 4 (merged bands)
+        # the sweep is jdelta_sets delta by delta.  Up to delta = 4
+        # (touching bands) the sets are the q bands of the Chambers
+        # eigenvalue edges, within 1e-10, or 1e-8 for a band narrower than
+        # 1e-8; above it, where bands merge, every edge solves |Delta| =
+        # delta at 40 digits and every zero of Delta stays inside
         deltas = [1e-3, 0.1, 0.5, 2.0, 4.0, 4.001, 5.0, 6.0, 8.0]
         for q in range(1, 16):
             for p in range(q):
                 if math.gcd(p, q) != 1 and not (p == 0 and q == 1):
                     continue
                 alpha = reduce_fraction(p, q)
+                spec = delta_spec(alpha, 2.0)
+                zeros = sminus_points(alpha, 2.0).energies
                 for res, d in zip(jdelta_sweep(alpha, deltas), deltas):
-                    single = jdelta_sets(alpha, d, 1)
-                    assert res.complement == single.complement, (alpha, d)
-                    assert res.measure_complement == single.measure_complement
-                    assert res.bound_ok == single.bound_ok
+                    assert res.delta == d and res.variant == 1
+                    s = res.complement
+                    if d <= 4.0:
+                        want = jdelta_edges(p, q, d)
+                        tol = np.where(want[:, 1] - want[:, 0] < 1e-8, 1e-8, 1e-10)
+                        assert np.all(np.abs(s.edges - want) <= tol[:, None]), (alpha, d)
+                        continue
+                    assert np.all(s.contains(np.array(zeros))), (alpha, d)
+                    for E in s.edges.ravel().tolist():
+                        target = math.copysign(d, discriminant(spec, E).real)
+                        assert mp_edge_offset(spec, E, target) <= 1e-10, (alpha, d, E)
 
     def test_delta_four_is_union_S(self):
         # 2 + 2 (lam/2)^q = 4 at lam = 2: J_4^c and S(p/q, 2) are one set
@@ -758,9 +768,8 @@ class TestJDelta:
         # being E^3 - 6 E in [-6, 6] for E in [-r, r], r^3 - 6 r = 6
         r = float(np.max(np.roots([1.0, 0.0, -6.0, -6.0]).real))
         for res in (jdelta_sets(THIRD, 6.0, 1), jdelta_sweep(THIRD, [6.0])[0]):
-            assert len(res.complement.bands) == 1
-            band = res.complement.bands[0]
-            np.testing.assert_allclose([band.lo, band.hi], [-r, r], atol=1e-10)
+            assert len(res.complement) == 1
+            np.testing.assert_allclose(res.complement.edges[0], [-r, r], atol=1e-10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -800,27 +809,26 @@ class TestBandEdgeBound:
 class TestSetMeasure:
     def test_single_interval(self):
         s = SpectralSet.from_intervals([(-2 * math.sqrt(2), 2 * math.sqrt(2))])
-        assert set_measure(s) == pytest.approx(4 * math.sqrt(2))
+        assert s.measure == pytest.approx(4 * math.sqrt(2))
 
     def test_touching(self):
         s = SpectralSet.from_intervals([(-2.0, 0.0), (0.0, 2.0)], merge_overlaps=False)
-        assert set_measure(s) == 4.0
+        assert s.measure == 4.0
 
     def test_empty(self):
-        assert set_measure(SpectralSet(())) == 0.0
+        assert SpectralSet(()).measure == 0.0
 
 
 class TestIds:
     def test_free_half_filling(self):
         spec = OperatorSpec.explicit([0.0])
-        assert ids_eval(spec, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert ids_profile(spec, np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_central_gap(self):
-        assert ids_eval(am(1, 2, 2.0, 0.0), 0.0) == pytest.approx(0.5)
+        assert ids_profile(am(1, 2, 2.0, 0.0), np.array([0.0]))[0] == pytest.approx(0.5)
 
     def test_below_spectrum(self):
-        assert ids_eval(am(1, 2, 2.0, 0.3), -10.0) == 0.0
-        assert ids_eval(am(1, 2, 2.0, 0.3), 10.0) == 1.0
+        assert ids_profile(am(1, 2, 2.0, 0.3), np.array([-10.0, 10.0])).tolist() == [0.0, 1.0]
 
     def test_monotone_profile(self):
         for spec in [am(1, 2, 2.0, 0.9), am(2, 5, 2.0, 0.0), am(1, 3, 1.0, 2.0)]:
@@ -830,14 +838,15 @@ class TestIds:
             assert ids[0] == 0.0 and ids[-1] == 1.0
 
     def test_eval_is_profile(self):
-        # gaps, bands and both tails of a three-band spectrum
+        # gaps, bands and both tails of a three-band spectrum: each energy
+        # alone gives what it gives on the grid
         spec = am(1, 3, 2.0, 0.4)
         s = spectrum_bands(spec)
-        assert s.bands[0].lo > -5.0 and s.bands[-1].hi < 5.0
-        assert any(b.hi < nxt.lo for b, nxt in zip(s.bands, s.bands[1:]))
+        assert s.edges[0, 0] > -5.0 and s.edges[-1, 1] < 5.0
+        assert np.any(s.edges[:-1, 1] < s.edges[1:, 0])
         E = np.linspace(-5.0, 5.0, 201)
         prof = ids_profile(spec, E)
-        single = np.array([ids_eval(spec, float(x)) for x in E])
+        single = np.array([ids_profile(spec, E[i : i + 1])[0] for i in range(len(E))])
         np.testing.assert_array_equal(single, prof)
 
     def test_constant_on_gaps(self):
@@ -853,13 +862,13 @@ class TestIds:
         # of D to sqrt(ulp)
         for spec in (am(1, 3, 2.0, 0.4), am(2, 5, 1.0, 0.0), am(5, 13, 2.0, 1.1)):
             q = spec.period
-            bands = spectrum_bands(spec).bands
-            E = np.concatenate([np.linspace(b.lo, b.hi, 203)[1:-1] for b in bands])
+            s = spectrum_bands(spec)
+            E = np.concatenate([np.linspace(lo, hi, 203)[1:-1] for lo, hi in s.edges.tolist()])
             tr, logs = discriminant_grid(spec, E)
             d = np.sign(tr) * np.exp(np.log(np.abs(tr)) + logs)
             phi = np.arccos(np.clip(d / 2.0, -1.0, 1.0))
             j = np.repeat(np.arange(1, q + 1), 201)
-            mono = np.repeat([b.monotonicity for b in bands], 201)
+            mono = np.repeat(s.monotonicity, 201)
             want = np.where(mono > 0, j - phi / math.pi, j - 1 + phi / math.pi) / q
             np.testing.assert_allclose(ids_profile(spec, E), want, rtol=0.0, atol=1e-15)
 

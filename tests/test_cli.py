@@ -322,7 +322,7 @@ class TestOtherCommands:
         margins = []
         for i in range(30):
             n = int(rng.integers(1, 41))
-            chain = products.align_phases(products.random_drift_chain(rng, n, 0.5))
+            chain = products.random_drift_chain(rng, n, 0.5)
             margins += [(m, [i, k + 1]) for k, m in enumerate(products.hypothesis_margins(chain, 0.5))]
         want = min(margins, key=lambda item: item[0])
         assert results["min_hypothesis_margin"] == want[0] > 0.0
@@ -524,6 +524,23 @@ class TestErrorPaths:
         code, out = run_main(capsys, "verify", "--suite", "nonsense")
         assert code == 1
         assert "unknown suites" in json.loads(out)["failures"][0]
+
+    @pytest.mark.parametrize(
+        "q, lam",
+        # a band union where lam = 1 gives S-, three bands where S- is
+        # empty, and a TypeError from a complex root of the threshold
+        [("3", "-1"), ("3", "-3"), ("2", "-3")],
+    )
+    def test_sminus_rejects_nonpositive_coupling(self, q, lam):
+        proc = subprocess.run(
+            [sys.executable, "-m", "almost_mathieu.cli", "sminus", "--p", "1", "--q", q,
+             "--lambda", lam],
+            capture_output=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["failures"] == ["ValueError: coupling must be positive"]
+        assert proc.stderr == b""  # no traceback
 
 
 class TestVerifyCommand:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from almost_mathieu.bands import SpectralSet, set_measure, spectral_union_S
+from almost_mathieu.bands import SpectralSet, spectral_union_S
 from almost_mathieu.core import reduce_fraction
 from almost_mathieu.experiments import (
     BUTTERFLY_QMAX_GUARD,
@@ -252,12 +252,12 @@ class TestKnownLimits:
     def test_lambda_one_measure_limit(self):
         # measure of S approaches |4 - 2 lam| = 2 along golden convergents
         s = spectral_union_S(reduce_fraction(144, 233), 1.0)
-        assert abs(set_measure(s) - 2.0) <= 0.2
+        assert abs(s.measure - 2.0) <= 0.2
 
     def test_critical_measure_trend_decreasing(self):
         # F_n / F_{n+1} for n = 5..16 with F_1 = 1, F_2 = 2
         fib = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
         meas = []
         for fn, fn1 in zip(fib[4:], fib[5:]):
-            meas.append(set_measure(spectral_union_S(reduce_fraction(fn, fn1), 2.0)))
+            meas.append(spectral_union_S(reduce_fraction(fn, fn1), 2.0).measure)
         assert all(b <= a + 1e-6 for a, b in zip(meas, meas[1:]))

@@ -7,6 +7,7 @@ import pytest
 from almost_mathieu.core import Mat2
 from almost_mathieu.products import (
     NonHyperbolicError,
+    _solve_u,
     align_phases,
     eigensystem_2x2,
     hypothesis_margins,
@@ -71,8 +72,6 @@ class TestAlignPhases:
         tw = cmath.exp(1j * math.pi / 3)
         twisted = f.with_phases(tw, tw)
         out = align_phases([twisted, f])
-        from almost_mathieu.products import _solve_u
-
         a_plus, _ = _solve_u(out[1], out[0].phi_plus)
         _, a_minus = _solve_u(out[1], out[0].phi_minus)
         assert a_plus.imag == pytest.approx(0.0, abs=1e-12)
@@ -81,14 +80,29 @@ class TestAlignPhases:
         assert a_minus.real >= 0.0
 
     def test_random_chain_all_diagonal_coeffs_nonnegative(self, rng):
-        from almost_mathieu.products import _solve_u
-
-        chain = align_phases(random_drift_chain(rng, 10, 0.5))
+        chain = random_drift_chain(rng, 10, 0.5)
         for j in range(len(chain) - 1):
             a_plus, _ = _solve_u(chain[j + 1], chain[j].phi_plus)
             _, a_minus = _solve_u(chain[j + 1], chain[j].phi_minus)
             assert a_plus.real >= 0.0 and abs(a_plus.imag) < 1e-10
             assert a_minus.real >= 0.0 and abs(a_minus.imag) < 1e-10
+
+    def test_verify_chains_need_no_alignment(self):
+        # the 200 chains of verify's growth-sandwich check at seed 7: every
+        # diagonal coefficient a_j^+- is already real and positive, so
+        # align_phases moves no eigenvector entry past rounding
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 100))
+            chain = random_drift_chain(rng, n, 0.5)
+            for cur, nxt in zip(chain, chain[1:]):
+                a_plus, _ = _solve_u(nxt, cur.phi_plus)
+                _, a_minus = _solve_u(nxt, cur.phi_minus)
+                for a in (a_plus, a_minus):
+                    assert abs(a.imag) <= 1e-14 * abs(a) and a.real > 0.0
+            for f, g in zip(chain, align_phases(chain)):
+                for u, v in zip(f.phi_plus + f.phi_minus, g.phi_plus + g.phi_minus):
+                    assert abs(u - v) <= 1e-14
 
 
 class TestHypothesisMargins:
@@ -106,7 +120,7 @@ class TestHypothesisMargins:
 
     def test_generated_chains_all_positive(self, rng):
         for _ in range(20):
-            chain = align_phases(random_drift_chain(rng, 30, 0.5))
+            chain = random_drift_chain(rng, 30, 0.5)
             assert all(m > 0.0 for m in hypothesis_margins(chain, 0.5))
 
 
@@ -128,7 +142,7 @@ class TestProductGrowth:
     def test_random_chains_sandwich_and_induction(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 100))
-            chain = align_phases(random_drift_chain(rng, n, 0.5))
+            chain = random_drift_chain(rng, n, 0.5)
             cert = product_growth(chain, 0.5)
             assert cert.passed, cert.fail_location
             assert cert.induction_ok
@@ -139,7 +153,7 @@ class TestProductGrowth:
     def test_recomposition_matches_direct_product(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 25))
-            chain = align_phases(random_drift_chain(rng, n, 0.5))
+            chain = random_drift_chain(rng, n, 0.5)
             if sum(f.gamma for f in chain) > 30:
                 continue
             cert = product_growth(chain, 0.5)
@@ -162,7 +176,7 @@ class TestProductGrowth:
             assert err <= 1e-8 * norm
 
     def test_huge_sum_gamma_survives(self, rng):
-        chain = align_phases(random_drift_chain(rng, 800, 0.5, gamma_range=(1.2, 1.5)))
+        chain = random_drift_chain(rng, 800, 0.5, gamma_range=(1.2, 1.5))
         cert = product_growth(chain, 0.5)
         assert cert.passed
         assert cert.sum_gamma > 900.0
@@ -179,7 +193,7 @@ class TestProductGrowth:
 
     def test_lower_chain_bound(self, rng):
         for _ in range(20):
-            chain = align_phases(random_drift_chain(rng, 50, 0.5))
+            chain = random_drift_chain(rng, 50, 0.5)
             cert = product_growth(chain, 0.5)
             k = len(chain)
             log_a = cert.scale_log[k] + math.log(abs(cert.A[k]))

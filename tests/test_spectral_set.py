@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import almost_mathieu.bands as bands_module
-from almost_mathieu.bands import Band, SpectralSet, set_measure, spectral_union_S
-from almost_mathieu.cli import main
+from almost_mathieu.bands import SpectralSet, spectral_union_S
 from almost_mathieu.core import reduce_fraction
 from almost_mathieu.experiments import box_counting_dimension
 from oracles import (
@@ -99,7 +97,7 @@ class TestAgainstLoops:
         want = 0
         for lo, hi in bands:
             want += hi - lo
-        assert set_measure(SpectralSet(bands)) == float(want)
+        assert SpectralSet(bands).measure == float(want)
 
 
 class TestLayout:
@@ -118,11 +116,6 @@ class TestLayout:
         edges[0, 0] = -1.0
         assert s.edges[0, 0] == 0.0
 
-    def test_bands_view_builds_new_objects(self):
-        s = SpectralSet([(0.0, 1.0), (1.0, 1.0), (2.0, 3.0)], [1, 1, -1])
-        assert s.bands == (Band(0.0, 1.0, 1, 1), Band(1.0, 1.0, 2, 1), Band(2.0, 3.0, 3, -1))
-        assert s.bands is not s.bands and s.bands[0] is not s.bands[0]
-
     def test_len_eq_hash(self):
         a = SpectralSet([(0.0, 1.0), (2.0, 3.0)], [1, -1])
         assert len(a) == 2 and len(SpectralSet(())) == 0
@@ -140,7 +133,7 @@ class TestLayout:
 
     def test_empty_set(self):
         s = SpectralSet(())
-        assert s.measure == 0.0 and s.intervals() == [] and s.bands == ()
+        assert s.measure == 0.0 and s.intervals() == [] and s.edges.shape == (0, 2)
         assert s.distance(0.0) == np.inf and s.contains(0.0) is False
         assert s.intersection_measure(SpectralSet([(0.0, 1.0)])) == 0.0
 
@@ -169,21 +162,7 @@ class TestFootprint:
 
 
 class TestNoBandObjects:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["dimension", "--p", "55", "--q", "89", "--nscales", "4"],
-            ["butterfly", "--qmax", "8", "--format", "csv"],
-            ["butterfly", "--qmax", "8", "--theta-mode", "fixed-theta"],
-        ],
-    )
-    def test_paths_build_no_band(self, monkeypatch, capsys, argv):
-        def no_band(*args, **kwargs):
-            raise AssertionError("a Band object was built")
-
-        monkeypatch.setattr(bands_module, "Band", no_band)
-        assert main(argv) == 0
-        assert capsys.readouterr().out
+    """A set is its two edge arrays, with no object per band."""
 
     def test_union_set_is_ordered(self):
         # contains and distance bisect on the lower edges
