@@ -275,20 +275,15 @@ def cmd_interp_check(args) -> int:
     results = {
         "l0": ip.l0,
         "gate_ok": ip.gate_ok,
-        "lhs_i": rep.lhs_i,
-        "rhs_i": rep.rhs_i,
-        "lhs_ii": rep.lhs_ii,
-        "rhs_ii": rep.rhs_ii,
-        "final_lhs": rep.final_lhs,
-        "final_rhs": rep.final_rhs,
+        "ln_lhs_i": rep.ln_lhs_i,
+        "ln_rhs_i": rep.ln_rhs_i,
         "fitted_cprime": rep.fitted_cprime,
         "window_ok": rep.window_ok,
         "trace_ok": rep.trace_ok,
         "step_i_ok": rep.step_i_ok,
-        "final_ok": rep.final_ok,
     }
     failures = [] if rep.step_i_ok else [
-        f"step (i): lhs_i {_fmt(rep.lhs_i)} exceeds rhs_i {_fmt(rep.rhs_i)}"
+        f"step (i): lhs_i exp({_fmt(rep.ln_lhs_i)}) exceeds rhs_i exp({_fmt(rep.ln_rhs_i)})"
     ]
     return _report(args, results, failures)
 

@@ -10,6 +10,8 @@ contracting eigenvector of the monodromy:
 
 which makes the resolvent factorization, the one-period power law and the
 gamma-Green relation exact identities rather than numerical accidents.
+psi is carried as log |psi| and a unit phase, so a Green function far
+below the smallest float, e^-2439 at 987/1597, keeps a finite logarithm.
 Note the sign bookkeeping: with G = (H - z)^{-1} as defined, the
 factorization reads G(k,l) = -G(k,n) G^{[n+1,inf)}(n+1,l) and therefore
 G(1, m q) = (-1)^{m-1} G(1, q)^m.
@@ -17,6 +19,7 @@ G(1, m q) = (-1)^{m-1} G(1, q)^m.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,7 +30,6 @@ from .core import (
     discriminant_grid,
     eigenvector,
     floquet_exponent,
-    floquet_multiplier,
     monodromy_scaled,
     potential_array,
 )
@@ -39,11 +41,14 @@ __all__ = [
     "lyapunov",
     "lyapunov_grid",
     "green_halfline",
+    "log_green_halfline",
+    "log_green_window",
     "green_identities_check",
     "surace_deviation",
 ]
 
 _UNIMODULAR_TOL = 1e-10
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -138,108 +143,138 @@ def lyapunov_grid(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
 # half-line Green functions
 
 
-def _contracting_eigenpair(spec: OperatorSpec, z: complex):
-    """(mu phase, log |mu|, eigenvector) of the contracting monodromy branch."""
-    m, log_s = monodromy_scaled(spec, z)
-    # det(Phi_q) = 1 structurally, so the scaled determinant is known in
-    # closed form; computing it from the entries would cancel catastrophically
-    # once exp(-2 gamma q) drops below eps
-    det = math.exp(max(-2.0 * log_s, -700.0))
-    # the contracting multiplier of the scaled matrix
-    mu_small_hat = det / floquet_multiplier(m.trace(), det)
-    log_mu = math.log(abs(mu_small_hat)) + log_s
-    if log_mu > -_UNIMODULAR_TOL * spec.period:
-        raise ValueError(
-            "resolvent unbounded: monodromy eigenvalues unimodular "
-            f"(|mu| = exp({log_mu:.2e}))"
-        )
-    v = eigenvector(m, mu_small_hat)
-    if v is None:
-        raise ValueError("degenerate contracting eigenvector")
-    return mu_small_hat / abs(mu_small_hat), log_mu, v
+def _carry_back(
+    z: complex, V: np.ndarray, log_scale: float, upper: complex, lower: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """psi(0), ..., psi(N) as (log |psi|, unit phase) arrays, N = len(V).
+
+    Starts from psi(N + 1) = upper e^log_scale and psi(N) = lower e^log_scale
+    and runs H psi = z psi backwards, psi(n - 1) = (z - V(n)) psi(n) -
+    psi(n + 1) with V(n) = V[n - 1].  Every step divides the pair by the
+    power of two at its larger modulus, which is exact, and counts the
+    exponent, so nothing under- or overflows however far psi grows.  A zero
+    psi(n) reads as log -inf with phase 0.
+    """
+    log_abs = np.empty(len(V) + 1)
+    phase = np.empty(len(V) + 1, dtype=np.complex128)
+    a, b = complex(upper), complex(lower)
+    exponent = 0
+    for n in range(len(V), -1, -1):
+        mag = abs(b)
+        log_abs[n] = log_scale + exponent * _LN2 + math.log(mag) if mag > 0.0 else -math.inf
+        phase[n] = b / mag if mag > 0.0 else 0j
+        if n > 0:
+            a, b = b, (z - V[n - 1]) * b - a
+            e = math.frexp(max(abs(a), abs(b)))[1]
+            f = 2.0**-e
+            a, b = a * f, b * f
+            exponent += e
+    return log_abs, phase
 
 
 class _FloquetSolution:
-    """The decaying solution psi of H psi = z psi on the half line.
+    """The decaying solution psi of H psi = z psi on the half line, in log form.
 
-    psi is stored over one period and extended by powers of the contracting
-    Floquet multiplier; values are handed out in log-magnitude + phase form
-    so that exponentially small entries never underflow intermediate
-    arithmetic.
+    With w = arccosh(D / 2) from the scaled trace, the contracting Floquet
+    multiplier is mu = e^{-w}: log |mu| = -Re w, with no determinant or
+    multiplier ever formed in plain floats.  psi(q + 1), psi(q) = mu v for
+    its eigenvector v, psi(0), ..., psi(q - 1) follow by :func:`_carry_back`
+    (the decaying solution grows in that direction, so the admixture of the
+    complementary solution dies off instead of taking over), and
+    psi(m q + r) = mu^m psi(r) for 1 <= r <= q.
     """
 
     def __init__(self, spec: OperatorSpec, z: complex):
-        self.spec = spec
-        self.z = complex(z)
         self.q = spec.period
-        mu_phase, log_mu, v = _contracting_eigenpair(spec, self.z)
-        self.mu_phase = mu_phase
-        self.log_mu = log_mu
-        mu = mu_phase * math.exp(max(log_mu, -700.0))
-        V = potential_array(spec, 1, self.q)
-        # propagate backwards from (psi(q+1), psi(q)) = mu (psi(1), psi(0)):
-        # the decaying solution grows in that direction, so the admixture of
-        # the complementary solution dies off instead of taking over
-        base = np.empty(self.q + 2, dtype=np.complex128)
-        base[self.q + 1] = mu * v[0]
-        base[self.q] = mu * v[1]
-        for n in range(self.q, 0, -1):
-            base[n - 1] = (self.z - V[n - 1]) * base[n] - base[n + 1]
-        self.base = base[: self.q + 1]
+        self.z = z = complex(z)
+        m, log_s = monodromy_scaled(spec, z)
+        w = complex(floquet_exponent(m.trace(), log_s))
+        self.log_mu = -w.real
+        if self.log_mu > -_UNIMODULAR_TOL * self.q:
+            raise ValueError(
+                "resolvent unbounded: monodromy eigenvalues unimodular "
+                f"(|mu| = exp({self.log_mu:.2e}))"
+            )
+        self.mu_phase = cmath.exp(-1j * w.imag)
+        # the contracting multiplier of the scaled matrix may underflow to
+        # 0.0; that moves v by less than 1e-308 of its length, since one of
+        # the two rows eigenvector() chooses from holds the unit entry
+        v = eigenvector(m, self.mu_phase * math.exp(self.log_mu - log_s))
+        if v is None:
+            raise ValueError("degenerate contracting eigenvector")
+        self.log_abs, self.phase = _carry_back(
+            z, potential_array(spec, 1, self.q), self.log_mu,
+            self.mu_phase * v[0], self.mu_phase * v[1],
+        )
 
     def log_value(self, n: int) -> tuple[float, complex]:
         """psi(n) as (log magnitude, unit phase)."""
-        m, r = divmod(n, self.q)
-        val = self.base[r]
-        mag = abs(val)
-        if mag == 0.0:
-            return -math.inf, 0j
-        log_mag = math.log(mag) + m * self.log_mu
-        phase = (val / mag) * self.mu_phase**m
-        return log_mag, phase
+        m = max(n - 1, 0) // self.q
+        r = n - m * self.q
+        return float(self.log_abs[r]) + m * self.log_mu, complex(self.phase[r]) * self.mu_phase**m
 
-    def ratio(self, num: int, den: int) -> complex:
-        """psi(num) / psi(den), safe against under/overflow."""
-        ln, pn = self.log_value(num)
-        ld, pd = self.log_value(den)
+    def log_green(self, k: int, l: int) -> tuple[float, complex]:
+        """G^{[k,inf)}(k, l; z) = -psi(l) / psi(k - 1) as (log magnitude, unit phase)."""
+        ln, pn = self.log_value(l)
+        ld, pd = self.log_value(k - 1)
         if ld == -math.inf:
             raise ValueError("resolvent unbounded: decaying solution vanishes")
-        if ln == -math.inf:
-            return 0j
-        log_ratio = ln - ld
-        if log_ratio < -745.0:
-            return 0j
-        if log_ratio > 709.0:
-            raise OverflowError("Green function magnitude overflows a float")
-        return math.exp(log_ratio) * pn / pd
-
-    def abs2_sum_from(self, start: int) -> float:
-        """sum_{n >= start} |psi(n)|^2 / |psi(start)|^2 anchored at start.
-
-        Closed form over periods: the tail is geometric with ratio
-        |mu|^2 < 1, so no truncation error at all.
-        """
-        ls, _ = self.log_value(start)
-        total = 0.0
-        # one full period starting at `start`
-        for n in range(start, start + self.q):
-            lv, _ = self.log_value(n)
-            rel = lv - ls
-            if rel > -350.0:
-                total += math.exp(2.0 * rel)
-        ratio = math.exp(2.0 * self.log_mu)
-        return total / (1.0 - ratio)
+        return ln - ld, -pn / pd
 
 
-def green_halfline(spec: OperatorSpec, k: int, l: int, z: complex) -> complex:
-    """G^{[k,inf)}(k, l; z) from the decaying Floquet solution.
+def log_green_halfline(spec: OperatorSpec, k: int, l: int, z: complex) -> tuple[float, complex]:
+    """G^{[k,inf)}(k, l; z) as (ln |G|, unit phase), from the decaying Floquet solution.
 
     Requires a bounded resolvent: Im z > 0 always works; real z works off
-    the spectrum (gamma > 0) away from half-line bound states.
+    the spectrum (gamma > 0) away from half-line bound states.  ln |G| stays
+    finite where |G| is far below the smallest float, as at
+    987/1597, where ln |G(1, q)| = -q gamma is about -2439 at z = 5 + 0.5i.
     """
     if l < k:
         raise ValueError("need l >= k")
-    return -_FloquetSolution(spec, z).ratio(l, k - 1)
+    return _FloquetSolution(spec, z).log_green(k, l)
+
+
+def log_green_window(
+    tail: OperatorSpec, window: np.ndarray, z: complex
+) -> tuple[float, complex]:
+    """G^{[1,inf)}(1, N + 1; z) as (ln |G|, unit phase), N = len(window).
+
+    The operator's potential is window[n - 1] on the sites n = 1..N and the
+    periodic ``tail`` at the absolute sites n > N.  Its decaying solution is
+    the tail's from site N on, since the equations there see only the tail;
+    :func:`_carry_back` carries it through the window sites N, ..., 1 to
+    psi(0), and G(1, N + 1) = -psi(N + 1) / psi(0).
+    """
+    sol = _FloquetSolution(tail, z)
+    n = len(window)
+    (l_up, p_up), (l_lo, p_lo) = sol.log_value(n + 1), sol.log_value(n)
+    top = max(l_up, l_lo)
+    log_abs, phase = _carry_back(
+        sol.z, window, top, p_up * math.exp(l_up - top), p_lo * math.exp(l_lo - top)
+    )
+    if log_abs[0] == -math.inf:
+        raise ValueError("resolvent unbounded: decaying solution vanishes")
+    return l_up - float(log_abs[0]), -p_up / complex(phase[0])
+
+
+def green_halfline(spec: OperatorSpec, k: int, l: int, z: complex) -> complex:
+    """G^{[k,inf)}(k, l; z) as a complex float: :func:`log_green_halfline`, exponentiated.
+
+    Below about e^-745 the value underflows to 0; an ln |G| above 709
+    raises ``OverflowError``.
+    """
+    ln, phase = log_green_halfline(spec, k, l, z)
+    return phase * math.exp(ln)
+
+
+def _log_gap(a: tuple[float, complex], b: tuple[float, complex]) -> float:
+    """|ln(a / b)| for two values in (log magnitude, unit phase) form.
+
+    Near a = b this is the relative residual |a - b| / |a|, and it stays
+    finite where a and b underflow.
+    """
+    return abs(complex(a[0] - b[0], cmath.phase(a[1] / b[1])))
 
 
 def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdentityReport:
@@ -251,6 +286,13 @@ def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdent
       G(k,l) = -G(k,n) G^{[n+1,inf)}(n+1,l)           (k < n < l)
       G(1, m q) = (-1)^{m-1} G(1, q)^m
       sum_k |G(1,k)|^2 = Im G(1,1) / eps <= 1 / eps^2
+
+    The first two are compared in log form, as |ln(lhs / rhs)|, so they
+    stay finite where G underflows.  They are not independent checks: the
+    factorization follows from the ratio formula G(k,l) = -psi(l) /
+    psi(k-1) alone, and the power law from it and psi(n + q) = mu psi(n),
+    so it checks only that the backward recurrence closes over one period.
+    Only the l^2 identity is independent of the construction.
     """
     z = complex(z)
     eps = z.imag
@@ -260,32 +302,29 @@ def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdent
         raise ValueError("m must be >= 1")
     q = spec.period
     sol = _FloquetSolution(spec, z)
-
-    def g(k: int, l: int) -> complex:
-        return -sol.ratio(l, k - 1)
+    g = sol.log_green
 
     # factorization across a few interior splits
-    fact_res = 0.0
     l_far = 2 * q + 1
+    fact_res = 0.0
     for n in (1, q, q + 1):
-        lhs = g(1, l_far)
-        rhs = -g(1, n) * g(n + 1, l_far)
-        fact_res = max(fact_res, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+        (l_kn, p_kn), (l_nl, p_nl) = g(1, n), g(n + 1, l_far)
+        fact_res = max(fact_res, _log_gap(g(1, l_far), (l_kn + l_nl, -p_kn * p_nl)))
 
     # one-period power law
-    g_q = g(1, q)
-    g_mq = g(1, m * q)
-    power_res = abs(g_mq - (-1.0) ** (m - 1) * g_q**m) / max(abs(g_q) ** m, 1e-300)
+    l_q, p_q = g(1, q)
+    power_res = _log_gap(g(1, m * q), (m * l_q, (-1.0) ** (m - 1) * p_q**m))
 
-    # l^2 row sum against the imaginary part, k0 = 1:
-    # sum_k |G(1,k)|^2 = sum_{n>=1} |psi(n)|^2 / |psi(0)|^2
-    l2 = float(sol.abs2_sum_from(1) * abs(sol.ratio(1, 0)) ** 2)
-    im_id = float(abs(complex(g(1, 1)).imag) / eps)
+    # l^2 row sum against the imaginary part, k0 = 1: sum_k |G(1,k)|^2 is
+    # one period of |psi(n) / psi(0)|^2, n = 1..q, summed geometrically with
+    # ratio |mu|^2 < 1
+    l_11, p_11 = g(1, 1)
+    one_period = np.exp(2.0 * (sol.log_abs[1:] - sol.log_abs[0]))
+    l2 = float(np.sum(one_period) / -math.expm1(2.0 * sol.log_mu))
+    im_id = abs((p_11 * math.exp(l_11)).imag) / eps
     l2_res = abs(l2 - im_id) / max(im_id, 1e-300)
 
-    return GreenIdentityReport(
-        z, m, float(fact_res), float(power_res), l2, float(l2_res), eps
-    )
+    return GreenIdentityReport(z, m, fact_res, power_res, l2, l2_res, eps)
 
 
 def surace_deviation(

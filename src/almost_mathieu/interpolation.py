@@ -11,8 +11,9 @@ site V~ is exactly the fine potential.  The machinery here builds that
 operator, checks that the phase window keeps the energy uniformly
 hyperbolic (D_theta < -2 - 3 delta / 4 through Chambers' formula), forms
 the inverse transfer blocks whose traces certify a per-block exponent
-floor, and compares the two half-line Green functions by dense truncated
-resolvent solves.
+floor, and compares the two half-line Green functions in log form: G from
+the fine operator's decaying Floquet solution, G~ from the frozen tail's,
+carried back through the window by the same recurrence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Mat2,
@@ -33,6 +33,7 @@ from .core import (
     monodromy_scaled,
     potential_array,
 )
+from .greens import log_green_halfline, log_green_window
 
 # the constant C of the closeness gate |p~/q~ - p/q| <= C^{-q} delta^2
 CLOSENESS_GATE = 50
@@ -42,25 +43,13 @@ __all__ = [
     "WindowReport",
     "TraceMarginReport",
     "ComparisonReport",
-    "TruncationError",
     "gate_eta",
     "build_intermediate",
     "window_check",
     "inverse_blocks",
     "trace_margin_check",
     "green_comparison",
-    "truncated_green_row",
 ]
-
-TAIL_TOL = 1e-12
-
-
-class TruncationError(RuntimeError):
-    def __init__(self, achieved: float):
-        super().__init__(
-            f"truncated resolvent tail {achieved:.3e} exceeds {TAIL_TOL:.0e}"
-        )
-        self.achieved_tail = achieved
 
 
 @dataclass(frozen=True)
@@ -82,25 +71,35 @@ class IntermediatePotential:
     def drift(self) -> Fraction:
         return self.fine.as_fraction() - self.base.as_fraction()
 
-    def theta(self, n: int) -> float:
-        """theta_n = 2 pi (p~/q~ - p/q) n, frozen at the freeze site."""
-        n_eff = min(n, self.freeze_site)
+    def theta(self, n):
+        """theta_n = 2 pi (p~/q~ - p/q) n, frozen at the freeze site.
+
+        n is a site or an integer array of sites; the phase is reduced mod
+        2 pi in int64 before it is scaled.
+        """
+        n_eff = np.minimum(n, self.freeze_site)
         d = self.drift()
-        frac = (d.numerator * n_eff) % d.denominator if d != 0 else 0
-        den = d.denominator if d != 0 else 1
-        return 2.0 * math.pi * frac / den
+        return 2.0 * math.pi * ((d.numerator * n_eff) % d.denominator) / d.denominator
+
+    def fine_spec(self) -> OperatorSpec:
+        return OperatorSpec.almost_mathieu(self.fine, 2.0, 0.0)
+
+    def frozen_spec(self) -> OperatorSpec:
+        """The coarse operator at the frozen phase theta_{l0 q}, at absolute sites."""
+        return OperatorSpec.almost_mathieu(self.base, 2.0, self.theta(self.freeze_site))
 
     def potential_array(self, start: int, count: int) -> np.ndarray:
         """V~(start), ..., V~(start + count - 1).
 
-        The fine potential (theta 0) below the freeze site, the coarse one at
-        the frozen phase theta_{l0 q} from it on.
+        The fine potential (theta 0) below the freeze site, the frozen one
+        from it on.
         """
-        fine = OperatorSpec.almost_mathieu(self.fine, 2.0, 0.0)
-        frozen = OperatorSpec.almost_mathieu(self.base, 2.0, self.theta(self.freeze_site))
         k = min(max(self.freeze_site - start, 0), count)  # the sites below it
         return np.concatenate(
-            (potential_array(fine, start, k), potential_array(frozen, start + k, count - k))
+            (
+                potential_array(self.fine_spec(), start, k),
+                potential_array(self.frozen_spec(), start + k, count - k),
+            )
         )
 
 
@@ -127,24 +126,18 @@ class TraceMarginReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Step (i) in natural logs: ln |G(1, q q~)| against ln((5 / eps^3) |G~(1, l0 q)|)."""
+
     epsilon: float
-    lhs_i: float
-    rhs_i: float
-    lhs_ii: float
-    rhs_ii: float
-    final_lhs: float
-    final_rhs: float
+    ln_lhs_i: float
+    ln_rhs_i: float
     fitted_cprime: float
     window_ok: bool
     trace_ok: bool
 
     @property
     def step_i_ok(self) -> bool:
-        return self.lhs_i <= self.rhs_i * (1.0 + 1e-12)
-
-    @property
-    def final_ok(self) -> bool:
-        return self.final_lhs <= self.final_rhs * (1.0 + 1e-12)
+        return self.ln_lhs_i <= self.ln_rhs_i + 1e-12
 
 
 def gate_eta(q: int, delta: float) -> Fraction:
@@ -192,14 +185,8 @@ def window_check(ip: IntermediatePotential, E: float) -> WindowReport:
     q = ip.base.q
     thr = -2.0 - 0.75 * ip.delta
     dval = chambers_delta(ip.base, 2.0, E)
-    d = ip.drift()
     n_j = np.arange(0, ip.freeze_site + 1, dtype=np.int64)
-    if d != 0:
-        frac = (d.numerator * n_j) % d.denominator
-        thetas = 2.0 * math.pi * frac.astype(np.float64) / d.denominator
-    else:
-        thetas = np.zeros(len(n_j))
-    d_theta = dval - 2.0 * np.cos(q * thetas)
+    d_theta = dval - 2.0 * np.cos(q * ip.theta(n_j))
     margins = thr - d_theta
     worst = int(np.argmin(margins))
     return WindowReport(
@@ -249,70 +236,37 @@ def trace_margin_check(
     )
 
 
-def truncated_green_row(
-    potential: np.ndarray, z: complex, n_sites: int
-) -> np.ndarray:
-    """Row G(1, .) of the half-line resolvent, dense banded solve.
-
-    potential[i] is V(i+1); raises TruncationError unless the solution has
-    decayed below TAIL_TOL at the boundary.
-    """
-    ab = np.zeros((3, n_sites), dtype=np.complex128)
-    ab[0, 1:] = 1.0
-    ab[1, :] = potential[:n_sites] - z
-    ab[2, :-1] = 1.0
-    rhs = np.zeros(n_sites, dtype=np.complex128)
-    rhs[0] = 1.0
-    x = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    tail = float(max(abs(x[-1]), abs(x[-2])))
-    if tail > TAIL_TOL:
-        raise TruncationError(tail)
-    return x
-
-
 def green_comparison(
     ip: IntermediatePotential, E: float, epsilon: float
 ) -> ComparisonReport:
-    """Two-step Green comparison between fine and intermediate operators.
+    """Step (i) of the Green comparison between fine and intermediate operators.
 
-    Step (i): |G(1, q q~)| <= (5 / eps^3) |G~(1, l0 q)|.  Step (ii) is
-    reported through the fitted decay constant c' solving
-    |G~(1, l0 q)| = (4 / eps) exp(-c' delta q~ / q), and the combined bound
-    |G(1, q q~)| <= (20 / eps^4) exp(-c' delta q~ / q) with that same c'.
+    Step (i): |G(1, q q~)| <= (5 / eps^3) |G~(1, l0 q)|, decided on natural
+    logs, which stay finite where both sides underflow.  G is read off the
+    fine operator's decaying Floquet solution, and G~ off the frozen
+    operator's, carried back through the fine window sites below the
+    freeze site l0 q by the same recurrence (:func:`log_green_window`).
+
+    The fitted decay constant c' solving |G~(1, l0 q)| = (4 / eps)
+    exp(-c' delta q~ / q) is a diagnostic: it is fitted from G~ itself, so
+    it bounds nothing.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     z = complex(E, epsilon)
     q, qt = ip.base.q, ip.fine.q
-    n_sites = 4 * q * qt + int(math.ceil(50.0 / epsilon))
+    ln_g = log_green_halfline(ip.fine_spec(), 1, q * qt, z)[0]
+    window = ip.potential_array(1, ip.freeze_site - 1)
+    ln_g_tilde = log_green_window(ip.frozen_spec(), window, z)[0]
 
-    v_fine = potential_array(OperatorSpec.almost_mathieu(ip.fine, 2.0, 0.0), 1, n_sites)
-    v_mid = ip.potential_array(1, n_sites)
-
-    g_fine = truncated_green_row(v_fine, z, n_sites)
-    g_mid = truncated_green_row(v_mid, z, n_sites)
-
-    lhs_i = float(abs(g_fine[q * qt - 1]))
-    g_tilde = float(abs(g_mid[ip.freeze_site - 1]))
-    rhs_i = 5.0 / epsilon**3 * g_tilde
-
-    cprime = -math.log(epsilon * g_tilde / 4.0) * q / (ip.delta * qt)
-    decay = math.exp(-cprime * ip.delta * qt / q)
-    rhs_ii = 4.0 / epsilon * decay
-    final_rhs = 20.0 / epsilon**4 * decay
-
-    win = window_check(ip, E)
-    tr = trace_margin_check(ip, E, epsilon)
+    ln_rhs_i = math.log(5.0) - 3.0 * math.log(epsilon) + ln_g_tilde
+    cprime = -(math.log(epsilon / 4.0) + ln_g_tilde) * q / (ip.delta * qt)
 
     return ComparisonReport(
         epsilon=float(epsilon),
-        lhs_i=lhs_i,
-        rhs_i=rhs_i,
-        lhs_ii=g_tilde,
-        rhs_ii=rhs_ii,
-        final_lhs=lhs_i,
-        final_rhs=final_rhs,
+        ln_lhs_i=ln_g,
+        ln_rhs_i=ln_rhs_i,
         fitted_cprime=cprime,
-        window_ok=win.ok,
-        trace_ok=tr.ok,
+        window_ok=window_check(ip, E).ok,
+        trace_ok=trace_margin_check(ip, E, epsilon).ok,
     )

@@ -2,7 +2,8 @@
 
 Each oracle takes a route that shares nothing with the library path it
 checks: exact Fraction arithmetic, hand-derived closed forms for small
-periods, dense truncated resolvent solves, finite differences,
+periods, dense truncated resolvent solves, 40-digit mpmath transfer
+products, finite differences,
 eigenvalue-based band edges, and numpy matrix products over potentials
 written out from their defining formulas.  Some are plain-loop forms of
 library routines instead, kept as bitwise references: ``five_array_grid``,
@@ -220,6 +221,37 @@ def truncated_halfline_green(
     for col, s in enumerate(sources):
         rhs[s - 1, col] = 1.0
     return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+def mp_halfline_green(V, z: complex, sites, dps: int = 40):
+    """(mu, {l: G^{[1,inf)}(1, l; z)}) of the period-len(V) operator, at ``dps`` digits.
+
+    ``V[i]`` is V(i + 1), taken as exact floats.  The monodromy is an
+    unscaled mpmath transfer product, D its trace, the larger multiplier
+    (D +- sqrt(D^2 - 4)) / 2 and mu its reciprocal (det 1), with no
+    cancellation however large D is.  For 1 <= l <= q, psi(q + 1), psi(q) =
+    mu v for the eigenvector v of mu, psi(n - 1) = (z - V(n)) psi(n) -
+    psi(n + 1) back to psi(0), and G(1, l) = -psi(l) / psi(0).  Every value
+    is an mpc; nothing is rescaled, since mpmath's exponent has no bound.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = mpmath.mpc(complex(z).real, complex(z).imag)
+        vs = [mpmath.mpf(float(v)) for v in V]
+        a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for v in vs:
+            e = x - v
+            a, b, c, d = e * a - c, e * b - d, a, b
+        tr = a + d
+        s = mpmath.sqrt(tr * tr - 4)
+        big = max((tr + s) / 2, (tr - s) / 2, key=abs)
+        mu = 1 / big
+        v0, v1 = (b, mu - a) if abs(b) + abs(mu - a) >= abs(mu - d) + abs(c) else (mu - d, c)
+        psi = {len(vs) + 1: mu * v0, len(vs): mu * v1}
+        for n in range(len(vs), 0, -1):
+            psi[n - 1] = (x - vs[n - 1]) * psi[n] - psi[n + 1]
+        return mu, {l: -psi[l] / psi[0] for l in sites}
 
 
 def am_potential_range(alpha_p: int, alpha_q: int, lam: float, theta: float, n_sites: int) -> np.ndarray:

@@ -253,7 +253,7 @@ def test_criterion_11_interpolation_machinery():
         ok,
         rt,
         120.0,
-        f"zero-drift dev {trace_dev:.1e}, step (i) {rep.lhs_i:.3e} <= {rep.rhs_i:.3e}",
+        f"zero-drift dev {trace_dev:.1e}, step (i) ln {rep.ln_lhs_i:.3f} <= {rep.ln_rhs_i:.3f}",
     )
 
 

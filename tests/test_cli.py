@@ -335,8 +335,13 @@ class TestOtherCommands:
             "--delta", "0.25", "--epsilon", "0.1",
         )
         assert code == 0
-        doc = json.loads(out)
-        assert doc["results"]["step_i_ok"]
+        results = json.loads(out)["results"]
+        assert results["step_i_ok"]
+        assert list(results) == [
+            "l0", "gate_ok", "ln_lhs_i", "ln_rhs_i", "fitted_cprime",
+            "window_ok", "trace_ok", "step_i_ok",
+        ]
+        assert results["ln_lhs_i"] <= results["ln_rhs_i"]
 
     def test_measure_decay(self, capsys):
         code, out = run_main(
@@ -657,7 +662,7 @@ def failing_product_growth(chain, beta):
 
 def failing_green_comparison(*args):
     rep = interpolation.green_comparison(*args)
-    return dataclasses.replace(rep, lhs_i=2.0 * rep.rhs_i)
+    return dataclasses.replace(rep, ln_lhs_i=rep.ln_rhs_i + 1.0)
 
 
 def failing_construct_alpha(c, j_max):

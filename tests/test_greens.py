@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,12 +10,14 @@ from almost_mathieu.core import OperatorSpec, potential_array, reduce_fraction
 from almost_mathieu.greens import (
     green_halfline,
     green_identities_check,
+    log_green_halfline,
+    log_green_window,
     lyapunov,
     lyapunov_grid,
     surace_deviation,
 )
 from conftest import random_reduced
-from oracles import truncated_halfline_green
+from oracles import mp_halfline_green, truncated_halfline_green
 
 FREE = OperatorSpec.explicit([0.0])
 
@@ -135,6 +138,50 @@ class TestGreenHalfline:
             got = green_halfline(spec, k, l, z)
             assert got == pytest.approx(complex(col[l - k]), rel=1e-8, abs=1e-12)
 
+    def test_past_e_minus_350_matches_dense_oracle(self):
+        # q gamma is about 355 here: a clamp of the scaled determinant at
+        # e^-700 once moved |G| to 4.07e-150
+        spec = am(144, 233, 2.0, 0.0)
+        z = 5.0 + 0.5j
+        n_sites = 1000
+        col = truncated_halfline_green(potential_array(spec, 1, n_sites), z, [1], n_sites)[:, 0]
+        got = green_halfline(spec, 1, 233, z)
+        assert got == pytest.approx(complex(col[232]), rel=1e-10)
+        assert abs(got) == pytest.approx(2.700157e-155, rel=1e-6)
+
+    @pytest.mark.parametrize("z", [5.0 + 0.5j, 0.3 + 0.5j])
+    def test_below_smallest_float_matches_mpmath(self, z):
+        # |G(1, q)| is e^-2439 and e^-813 at 987/1597: the log form against
+        # an unscaled 40-digit transfer product and its backward recurrence
+        spec = am(987, 1597, 2.0, 0.0)
+        sites = (1, 2, 798, 1597)
+        mu, want = mp_halfline_green(potential_array(spec, 1, 1597), z, sites)
+        assert -float(mpmath.log(abs(mu))) > 800.0
+        for l in sites:
+            ln_g, phase = log_green_halfline(spec, 1, l, z)
+            assert ln_g == pytest.approx(float(mpmath.log(abs(want[l]))), rel=0.0, abs=1e-11)
+            assert abs(phase - complex(want[l] / abs(want[l]))) <= 1e-11
+        # G(1, q) = -mu, and one more period multiplies it by mu
+        ln_q, _ = log_green_halfline(spec, 1, 1597, z)
+        ln_2q, _ = log_green_halfline(spec, 1, 2 * 1597, z)
+        assert ln_2q == pytest.approx(2.0 * float(mpmath.log(abs(mu))), rel=1e-13)
+        assert green_halfline(spec, 1, 1597, z) == 0j
+
+    def test_window_then_tail_matches_dense_oracle(self, rng):
+        # an arbitrary potential on sites 1..n, the periodic tail at its
+        # absolute sites after: G(1, n + 1) against a dense truncated solve
+        tail = am(2, 7, 2.0, 0.9)
+        z = 0.3 + 0.2j
+        for n in (0, 1, 5, 12):
+            window = rng.uniform(-2.0, 2.0, n)
+            V = np.concatenate((window, potential_array(tail, n + 1, 1500)))
+            col = truncated_halfline_green(V, z, [1], len(V))[:, 0]
+            ln_g, phase = log_green_window(tail, window, z)
+            assert phase * math.exp(ln_g) == pytest.approx(complex(col[n]), rel=1e-10)
+        assert log_green_window(tail, np.empty(0), z) == pytest.approx(
+            log_green_halfline(tail, 1, 1, z), rel=1e-14
+        )
+
     def test_real_energy_in_spectrum_rejected(self):
         with pytest.raises(ValueError):
             green_halfline(FREE, 1, 1, 1.0)
@@ -174,6 +221,17 @@ class TestGreenIdentities:
         col = truncated_halfline_green(V, z, [1], n_sites)[:, 0]
         oracle_sum = float(np.sum(np.abs(col) ** 2))
         assert rep.l2_sum == pytest.approx(oracle_sum, rel=1e-8)
+
+    @pytest.mark.parametrize("z", [5.0 + 0.5j, 0.3 + 0.5j])
+    def test_finite_residuals_at_987_1597(self, z):
+        # G(1, q) is far below the smallest float: the residuals compare
+        # logs, not two zeros, and the l^2 identity stays independent
+        rep = green_identities_check(am(987, 1597, 2.0, 0.0), z, 2)
+        assert rep.ok
+        assert 0.0 < rep.power_residual <= 1e-10
+        assert rep.factorization_residual <= 1e-10
+        assert rep.l2_identity_residual <= 1e-10
+        assert 0.0 < rep.l2_sum <= 4.0
 
     def test_epsilon_one_bound(self, rng):
         for _ in range(5):

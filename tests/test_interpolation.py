@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,16 +12,20 @@ from almost_mathieu.core import (
     reduce_fraction,
 )
 from almost_mathieu.interpolation import (
-    TruncationError,
     build_intermediate,
     green_comparison,
     inverse_blocks,
     trace_margin_check,
-    truncated_green_row,
     window_check,
 )
 from almost_mathieu.products import align_phases, eigensystem_2x2, hypothesis_margins, product_growth
-from oracles import intermediate_potential, transfer_product
+from oracles import (
+    am_potential_range,
+    intermediate_potential,
+    mp_halfline_green,
+    transfer_product,
+    truncated_halfline_green,
+)
 
 HALF = reduce_fraction(1, 2)
 ZERO = reduce_fraction(0, 1)
@@ -219,7 +224,6 @@ class TestGreenComparison:
         ip = build_intermediate(HALF, HALF, 1.0, ctilde=1.0)
         rep = green_comparison(ip, 0.0, 0.2)
         assert rep.step_i_ok
-        assert rep.final_ok
         # identical operators: G~ equals G at the window site
         assert rep.window_ok
 
@@ -227,32 +231,71 @@ class TestGreenComparison:
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=0.5)
         rep = green_comparison(ip, 0.0, 0.1)
         assert rep.step_i_ok
-        assert rep.final_ok
         assert rep.fitted_cprime > 0.0
         assert rep.window_ok and rep.trace_ok
 
     def test_sanity_at_large_epsilon(self):
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=0.5)
         rep = green_comparison(ip, 0.5, 1.0)
-        assert rep.lhs_i <= 1.0 + 1e-12
-        assert rep.lhs_ii <= 1.0 + 1e-12
+        # |G| and |G~| are at most 1 / eps = 1; at eps = 1, rhs_i = 5 |G~|
+        assert rep.ln_lhs_i <= 1e-12
+        assert rep.ln_rhs_i - math.log(5.0) <= 1e-12
 
     def test_perturbation_stability(self):
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=0.5)
         rep_a = green_comparison(ip, 0.37, 0.1)
         rep_b = green_comparison(ip, 0.37 + 1e-12, 0.1)
-        for fa, fb in (
-            (rep_a.lhs_i, rep_b.lhs_i),
-            (rep_a.lhs_ii, rep_b.lhs_ii),
-            (rep_a.fitted_cprime, rep_b.fitted_cprime),
-        ):
-            assert fa == pytest.approx(fb, rel=1e-6)
+        assert rep_a.ln_lhs_i == pytest.approx(rep_b.ln_lhs_i, rel=0.0, abs=1e-6)
+        assert rep_a.ln_rhs_i == pytest.approx(rep_b.ln_rhs_i, rel=0.0, abs=1e-6)
+        assert rep_a.fitted_cprime == pytest.approx(rep_b.fitted_cprime, rel=1e-6)
         assert rep_a.step_i_ok == rep_b.step_i_ok
 
-    def test_truncation_certificate(self):
-        v = np.zeros(60)
-        with pytest.raises(TruncationError):
-            truncated_green_row(v, 0.0 + 1e-4j, 60)
+    @pytest.mark.parametrize(
+        "base, fine, delta, ctilde, eps",
+        [
+            (HALF, FINE, 0.25, 0.5, 0.1),
+            (HALF, HALF, 1.0, 1.0, 0.2),
+            (reduce_fraction(2, 5), reduce_fraction(13, 32), 0.25, 0.5, 0.1),
+        ],
+    )
+    def test_matches_dense_oracle(self, base, fine, delta, ctilde, eps):
+        # G(1, q q~) and G~(1, l0 q) against dense truncated solves of the
+        # fine and the two-scale potentials, written out from their formulas
+        ip = build_intermediate(base, fine, delta, ctilde=ctilde)
+        rep = green_comparison(ip, 0.0, eps)
+        z = complex(0.0, eps)
+        n_sites = 4 * base.q * fine.q + int(math.ceil(50.0 / eps))
+        v_fine = am_potential_range(fine.p, fine.q, 2.0, 0.0, n_sites)
+        v_mid = intermediate_potential(
+            base.p, base.q, fine.p, fine.q, ip.freeze_site, range(1, n_sites + 1)
+        )
+        g = truncated_halfline_green(v_fine, z, [1], n_sites)[base.q * fine.q - 1, 0]
+        g_tilde = truncated_halfline_green(v_mid, z, [1], n_sites)[ip.freeze_site - 1, 0]
+        assert rep.ln_lhs_i == pytest.approx(math.log(abs(g)), rel=0.0, abs=1e-12)
+        ln_g_tilde = rep.ln_rhs_i - math.log(5.0) + 3.0 * math.log(eps)
+        assert ln_g_tilde == pytest.approx(math.log(abs(g_tilde)), rel=0.0, abs=1e-12)
+        cprime = -math.log(eps * abs(g_tilde) / 4.0) * base.q / (delta * fine.q)
+        assert rep.fitted_cprime == pytest.approx(cprime, rel=1e-10)
+
+    def test_step_i_on_finite_logs_at_7000_14001(self):
+        # |G(1, q q~)| is e^-16430, far below the smallest float; step (i)
+        # compares logs.  G is q = 2 fine periods, so |G| = |mu|^2 for the
+        # contracting multiplier, here from a 40-digit transfer product; G~
+        # is e^-337, where a dense truncated solve still reaches it
+        ip = build_intermediate(HALF, reduce_fraction(7000, 14001), 0.3, ctilde=0.05)
+        eps = 0.1
+        rep = green_comparison(ip, 0.0, eps)
+        z = complex(0.0, eps)
+        mu, _ = mp_halfline_green(am_potential_range(7000, 14001, 2.0, 0.0, 14001), z, ())
+        assert rep.ln_lhs_i == pytest.approx(2.0 * float(mpmath.log(abs(mu))), rel=0.0, abs=1e-9)
+        assert rep.ln_lhs_i == pytest.approx(-16429.56, abs=0.01)
+        n_sites = ip.freeze_site + 1000
+        v_mid = intermediate_potential(1, 2, 7000, 14001, ip.freeze_site, range(1, n_sites + 1))
+        g_tilde = truncated_halfline_green(v_mid, z, [1], n_sites)[ip.freeze_site - 1, 0]
+        ln_g_tilde = rep.ln_rhs_i - math.log(5.0) + 3.0 * math.log(eps)
+        assert ln_g_tilde == pytest.approx(math.log(abs(g_tilde)), rel=0.0, abs=1e-10)
+        assert rep.ln_rhs_i == pytest.approx(-328.17, abs=0.01)
+        assert rep.step_i_ok
 
 
 class TestGrowthTheoremApplication:
