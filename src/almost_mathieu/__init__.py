@@ -8,7 +8,6 @@ from .core import (
     delta,
     discriminant,
     eigenvector,
-    floquet_multiplier,
     monodromy_scaled,
     potential_array,
     reduce_fraction,
@@ -24,7 +23,6 @@ __all__ = [
     "delta",
     "discriminant",
     "eigenvector",
-    "floquet_multiplier",
     "monodromy_scaled",
     "potential_array",
     "reduce_fraction",

@@ -232,12 +232,11 @@ class SminusPoints:
 class JDeltaResult:
     """J_delta represented through its bounded complement J_delta^c."""
 
-    variant: int
     delta: float
     complement: SpectralSet
     measure_complement: float
-    bound: float | None
-    bound_ok: bool | None
+    bound: float
+    bound_ok: bool
 
 
 @dataclass(frozen=True)
@@ -516,7 +515,7 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     |D_theta| >= 2, so |Delta(E*)| >= 2 + 2 (lam/2)^q: the thresholds of S
     (equal to it), S- (2 - 2 (lam/2)^q) and J_delta^c for delta <= 4 lie at
     or below it.  For delta > 4, neighbouring pieces can end on the same
-    separator float, and :func:`_jdelta_variant1` merges them.  A piece
+    separator float, and :func:`jdelta_sets` merges them.  A piece
     narrower than double-precision resolution collapses onto its zero.
     """
     q = spec.period
@@ -655,43 +654,27 @@ def last_wilkinson_sum(alpha: ReducedRational) -> float:
     return float(np.sum(1.0 / np.abs(dp)))
 
 
-def _jdelta_variant1(alpha: ReducedRational, delta_: float, pieces: SpectralSet) -> JDeltaResult:
-    # up to delta = 4 no gap closes; above it, pieces that end on the same
-    # separator are one component
-    comp = SpectralSet.from_intervals(pieces.edges) if delta_ > 4.0 else pieces
-    meas = comp.measure
-    bound = 2.0 * math.e * delta_ / alpha.q
-    return JDeltaResult(1, delta_, comp, meas, bound, meas <= bound * (1 + 1e-12))
+def jdelta_sets(alpha: ReducedRational, delta_: float) -> JDeltaResult:
+    """J_delta = {|Delta| > delta} at lam = 2, via its complement.
 
-
-def jdelta_sets(alpha: ReducedRational, delta_: float, variant: int) -> JDeltaResult:
-    """J_delta (energies far from the critical set) via its complement.
-
-    Variant 1: J^c = {|Delta| <= delta}, q closed intervals around the zeros
-    of Delta for delta <= 4, where every extremum of Delta reads at least 4
-    in absolute value; above 4, intervals that meet are merged.  Variant 2:
-    J^c = the closed delta-neighbourhood of the q zeros, merged when
-    overlapping.  The 2 e delta / q measure bound applies to variant 1 and
-    is reported, never raised.
+    J^c = {|Delta| <= delta}: q closed intervals around the zeros of Delta
+    for delta <= 4, where every extremum of Delta reads at least 4 in
+    absolute value; above 4, intervals that meet are merged.  The
+    2 e delta / q measure bound is reported, never raised.
     """
     if delta_ <= 0.0:
         raise ValueError("delta must be positive")
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    if variant == 1:
-        return _jdelta_variant1(alpha, delta_, _sublevel_bands(delta_spec(alpha, 2.0), delta_))
-    pts = sminus_points(alpha, 2.0)
-    comp = SpectralSet.from_intervals(
-        [(E - delta_, E + delta_) for E in pts.energies]
-    )
-    return JDeltaResult(2, delta_, comp, comp.measure, None, None)
+    comp = _sublevel_bands(delta_spec(alpha, 2.0), delta_)
+    if delta_ > 4.0:  # pieces that end on the same separator are one component
+        comp = SpectralSet.from_intervals(comp.edges)
+    meas = comp.measure
+    bound = 2.0 * math.e * delta_ / alpha.q
+    return JDeltaResult(delta_, comp, meas, bound, meas <= bound * (1 + 1e-12))
 
 
-def jdelta_sweep(
-    alpha: ReducedRational, deltas: list[float], variant: int = 1
-) -> list[JDeltaResult]:
+def jdelta_sweep(alpha: ReducedRational, deltas: list[float]) -> list[JDeltaResult]:
     """:func:`jdelta_sets` at each delta in turn."""
-    return [jdelta_sets(alpha, d, variant) for d in deltas]
+    return [jdelta_sets(alpha, d) for d in deltas]
 
 
 def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeReport:
@@ -702,7 +685,7 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
     reported but not mandated.  A delta so large that J_delta^c does not
     come back as q bands (one around each zero) raises ValueError.
     """
-    res = jdelta_sets(alpha, delta_, 1)
+    res = jdelta_sets(alpha, delta_)
     pts = sminus_points(alpha, 2.0)
     q = alpha.q
     n_bands = len(res.complement)

@@ -216,7 +216,6 @@ def cmd_green_check(args) -> int:
     spec = OperatorSpec.almost_mathieu(_alpha_arg(args), args.lam, args.theta)
     rep = green_identities_check(spec, complex(args.z_re, args.z_im), args.m)
     results = {
-        "factorization_residual": rep.factorization_residual,
         "power_residual": rep.power_residual,
         "l2_sum": rep.l2_sum,
         "l2_identity_residual": rep.l2_identity_residual,
@@ -297,7 +296,7 @@ def cmd_measure_decay(args) -> int:
             fam.append(reduce_fraction(int(pp), int(qq)))
     else:
         fam = approximant_family(base, args.kmin, args.kmax)
-    rep = measure_decay(base, args.delta, args.variant, fam)
+    rep = measure_decay(base, args.delta, fam)
     rows = [
         (r.approximant.p, r.approximant.q, r.measure, int(r.gate_ok), r.collapsed_bands)
         for r in rep.rows
@@ -476,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("measure-decay", help="measure of S(p~/q~) inside J_delta")
     rational(sp)
     sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--variant", type=int, choices=(1, 2), default=1)
     sp.add_argument("--kmin", type=int, default=3)
     sp.add_argument("--kmax", type=int, default=15)
     sp.add_argument("--approximants", default=None, help="comma list of p/q")

@@ -25,15 +25,14 @@ a product, because numpy's complex multiply is not bitwise commutative.
 Each energy's value depends on that energy alone, not on the rest of the
 grid.  ``_fixed_trace`` is the one extended-precision loop: Python integers
 in fixed point, at the precision ``chambers_bits`` sets for
-``chambers_residual``.  ``floquet_multiplier`` and
-``eigenvector`` are the one place the 2x2 eigenproblem is solved, and
-``floquet_exponent`` the one place its exponent arccosh(D/2) is taken:
-q times the Lyapunov exponent and the Bloch phase.
+``chambers_residual``.  ``floquet_exponent`` is the one place the
+multipliers e^{+-w} of a det-1 monodromy are taken, through w =
+arccosh(D/2): q times the Lyapunov exponent and the Bloch phase; and
+``eigenvector`` the one place the 2x2 eigenvectors are.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +53,6 @@ __all__ = [
     "Mat2",
     "reduce_fraction",
     "potential_array",
-    "floquet_multiplier",
     "floquet_exponent",
     "eigenvector",
     "monodromy_scaled",
@@ -218,14 +216,6 @@ class Mat2:
 
     def max_abs(self) -> float:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
-
-
-def floquet_multiplier(tr: complex, det: complex = 1) -> complex:
-    """The larger-modulus root of mu^2 - tr mu + det."""
-    s = cmath.sqrt(tr * tr - 4.0 * det)
-    if abs(tr + s) < abs(tr - s):
-        s = -s
-    return (tr + s) / 2.0
 
 
 def floquet_exponent(mantissa, log_scale=0.0) -> np.ndarray:

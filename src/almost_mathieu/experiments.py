@@ -55,7 +55,6 @@ class DecayRow:
 class DecayReport:
     base: ReducedRational
     delta: float
-    variant: int
     rows: tuple[DecayRow, ...]
     fit_qs: int  # distinct q~ with positive measure; the fit needs two
     fitted_rate: float | None
@@ -145,7 +144,6 @@ def _log_linear_fit(x: np.ndarray, values) -> tuple[float, float, float]:
 def measure_decay(
     base: ReducedRational,
     delta: float,
-    variant: int,
     approximants: list[ReducedRational],
 ) -> DecayReport:
     """meas(S(p~/q~, 2) intersect J_delta) per approximant, with decay fit.
@@ -159,7 +157,7 @@ def measure_decay(
     fitted over the rows with positive measure, provided they span at least
     two distinct q~; otherwise the fitted fields are None.
     """
-    jd = jdelta_sets(base, delta, variant)
+    jd = jdelta_sets(base, delta)
     eta = gate_eta(base.q, delta)
     base_frac = base.as_fraction()
 
@@ -181,7 +179,7 @@ def measure_decay(
             np.array([p[0] for p in pts], dtype=np.float64), [p[1] for p in pts]
         )
         prefactor = float(np.exp(intercept))
-    return DecayReport(base, float(delta), variant, tuple(rows), fit_qs, rate, prefactor, r2)
+    return DecayReport(base, float(delta), tuple(rows), fit_qs, rate, prefactor, r2)
 
 
 def box_counting_dimension(
@@ -190,8 +188,9 @@ def box_counting_dimension(
     """Box counts N(scale) and the fitted slope of ln N against ln(1/scale).
 
     N(scale) is the number of grid boxes [k scale, (k+1) scale) meeting the
-    set, computed exactly by merging integer box ranges per band.  Box
-    indices are held in float64, exact while |E| / scale stays below 2^53.
+    set, computed exactly as the measure of the union of the integer box
+    ranges of the bands.  Box indices are held in float64, exact while
+    |E| / scale stays below 2^53.
     """
     scales = [float(x) for x in scales]
     if len(scales) < 2:
@@ -209,13 +208,10 @@ def box_counting_dimension(
         # boxes meeting the interval with positive length; a width-zero
         # band still occupies the single box containing it
         k_hi = np.maximum(np.where(hi <= k_hi * scale, k_hi - 1.0, k_hi), k_lo)
-        order = np.lexsort((k_hi, k_lo))
-        k_lo, k_hi = k_lo[order], k_hi[order]
-        # box ranges that meet or abut merge; a run starts past every box before it
-        reach = np.maximum.accumulate(k_hi)
-        starts = np.flatnonzero(np.concatenate(([True], k_lo[1:] > reach[:-1] + 1.0)))
-        ends = np.append(starts[1:], len(k_lo)) - 1
-        counts.append(int(np.sum(reach[ends] - k_lo[starts] + 1.0)) if len(k_lo) else 0)
+        # the runs [k_lo, k_hi + 1] of boxes that meet or abut merge, and
+        # the union's measure is the number of boxes
+        runs = SpectralSet.from_intervals(np.column_stack((k_lo, k_hi + 1.0)))
+        counts.append(int(runs.measure))
 
     slope, _, r2 = _log_linear_fit(np.log(1.0 / np.array(scales)), counts)
     return BoxCountReport(slope, tuple(scales), tuple(counts), r2)

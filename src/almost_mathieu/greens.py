@@ -8,13 +8,12 @@ contracting eigenvector of the monodromy:
 
     G^{[k,inf)}(k, l; z) = -psi(l) / psi(k - 1),
 
-which makes the resolvent factorization, the one-period power law and the
-gamma-Green relation exact identities rather than numerical accidents.
+which makes the resolvent factorization G(k,l) = -G(k,n)
+G^{[n+1,inf)}(n+1,l), the one-period power law G(1, m q) = (-1)^{m-1}
+G(1, q)^m and the gamma-Green relation exact identities rather than
+numerical accidents; in log form the factorization holds term by term.
 psi is carried as log |psi| and a unit phase, so a Green function far
 below the smallest float, e^-2439 at 987/1597, keeps a finite logarithm.
-Note the sign bookkeeping: with G = (H - z)^{-1} as defined, the
-factorization reads G(k,l) = -G(k,n) G^{[n+1,inf)}(n+1,l) and therefore
-G(1, m q) = (-1)^{m-1} G(1, q)^m.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class LyapunovValue:
 class GreenIdentityReport:
     z: complex
     m: int
-    factorization_residual: float
     power_residual: float
     l2_sum: float
     l2_identity_residual: float
@@ -76,14 +74,9 @@ class GreenIdentityReport:
     @property
     def failures(self) -> list[str]:
         """Each identity that misses its tolerance, with its measured value."""
-        out = [
-            f"{name} {value:.17g} exceeds 1e-08"
-            for name, value in (
-                ("factorization_residual", self.factorization_residual),
-                ("power_residual", self.power_residual),
-            )
-            if not value <= 1e-8
-        ]
+        out = []
+        if not self.power_residual <= 1e-8:
+            out.append(f"power_residual {self.power_residual:.17g} exceeds 1e-08")
         if not self.l2_bound_ok:
             out.append(f"l2_sum {self.l2_sum:.17g} exceeds 1/eps^2 = {self.epsilon**-2:.17g}")
         return out
@@ -278,21 +271,21 @@ def _log_gap(a: tuple[float, complex], b: tuple[float, complex]) -> float:
 
 
 def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdentityReport:
-    """Residuals of the resolvent factorization, power law and l^2 identity.
+    """Residuals of the power law and the l^2 identity.
 
-    All three are exact identities for the half-line resolvent with
+    Both are exact identities for the half-line resolvent with
     Im z = eps > 0:
 
-      G(k,l) = -G(k,n) G^{[n+1,inf)}(n+1,l)           (k < n < l)
       G(1, m q) = (-1)^{m-1} G(1, q)^m
       sum_k |G(1,k)|^2 = Im G(1,1) / eps <= 1 / eps^2
 
-    The first two are compared in log form, as |ln(lhs / rhs)|, so they
-    stay finite where G underflows.  They are not independent checks: the
-    factorization follows from the ratio formula G(k,l) = -psi(l) /
-    psi(k-1) alone, and the power law from it and psi(n + q) = mu psi(n),
-    so it checks only that the backward recurrence closes over one period.
-    Only the l^2 identity is independent of the construction.
+    The power law is compared in log form, as |ln(lhs / rhs)|, so it stays
+    finite where G underflows.  It follows from the ratio formula G(k,l) =
+    -psi(l) / psi(k-1) and psi(n + q) = mu psi(n), so it checks only that
+    the backward recurrence closes over one period.  The l^2 identity is
+    independent of the construction.  The resolvent factorization G(k,l) =
+    -G(k,n) G^{[n+1,inf)}(n+1,l) is not checked: in log form the two sides
+    are the same sum of the same terms.
     """
     z = complex(z)
     eps = z.imag
@@ -303,13 +296,6 @@ def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdent
     q = spec.period
     sol = _FloquetSolution(spec, z)
     g = sol.log_green
-
-    # factorization across a few interior splits
-    l_far = 2 * q + 1
-    fact_res = 0.0
-    for n in (1, q, q + 1):
-        (l_kn, p_kn), (l_nl, p_nl) = g(1, n), g(n + 1, l_far)
-        fact_res = max(fact_res, _log_gap(g(1, l_far), (l_kn + l_nl, -p_kn * p_nl)))
 
     # one-period power law
     l_q, p_q = g(1, q)
@@ -324,7 +310,7 @@ def green_identities_check(spec: OperatorSpec, z: complex, m: int) -> GreenIdent
     im_id = abs((p_11 * math.exp(l_11)).imag) / eps
     l2_res = abs(l2 - im_id) / max(im_id, 1e-300)
 
-    return GreenIdentityReport(z, m, fact_res, power_res, l2, l2_res, eps)
+    return GreenIdentityReport(z, m, power_res, l2, l2_res, eps)
 
 
 def surace_deviation(

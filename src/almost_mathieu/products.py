@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mat2, eigenvector, floquet_multiplier
+from .core import Mat2, eigenvector, floquet_exponent
 
 __all__ = [
     "HyperbolicFactor",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _DET_TOL = 1e-10
-_UNIT_TOL = 1e-10
+_GAMMA_TOL = 1e-10
 
 
 class NonHyperbolicError(ValueError):
@@ -118,21 +118,17 @@ def _canonical_phase(v: tuple[complex, complex]) -> tuple[complex, complex]:
 def eigensystem_2x2(T: Mat2) -> HyperbolicFactor:
     """Eigen-decomposition of a det-1 matrix with |eigenvalues| != 1.
 
-    Eigenvalues come out as e^{+-(gamma + i zeta)} with gamma > 0; both
-    eigenvectors are normalized and phase-fixed so their leading component
-    is real positive.
+    Eigenvalues come out as e^{+-(gamma + i zeta)} with gamma > 0, where
+    gamma + i zeta = w is the Floquet exponent arccosh(tr / 2)
+    (:func:`~almost_mathieu.core.floquet_exponent`); both eigenvectors are
+    normalized and phase-fixed so their leading component is real positive.
     """
     det = T.det()
     if abs(det - 1.0) > _DET_TOL:
         raise ValueError(f"determinant {det} is not 1 within {_DET_TOL}")
-    lam_big = floquet_multiplier(complex(T.trace()))
-    if abs(abs(lam_big) - 1.0) <= _UNIT_TOL:
-        raise NonHyperbolicError(
-            f"non-hyperbolic factor: |eigenvalue| = {abs(lam_big)}"
-        )
-    lam_small = 1.0 / lam_big
-    gamma = math.log(abs(lam_big))
-    zeta = cmath.phase(lam_big)
+    w = complex(floquet_exponent(T.trace()))
+    if w.real <= _GAMMA_TOL:
+        raise NonHyperbolicError(f"non-hyperbolic factor: gamma = {w.real}")
 
     def eigvec(lam: complex) -> tuple[complex, complex]:
         v = eigenvector(T, lam)
@@ -140,7 +136,7 @@ def eigensystem_2x2(T: Mat2) -> HyperbolicFactor:
             raise NonHyperbolicError("defective eigenvector")
         return _canonical_phase(v)
 
-    return HyperbolicFactor(T, gamma, zeta, eigvec(lam_big), eigvec(lam_small))
+    return HyperbolicFactor(T, w.real, w.imag, eigvec(cmath.exp(w)), eigvec(cmath.exp(-w)))
 
 
 def _solve_u(f: HyperbolicFactor, rhs: tuple[complex, complex]) -> tuple[complex, complex]:

@@ -202,7 +202,7 @@ def suite_greens(seed: int) -> list[dict]:
         z = complex(rng.uniform(-4, 4), rng.uniform(0.1, 1.0))
         rep = greens.green_identities_check(spec, z, int(rng.integers(1, 6)))
         ident_ok &= rep.ok and rep.l2_identity_residual <= 1e-6
-    checks.append(_check("green-identities", ident_ok, "factorization, power, l2"))
+    checks.append(_check("green-identities", ident_ok, "power, l2"))
 
     worst = 0.0
     free = core.OperatorSpec.explicit([0.0])
@@ -327,7 +327,7 @@ def suite_experiments(seed: int) -> list[dict]:
     half = core.reduce_fraction(1, 2)
 
     fam = experiments.approximant_family(half, 3, 12)
-    rep = experiments.measure_decay(half, 0.5, 1, fam)
+    rep = experiments.measure_decay(half, 0.5, fam)
     checks.append(
         _check(
             "measure-decay-fit",

@@ -21,3 +21,14 @@ def random_reduced(rng, q_max: int):
         p = int(rng.integers(0, q)) if q > 1 else 0
         if gcd(p, q) == 1 or (p == 0 and q == 1):
             return reduce_fraction(p, q)
+
+
+def random_complex_mat(rng, det_one: bool):
+    from almost_mathieu.core import Mat2
+
+    a, b, c, d = rng.normal(size=4) + 1j * rng.normal(size=4)
+    if det_one:
+        # divide by a square root of the determinant: det(m / r) = det / r^2
+        r = np.sqrt(complex(a * d - b * c))
+        a, b, c, d = a / r, b / r, c / r, d / r
+    return Mat2(complex(a), complex(b), complex(c), complex(d))

@@ -675,7 +675,7 @@ class TestLastWilkinson:
 
 class TestJDelta:
     def test_variant1_half(self):
-        res = jdelta_sets(HALF, 0.5, 1)
+        res = jdelta_sets(HALF, 0.5)
         lo1, hi1 = math.sqrt(3.5), math.sqrt(4.5)
         np.testing.assert_allclose(
             res.complement.edges.T.ravel(),
@@ -687,43 +687,17 @@ class TestJDelta:
         assert res.bound == pytest.approx(2.0 * math.e * 0.5 / 2.0)
         assert res.bound_ok
 
-    def test_variant2_free(self):
-        res = jdelta_sets(ZERO, 1.0, 2)
-        np.testing.assert_allclose(
-            res.complement.edges[0],
-            [-1.0, 1.0],
-            atol=1e-10,
-        )
-
-    def test_variant2_half(self):
-        res = jdelta_sets(HALF, 0.1, 2)
-        np.testing.assert_allclose(
-            res.complement.edges.T.ravel(),
-            [-2.1, 1.9, -1.9, 2.1],
-            atol=1e-10,
-        )
-        assert res.measure_complement == pytest.approx(0.4, abs=1e-12)
-
     def test_measure_bound_sweep(self):
         for q in (3, 7, 12, 20):
             alpha = reduce_fraction(1, q)
             for delta_ in np.geomspace(1e-3, 0.5, 6):
-                res = jdelta_sets(alpha, float(delta_), 1)
+                res = jdelta_sets(alpha, float(delta_))
                 assert res.bound_ok, (q, delta_, res.measure_complement, res.bound)
 
     def test_huge_delta_still_valid(self):
-        res = jdelta_sets(HALF, 6.0, 1)
+        res = jdelta_sets(HALF, 6.0)
         assert res.measure_complement > 0
         assert res.bound_ok in (True, False)
-
-    def test_variant2_merging_neighborhoods(self):
-        res = jdelta_sets(HALF, 5.0, 2)
-        assert len(res.complement) == 1
-        np.testing.assert_allclose(
-            res.complement.edges[0],
-            [-7.0, 7.0],
-            atol=1e-9,
-        )
 
     def test_sweep_equals_single_sets(self):
         # the sweep is jdelta_sets delta by delta.  Up to delta = 4
@@ -740,7 +714,7 @@ class TestJDelta:
                 spec = delta_spec(alpha, 2.0)
                 zeros = sminus_points(alpha, 2.0).energies
                 for res, d in zip(jdelta_sweep(alpha, deltas), deltas):
-                    assert res.delta == d and res.variant == 1
+                    assert res.delta == d
                     s = res.complement
                     if d <= 4.0:
                         want = jdelta_edges(p, q, d)
@@ -761,21 +735,21 @@ class TestJDelta:
                 alpha = reduce_fraction(p, q)
                 union = spectral_union_S(alpha, 2.0)
                 assert jdelta_sweep(alpha, [0.1, 4.0])[1].complement == union, alpha
-                assert jdelta_sets(alpha, 4.0, 1).complement == union, alpha
+                assert jdelta_sets(alpha, 4.0).complement == union, alpha
 
     def test_delta_six_merges_third(self):
         # at delta = 6 the three bands of 1/3 merge into one, |Delta| <= 6
         # being E^3 - 6 E in [-6, 6] for E in [-r, r], r^3 - 6 r = 6
         r = float(np.max(np.roots([1.0, 0.0, -6.0, -6.0]).real))
-        for res in (jdelta_sets(THIRD, 6.0, 1), jdelta_sweep(THIRD, [6.0])[0]):
+        for res in (jdelta_sets(THIRD, 6.0), jdelta_sweep(THIRD, [6.0])[0]):
             assert len(res.complement) == 1
             np.testing.assert_allclose(res.complement.edges[0], [-r, r], atol=1e-10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            jdelta_sets(HALF, -0.1, 1)
+            jdelta_sets(HALF, -0.1)
         with pytest.raises(ValueError):
-            jdelta_sets(HALF, 0.1, 3)
+            jdelta_sets(HALF, 0.0)
         with pytest.raises(ValueError):
             spectral_union_S(HALF, -1.0)
 

@@ -21,12 +21,11 @@ from almost_mathieu.core import (
     discriminant_grid,
     eigenvector,
     floquet_exponent,
-    floquet_multiplier,
     monodromy_scaled,
     potential_array,
     reduce_fraction,
 )
-from conftest import random_reduced
+from conftest import random_complex_mat, random_reduced
 from oracles import (
     am_potential_range,
     exact_derivative,
@@ -472,50 +471,31 @@ class TestMat2:
         assert lhs == rhs
 
 
-def _random_complex_mat(rng, det_one: bool) -> Mat2:
-    a, b, c, d = rng.normal(size=4) + 1j * rng.normal(size=4)
-    if det_one:
-        # divide by a square root of the determinant: det(m / r) = det / r^2
-        r = np.sqrt(complex(a * d - b * c))
-        a, b, c, d = a / r, b / r, c / r, d / r
-    return Mat2(complex(a), complex(b), complex(c), complex(d))
-
-
 class TestFloquetMultiplier:
-    @pytest.mark.parametrize("det_one", [True, False])
-    def test_roots_match_numpy_eigvals(self, det_one, rng):
+    def test_roots_match_numpy_eigvals(self, rng):
+        # det 1: the multipliers are e^{+-w}, w the Floquet exponent of the trace
         for _ in range(200):
-            m = _random_complex_mat(rng, det_one)
-            det = m.det() if not det_one else 1
-            mu = floquet_multiplier(m.trace(), det)
+            m = random_complex_mat(rng, True)
+            w = complex(floquet_exponent(m.trace()))
             ev = np.linalg.eigvals(np.array([[m.a11, m.a12], [m.a21, m.a22]]))
             big, small = sorted(ev, key=abs, reverse=True)
             scale = max(abs(big), 1.0)
-            assert abs(mu - big) <= 1e-12 * scale
-            # the other root, from the product of the roots
-            assert abs(m.det() / mu - small) <= 1e-12 * scale
+            assert abs(cmath.exp(w) - big) <= 1e-12 * scale
+            assert abs(cmath.exp(-w) - small) <= 1e-12 * scale
 
     @pytest.mark.parametrize("det_one", [True, False])
     def test_eigenvectors_match_numpy(self, det_one, rng):
         for _ in range(200):
-            m = _random_complex_mat(rng, det_one)
+            m = random_complex_mat(rng, det_one)
             a = np.array([[m.a11, m.a12], [m.a21, m.a22]])
-            mu = floquet_multiplier(m.trace(), m.det())
-            for lam in (mu, m.det() / mu):
+            ev, vecs = np.linalg.eig(a)
+            for lam, w in zip(ev.tolist(), vecs.T):
                 v = eigenvector(m, lam)
                 assert math.hypot(abs(v[0]), abs(v[1])) == pytest.approx(1.0, abs=1e-15)
-                ev, vecs = np.linalg.eig(a)
-                w = vecs[:, int(np.argmin(np.abs(ev - lam)))]
                 # the same line: |<w, v>| = 1 for unit vectors
                 assert abs(np.vdot(w, np.array(v))) == pytest.approx(1.0, abs=1e-10)
                 resid = a @ np.array(v) - lam * np.array(v)
                 assert np.linalg.norm(resid) <= 1e-12 * max(1.0, abs(lam))
-
-    def test_real_trace_outside_and_inside(self):
-        # det 1: tr = 2 cosh g gives e^g; tr = 2 cos k gives e^{i k} up to the branch
-        assert floquet_multiplier(2.0 * math.cosh(0.7)) == pytest.approx(math.exp(0.7))
-        assert abs(floquet_multiplier(2.0 * math.cos(0.4))) == pytest.approx(1.0)
-        assert floquet_multiplier(0j) == pytest.approx(1j)
 
     def test_one_row_of_the_adjugate_vanishes(self):
         # for mu = 3 the first row of adj(m - mu) is zero, so the second is taken
@@ -526,9 +506,10 @@ class TestFloquetMultiplier:
     def test_scalar_matrix_has_no_eigenvector(self):
         c = 1.5 + 0.5j
         m = Mat2(c, 0j, 0j, c)
-        mu = floquet_multiplier(m.trace(), m.det())
-        assert mu == c
-        assert eigenvector(m, mu) is None
+        ev = np.linalg.eigvals(np.array([[m.a11, m.a12], [m.a21, m.a22]]))
+        assert ev.tolist() == [c, c]
+        for mu in ev.tolist():
+            assert eigenvector(m, mu) is None
 
 
 

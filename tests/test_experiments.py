@@ -42,7 +42,7 @@ class TestApproximantFamily:
 class TestMeasureDecay:
     def test_half_family_decays(self):
         fam = approximant_family(HALF, 3, 15)
-        rep = measure_decay(HALF, 0.5, 1, fam)
+        rep = measure_decay(HALF, 0.5, fam)
         assert len(rep.rows) == 13
         assert all(r.measure >= 0.0 for r in rep.rows)
         assert rep.fitted_rate < 0.0
@@ -50,36 +50,30 @@ class TestMeasureDecay:
 
     def test_free_base_large_delta(self):
         fam = approximant_family(ZERO, 3, 10)
-        rep = measure_decay(ZERO, 3.9, 1, fam)
+        rep = measure_decay(ZERO, 3.9, fam)
         # J_delta barely clips [-4, 4]; only band tips survive
         assert all(r.measure < 0.8 for r in rep.rows)
 
     def test_degenerate_approximant_flagged(self):
-        rep = measure_decay(HALF, 0.5, 1, [HALF])
+        rep = measure_decay(HALF, 0.5, [HALF])
         assert not rep.rows[0].gate_ok
 
     def test_exact_and_deterministic(self):
         fam = approximant_family(HALF, 3, 8)
-        rep_a = measure_decay(HALF, 0.5, 1, fam)
-        rep_b = measure_decay(HALF, 0.5, 1, list(reversed(fam)))
+        rep_a = measure_decay(HALF, 0.5, fam)
+        rep_b = measure_decay(HALF, 0.5, list(reversed(fam)))
         for ra, rb in zip(rep_a.rows, rep_b.rows):
             assert ra.measure == rb.measure
 
     def test_collapsed_bands_counted(self):
         # at 100/201 the edge solve returns 151 of the 201 bands of S at
         # zero width, and their measure is missing from the row's
-        rep = measure_decay(HALF, 0.5, 1, approximant_family(HALF, 100, 100))
+        rep = measure_decay(HALF, 0.5, approximant_family(HALF, 100, 100))
         s = spectral_union_S(reduce_fraction(100, 201), 2.0)
         lo, hi = s.edges.T
         assert rep.rows[0].collapsed_bands == int(np.count_nonzero(hi == lo)) == 151
-        rep = measure_decay(HALF, 0.5, 1, approximant_family(HALF, 3, 4))
+        rep = measure_decay(HALF, 0.5, approximant_family(HALF, 3, 4))
         assert [r.collapsed_bands for r in rep.rows] == [0, 0]
-
-    def test_variant2(self):
-        fam = approximant_family(HALF, 3, 8)
-        rep = measure_decay(HALF, 0.3, 2, fam)
-        assert rep.variant == 2
-        assert all(np.isfinite(r.measure) for r in rep.rows)
 
 
 class TestBoxCounting:

@@ -14,11 +14,39 @@ from almost_mathieu.products import (
     product_growth,
     random_drift_chain,
 )
+from conftest import random_complex_mat
 from oracles import reference_drift_chain
 
 
 def diag_factor(gamma):
     return eigensystem_2x2(Mat2(math.exp(gamma), 0.0, 0.0, math.exp(-gamma)))
+
+
+def real_sl2(rng, trace):
+    """A random real det-1 matrix with the given trace."""
+    a, b = rng.normal(size=2) * 2.0
+    d = trace - a
+    return Mat2(float(a), float(b), float((a * d - 1.0) / b), float(d))
+
+
+def assert_matches_numpy_eig(f):
+    """gamma, zeta and both eigenvectors (up to phase) against numpy.linalg.eig.
+
+    The tolerance follows the conditioning: the eigenvalues e^{+-w} lie
+    2 sinh(gamma) apart, so rounding in the entries moves gamma, zeta and
+    the eigenvectors by about eps |T|^2 / sinh(gamma).
+    """
+    a = np.array([[f.T.a11, f.T.a12], [f.T.a21, f.T.a22]])
+    ev, vecs = np.linalg.eig(a)
+    i = int(np.argmax(np.abs(ev)))
+    tol = 1e-14 * np.linalg.norm(a) ** 2 / math.sinh(f.gamma)
+    assert abs(f.gamma - math.log(abs(ev[i]))) <= tol
+    assert abs(cmath.exp(1j * f.zeta) - ev[i] / abs(ev[i])) <= tol
+    for v, u in ((f.phi_plus, vecs[:, i]), (f.phi_minus, vecs[:, 1 - i])):
+        v = np.array(v)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        # v lies on u's line: nothing is left after removing its u part
+        assert np.linalg.norm(v - np.vdot(u, v) * u) <= tol
 
 
 class TestEigensystem:
@@ -57,6 +85,30 @@ class TestEigensystem:
                 res = math.hypot(abs(out[0] - ev * v[0]), abs(out[1] - ev * v[1]))
                 assert res <= 1e-10
             assert math.hypot(abs(f.phi_plus[0]), abs(f.phi_plus[1])) == pytest.approx(1.0, abs=1e-12)
+
+    def test_complex_matches_numpy(self, rng):
+        for _ in range(300):
+            assert_matches_numpy_eig(eigensystem_2x2(random_complex_mat(rng, True)))
+
+    def test_real_matches_numpy(self, rng):
+        for trace in np.concatenate((rng.normal(size=100) * 8.0, -2.0 - rng.exponential(3.0, 100))):
+            if abs(trace) > 2.0:
+                f = eigensystem_2x2(real_sl2(rng, trace))
+                assert f.zeta == (math.pi if trace < -2.0 else 0.0)
+                assert_matches_numpy_eig(f)
+
+    @pytest.mark.parametrize("side", [2.0, -2.0])
+    def test_real_trace_next_to_two(self, side, rng):
+        for offset in np.geomspace(1e-12, 1e-9, 40):
+            trace = side + math.copysign(offset, side)
+            f = eigensystem_2x2(real_sl2(rng, trace))
+            assert f.gamma > 0.0 and f.zeta == (math.pi if side < 0.0 else 0.0)
+            assert_matches_numpy_eig(f)
+
+    def test_real_trace_inside_rejected(self, rng):
+        for trace in np.linspace(-1.999999, 1.999999, 41):
+            with pytest.raises(NonHyperbolicError):
+                eigensystem_2x2(real_sl2(rng, trace))
 
 
 class TestAlignPhases:

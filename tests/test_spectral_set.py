@@ -91,6 +91,26 @@ class TestAgainstLoops:
         rep = box_counting_dimension(SpectralSet(bands), scales)
         assert list(rep.counts) == loop_box_counts(bands, scales)
 
+    def test_box_counts_touching_overlapping_and_zero_width(self):
+        # bands that touch, overlap, nest, sit on a box boundary or have
+        # zero width, alone or inside another band
+        bands = [(0.0, 0.25), (0.25, 0.5), (0.3, 0.7), (0.4, 0.45), (0.75, 0.75),
+                 (0.8, 0.8), (0.9, 1.3), (1.0, 1.0), (1.6, 1.6)]
+        scales = [0.5, 0.25, 0.2, 0.125, 0.1, 0.05]
+        rep = box_counting_dimension(SpectralSet(bands), scales)
+        assert list(rep.counts) == loop_box_counts(bands, scales)
+
+    @pytest.mark.parametrize("p, q", [(233, 377), (987, 1597)])
+    def test_box_counts_at_fibonacci_ratios(self, p, q):
+        # the default scales of `amo dimension` and the ends of the ranges
+        # the fibonacci benchmark draws its scales from
+        s = spectral_union_S(reduce_fraction(p, q), 2.0)
+        bands = s.intervals()
+        for scales in (np.geomspace(1e-1, 1e-6, 12), np.geomspace(0.2, 10**-6.3, 14),
+                       np.geomspace(0.05, 10**-5.7, 10)):
+            rep = box_counting_dimension(s, list(scales))
+            assert list(rep.counts) == loop_box_counts(bands, scales), (p, q)
+
     @settings(max_examples=100, deadline=None)
     @given(disjoint_sets())
     def test_measure_is_a_sequential_sum(self, bands):
