@@ -5,8 +5,6 @@ from .core import (
     OperatorSpec,
     ReducedRational,
     chambers_residual,
-    delta,
-    discriminant,
     eigenvector,
     monodromy_scaled,
     potential_array,
@@ -20,8 +18,6 @@ __all__ = [
     "OperatorSpec",
     "ReducedRational",
     "chambers_residual",
-    "delta",
-    "discriminant",
     "eigenvector",
     "monodromy_scaled",
     "potential_array",

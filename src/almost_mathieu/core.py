@@ -12,23 +12,23 @@ The recurrence runs in two forms.  ``monodromy_scaled`` is the one scalar
 loop: it carries the product at one complex energy in four plain local
 variables, with each step's matrix product written out (the factors -1, 1
 and 0 kept, so signed zeros come out as a ``Mat2`` product gives them),
-rescales it every few steps and builds one ``Mat2`` at the end;
-``discriminant`` and ``delta`` read their values off it.  ``_grid_kernel``
-is the one vectorized loop over the period: it carries the product at
-every energy of a grid, rescales it every few steps so it never
-overflows, and carries the energy derivative
-only when ``discriminant_and_derivative_grid`` asks for it
-(``discriminant_grid`` does not).  Its rows [a, b] (with [da, db]) and
-[c, d] (with [dc, dd]) sit in two stacked arrays updated in place, 3 or 4
-array operations a step; the energy factor is always the left operand of
-a product, because numpy's complex multiply is not bitwise commutative.
-Each energy's value depends on that energy alone, not on the rest of the
-grid.  ``_fixed_trace`` is the one extended-precision loop: Python integers
-in fixed point, at the precision ``chambers_bits`` sets for
-``chambers_residual``.  ``floquet_exponent`` is the one place the
-multipliers e^{+-w} of a det-1 monodromy are taken, through w =
-arccosh(D/2): q times the Lyapunov exponent and the Bloch phase; and
-``eigenvector`` the one place the 2x2 eigenvectors are.
+rescales it every few steps and builds one ``Mat2`` at the end.
+``_grid_kernel`` is the one vectorized loop over the period: it carries
+the product at every energy of a grid, rescales it every few steps so it
+never overflows, and carries the energy derivative only when
+``discriminant_and_derivative_grid`` asks for it (``discriminant_grid``
+does not).  Both loops give D only in scaled form, (mantissa, log scale):
+its plain value leaves the float range once log |D| > 709.  The grid's
+rows [a, b] (with [da, db]) and [c, d] (with [dc, dd]) sit in two stacked
+arrays updated in place, 3 or 4 array operations a step; the energy factor
+is always the left operand of a product, because numpy's complex multiply
+is not bitwise commutative.  Each energy's value depends on that energy
+alone, not on the rest of the grid.  ``_fixed_trace`` is the one
+extended-precision loop: Python integers in fixed point, at the precision
+``chambers_bits`` sets for ``chambers_residual``.  ``floquet_exponent`` is
+the one place the multipliers e^{+-w} of a det-1 monodromy are taken,
+through w = arccosh(D/2): q times the Lyapunov exponent and the Bloch
+phase; and ``eigenvector`` the one place the 2x2 eigenvectors are.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ __all__ = [
     "floquet_exponent",
     "eigenvector",
     "monodromy_scaled",
-    "discriminant",
     "delta_spec",
-    "delta",
     "chambers_bits",
     "chambers_residual",
     "discriminant_grid",
@@ -298,25 +296,9 @@ def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
     return Mat2(a11, a12, a21, a22), log_scale
 
 
-def discriminant(spec: OperatorSpec, E):
-    """D(E) = Tr Phi_q(E), a monic degree-q polynomial in E; real for real E.
-
-    The value is unscaled, so it overflows where |D| leaves the float
-    range; ``discriminant_grid`` returns it in scaled form.
-    """
-    m, log_scale = monodromy_scaled(spec, E)
-    d = m.trace() * math.exp(log_scale)
-    return d if isinstance(E, complex) else d.real
-
-
 def delta_spec(alpha: ReducedRational, lam: float) -> OperatorSpec:
     """The operator whose discriminant is Chambers' Delta: theta = pi / (2q)."""
     return OperatorSpec.almost_mathieu(alpha, lam, math.pi / (2.0 * alpha.q))
-
-
-def delta(alpha: ReducedRational, lam: float, E):
-    """Chambers' Delta: the discriminant evaluated at theta = pi / (2q)."""
-    return discriminant(delta_spec(alpha, lam), E)
 
 
 def chambers_bits(q: int, lam: float, E: complex) -> int:

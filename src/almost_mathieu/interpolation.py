@@ -9,11 +9,11 @@ coarse periods and then freezes the accumulated phase:
 for n < l0 q, with theta held at theta_{l0 q} afterwards.  Below the freeze
 site V~ is exactly the fine potential.  The machinery here builds that
 operator, checks that the phase window keeps the energy uniformly
-hyperbolic (D_theta < -2 - 3 delta / 4 through Chambers' formula), forms
-the inverse transfer blocks whose traces certify a per-block exponent
-floor, and compares the two half-line Green functions in log form: G from
-the fine operator's decaying Floquet solution, G~ from the frozen tail's,
-carried back through the window by the same recurrence.
+hyperbolic (D_theta < -2 - 3 delta / 4 through Chambers' formula), checks
+the block traces that certify a per-block exponent floor, forms the inverse
+transfer blocks, and compares the two half-line Green functions in log
+form: G from the fine operator's decaying Floquet solution, G~ from the
+frozen tail's, carried back through the window by the same recurrence.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .core import (
     Mat2,
     OperatorSpec,
     ReducedRational,
-    delta as chambers_delta,
+    delta_spec,
+    discriminant_grid,
     floquet_exponent,
     monodromy_scaled,
     potential_array,
@@ -105,15 +106,21 @@ class IntermediatePotential:
 
 @dataclass(frozen=True)
 class WindowReport:
+    """ok is Delta < bound, for Delta = delta_mantissa * exp(delta_log_scale)."""
+
     ok: bool
-    worst_margin: float
-    worst_j: int
+    bound: float
+    delta_mantissa: float
+    delta_log_scale: float
     threshold: float
 
 
 @dataclass(frozen=True)
 class TraceMarginReport:
-    margins: tuple[float, ...]
+    """Block j's trace is traces[j] * exp(log_scales[j])."""
+
+    traces: tuple[complex, ...]
+    log_scales: tuple[float, ...]
     gammas: tuple[float, ...]
     gamma_floor: float
     trace_ok: bool
@@ -180,21 +187,32 @@ def window_check(ip: IntermediatePotential, E: float) -> WindowReport:
     """D_{p/q, 2, theta_j}(E) < -2 - 3 delta / 4 for all 0 <= j <= l0 q.
 
     At critical coupling Chambers' formula collapses the check to a single
-    Delta evaluation: D_theta = Delta - 2 cos(q theta).
+    Delta evaluation: D_theta = Delta - 2 cos(q theta), so every j holds
+    exactly when Delta < bound = -2 - 3 delta / 4 + min_j 2 cos(q theta_j),
+    which is negative.  Delta stays in scaled form and the test is made on
+    logs, ln(-Delta) > ln(-bound); where log |Delta| is large the sign of
+    Delta decides every j, and nothing overflows at any q.
     """
-    q = ip.base.q
     thr = -2.0 - 0.75 * ip.delta
-    dval = chambers_delta(ip.base, 2.0, E)
     n_j = np.arange(0, ip.freeze_site + 1, dtype=np.int64)
-    d_theta = dval - 2.0 * np.cos(q * ip.theta(n_j))
-    margins = thr - d_theta
-    worst = int(np.argmin(margins))
+    bound = thr + float(np.min(2.0 * np.cos(ip.base.q * ip.theta(n_j))))
+    m, s = (float(x[0]) for x in discriminant_grid(delta_spec(ip.base, 2.0), np.array([E])))
     return WindowReport(
-        ok=bool(np.all(margins > 0.0)),
-        worst_margin=float(margins[worst]),
-        worst_j=int(n_j[worst]),
+        ok=m < 0.0 and math.log(-m) + s > math.log(-bound),
+        bound=bound,
+        delta_mantissa=m,
+        delta_log_scale=s,
         threshold=thr,
     )
+
+
+def _forward_blocks(ip: IntermediatePotential, z: complex) -> list[tuple[Mat2, float]]:
+    """The l0 one-period products T_{(j+1)q} ... T_{jq+1} at z, scaled."""
+    q = ip.base.q
+    return [
+        monodromy_scaled(OperatorSpec.explicit(ip.potential_array(j * q + 1, q)), z)
+        for j in range(ip.l0)
+    ]
 
 
 def inverse_blocks(ip: IntermediatePotential, E: float, epsilon: float) -> list[Mat2]:
@@ -205,14 +223,10 @@ def inverse_blocks(ip: IntermediatePotential, E: float, epsilon: float) -> list[
     forward product T_{(j+1)q} ... T_{jq+1}.  That product has det = 1
     structurally, so its inverse is [[d, -b], [-c, a]].
     """
-    z = complex(E, epsilon)
-    q = ip.base.q
-    blocks = []
-    for j in range(ip.l0):
-        spec = OperatorSpec.explicit(ip.potential_array(j * q + 1, q))
-        m, log_s = monodromy_scaled(spec, z)
-        blocks.append(Mat2(m.a22, -m.a12, -m.a21, m.a11).scaled(math.exp(log_s)))
-    return blocks
+    return [
+        Mat2(m.a22, -m.a12, -m.a21, m.a11).scaled(math.exp(log_s))
+        for m, log_s in _forward_blocks(ip, complex(E, epsilon))
+    ]
 
 
 def trace_margin_check(
@@ -221,17 +235,21 @@ def trace_margin_check(
     """|Tr T_j^{-1}| > 2 + delta/2 per block, and the exponent floor.
 
     A trace margin implies per-block eigenvalues e^{+-(gamma_j + i zeta_j)}
-    with gamma_j > arccosh(1 + delta/4) >= c sqrt(delta).
+    with gamma_j > arccosh(1 + delta/4) >= c sqrt(delta).  An inverse block
+    has the trace of its det-1 forward product, read here in scaled form:
+    the margin on logs, the exponents through ``floquet_exponent``.
     """
-    traces = [complex(b.trace()) for b in inverse_blocks(ip, E, epsilon)]
-    margins = [abs(tr) - (2.0 + ip.delta / 2.0) for tr in traces]
-    gammas = floquet_exponent(traces).real.tolist()
+    blocks = _forward_blocks(ip, complex(E, epsilon))
+    traces = tuple(complex(m.trace()) for m, _ in blocks)
+    log_scales = tuple(log_s for _, log_s in blocks)
+    gammas = tuple(floquet_exponent(traces, log_scales).real.tolist())
     floor = math.acosh(1.0 + ip.delta / 4.0)
+    ln_bound = math.log(2.0 + ip.delta / 2.0)
     return TraceMarginReport(
-        margins=tuple(margins),
-        gammas=tuple(gammas),
-        gamma_floor=floor,
-        trace_ok=all(m > 0.0 for m in margins),
+        traces, log_scales, gammas, floor,
+        trace_ok=all(
+            t != 0.0 and math.log(abs(t)) + s > ln_bound for t, s in zip(traces, log_scales)
+        ),
         gamma_ok=all(g > floor for g in gammas),
     )
 

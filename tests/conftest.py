@@ -32,3 +32,17 @@ def random_complex_mat(rng, det_one: bool):
         r = np.sqrt(complex(a * d - b * c))
         a, b, c, d = a / r, b / r, c / r, d / r
     return Mat2(complex(a), complex(b), complex(c), complex(d))
+
+
+def plain_discriminant(spec, E):
+    """D(E) = Tr Phi_q(E), unscaled from ``monodromy_scaled``'s trace.
+
+    Finite only while log |D| < 709; complex, with a zero imaginary part at
+    a real E.
+    """
+    import math
+
+    from almost_mathieu.core import monodromy_scaled
+
+    m, log_scale = monodromy_scaled(spec, E)
+    return m.trace() * math.exp(log_scale)

@@ -305,22 +305,44 @@ def mat2_step_monodromy(spec: OperatorSpec, z: complex):
     return m, log_scale
 
 
-def intermediate_potential(p: int, q: int, pt: int, qt: int, freeze: int, sites) -> np.ndarray:
-    """V~(n) = 2 cos(2 pi phase(n)) of the two-scale potential at critical coupling.
+def _intermediate_phase(p: int, q: int, pt: int, qt: int, freeze: int, n: int) -> tuple[int, int]:
+    """phase(n) of the two-scale potential as (num, den), reduced mod 1.
 
     Below the freeze site the phase is pt n / qt; from it on, p n / q plus
-    the drift (pt / qt - p / q) freeze, reduced mod 1 over the common
-    denominator q qt in integers.
+    the drift (pt / qt - p / q) freeze, over the common denominator q qt.
     """
+    if n < freeze:
+        return (pt * n) % qt, qt
+    return (p * qt * n + (pt * q - p * qt) * freeze) % (q * qt), q * qt
+
+
+def intermediate_potential(p: int, q: int, pt: int, qt: int, freeze: int, sites) -> np.ndarray:
+    """V~(n) = 2 cos(2 pi phase(n)) of the two-scale potential at critical coupling."""
     out = []
     for n in sites:
-        if n < freeze:
-            num, den = (pt * n) % qt, qt
-        else:
-            den = q * qt
-            num = (p * qt * n + (pt * q - p * qt) * freeze) % den
+        num, den = _intermediate_phase(p, q, pt, qt, freeze, n)
         out.append(2.0 * math.cos(2.0 * math.pi * num / den))
     return np.array(out)
+
+
+def mp_intermediate_trace(p: int, q: int, pt: int, qt: int, freeze: int, sites, z, dps: int = 40):
+    """Tr of T_n ... T_m over the consecutive ``sites`` m..n of the two-scale
+    potential, at ``dps`` digits.
+
+    V~(n) = 2 cos(2 pi phase(n)) with the phase of ``intermediate_potential``
+    and the cosine taken by mpmath; the product is an unscaled mpc product,
+    whose exponent has no bound.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = mpmath.mpc(complex(z).real, complex(z).imag)
+        a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for n in sites:
+            num, den = _intermediate_phase(p, q, pt, qt, freeze, n)
+            e = x - 2 * mpmath.cos(2 * mpmath.pi * num / den)
+            a, b, c, d = e * a - c, e * b - d, a, b
+        return a + d
 
 
 def mp_edge_offset(spec: OperatorSpec, E: float, target: float, dps: int = 40) -> float:

@@ -20,7 +20,6 @@ from almost_mathieu.bands import jdelta_sets, last_wilkinson_sum, spectral_union
 from almost_mathieu.core import (
     OperatorSpec,
     chambers_residual,
-    discriminant,
     potential_array,
     reduce_fraction,
 )
@@ -28,7 +27,7 @@ from almost_mathieu.experiments import approximant_family, box_counting_dimensio
 from almost_mathieu.greens import green_halfline, green_identities_check, surace_deviation
 from almost_mathieu.interpolation import build_intermediate, green_comparison, inverse_blocks
 from almost_mathieu.products import product_growth, random_drift_chain
-from conftest import random_reduced
+from conftest import plain_discriminant, random_reduced
 from oracles import truncated_halfline_green
 
 
@@ -238,7 +237,7 @@ def test_criterion_11_interpolation_machinery():
     z = 0.37 + 0.01j
     blocks = inverse_blocks(ip0, 0.37, 0.01)
     spec = OperatorSpec.almost_mathieu(half, 2.0, 0.0)
-    trace_dev = abs(complex(blocks[0].trace()) - complex(discriminant(spec, z)))
+    trace_dev = abs(complex(blocks[0].trace()) - plain_discriminant(spec, z))
     det_dev = max(abs(complex(b.det()) - 1.0) for b in blocks)
     rep0 = green_comparison(ip0, 0.0, 0.2)
     zero_drift_ok = trace_dev <= 1e-10 and det_dev <= 1e-10 and rep0.step_i_ok

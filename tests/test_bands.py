@@ -26,13 +26,12 @@ from almost_mathieu.bands import (
 from almost_mathieu.core import (
     OperatorSpec,
     delta_spec,
-    discriminant,
     discriminant_and_derivative_grid,
     discriminant_grid,
     reduce_fraction,
 )
 from almost_mathieu.experiments import butterfly_generate
-from conftest import random_reduced
+from conftest import plain_discriminant, random_reduced
 from oracles import (
     brute_force_zeros,
     dense_floquet_zeros,
@@ -115,7 +114,7 @@ class TestSpectrumBands:
             spec = OperatorSpec.almost_mathieu(r, lam, rng.uniform(0, 2 * math.pi))
             s = spectrum_bands(spec)
             for E in s.edges.ravel().tolist():
-                d = discriminant(spec, E)
+                d = plain_discriminant(spec, E)
                 target = 2.0 if d.real > 0 else -2.0
                 assert mp_edge_offset(spec, E, target) <= 1e-10
 
@@ -225,6 +224,15 @@ class TestSpectralUnion:
             warnings.simplefilter("error", RuntimeWarning)
             s = spectral_union_S(reduce_fraction(233, 377), 3.0)
         assert len(s) == 377
+
+    def test_thouless_constant_at_fibonacci_ratios(self):
+        # q |S(p/q, 2)| tends to 32 G / pi (Thouless, PRB 28, 1983), from
+        # either side: q times the gap reads 0.220, 0.031, 0.182, 0.091 and
+        # 0.012 here, so only the size of the gap is bounded
+        limit = 32.0 * float(mpmath.catalan) / math.pi
+        for p, q in ((144, 233), (233, 377), (377, 610), (610, 987), (987, 1597)):
+            s = spectral_union_S(reduce_fraction(p, q), 2.0)
+            assert abs(q * s.measure - limit) <= 0.5 / q, (p, q, q * s.measure)
 
     def test_half_critical(self):
         s = spectral_union_S(HALF, 2.0)
@@ -596,8 +604,6 @@ class TestSminus:
         np.testing.assert_allclose(pts.energies, [-r6, 0.0, r6], atol=1e-10)
 
     def test_strictly_increasing_and_refined(self, rng):
-        from almost_mathieu.core import delta as chambers_delta
-
         for _ in range(10):
             r = random_reduced(rng, 30)
             pts = sminus_points(r, 2.0)
@@ -605,23 +611,19 @@ class TestSminus:
             assert len(e) == r.q
             assert np.all(np.diff(e) > 0)
             for E in e:
-                assert abs(chambers_delta(r, 2.0, complex(E))) <= 1e-8
+                assert abs(plain_discriminant(delta_spec(r, 2.0), complex(E))) <= 1e-8
 
     def test_brute_force_scan_oracle(self, rng):
-        from almost_mathieu.core import delta as chambers_delta
-
         for _ in range(5):
             r = random_reduced(rng, 10)
             pts = sminus_points(r, 2.0)
             roots = brute_force_zeros(
-                lambda E: chambers_delta(r, 2.0, E).real, -4.5, 4.5, 4000
+                lambda E: plain_discriminant(delta_spec(r, 2.0), E).real, -4.5, 4.5, 4000
             )
             assert len(roots) == r.q
             np.testing.assert_allclose(pts.energies, roots, atol=1e-8)
 
     def test_zeros_within_1e12_of_true_zeros(self, rng):
-        from almost_mathieu.core import delta as chambers_delta
-
         for _ in range(6):
             r = random_reduced(rng, 40)
             spec = OperatorSpec.almost_mathieu(r, 2.0, math.pi / (2 * r.q))
@@ -723,7 +725,7 @@ class TestJDelta:
                         continue
                     assert np.all(s.contains(np.array(zeros))), (alpha, d)
                     for E in s.edges.ravel().tolist():
-                        target = math.copysign(d, discriminant(spec, E).real)
+                        target = math.copysign(d, plain_discriminant(spec, E).real)
                         assert mp_edge_offset(spec, E, target) <= 1e-10, (alpha, d, E)
 
     def test_delta_four_is_union_S(self):

@@ -15,8 +15,7 @@ from almost_mathieu.core import (
     _chambers_fixed,
     chambers_bits,
     chambers_residual,
-    delta,
-    discriminant,
+    delta_spec,
     discriminant_and_derivative_grid,
     discriminant_grid,
     eigenvector,
@@ -25,7 +24,7 @@ from almost_mathieu.core import (
     potential_array,
     reduce_fraction,
 )
-from conftest import random_complex_mat, random_reduced
+from conftest import plain_discriminant, random_complex_mat, random_reduced
 from oracles import (
     am_potential_range,
     exact_derivative,
@@ -237,19 +236,19 @@ class TestDiscriminant:
             spec = am(1, 2, 2.0, theta)
             for E in [-2.5, 0.0, 0.37, 3.1]:
                 want = E * E - 4.0 * math.cos(theta) ** 2 - 2.0
-                assert discriminant(spec, E) == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert plain_discriminant(spec, E) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_q3_symbolic(self, rng):
         spec = am(1, 3, 2.0, 0.7)
         v = am_potential_range(1, 3, 2.0, 0.7, 3)
         for E in [-1.3, 0.2, 2.8]:
             want = symbolic_discriminant_q3(*v, E)
-            assert discriminant(spec, E) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert plain_discriminant(spec, E) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_free_is_linear(self):
         spec = am(0, 1, 2.0, math.pi / 2)
         for E in [-3.0, 0.1, 5.0]:
-            assert discriminant(spec, E) == pytest.approx(E, abs=1e-14)
+            assert plain_discriminant(spec, E) == pytest.approx(E, abs=1e-14)
 
     def test_dual_derivative_vs_central_difference(self, rng):
         for _ in range(30):
@@ -275,9 +274,9 @@ class TestDiscriminant:
             spec = OperatorSpec.almost_mathieu(r, 2.0, rng.uniform(0, 2 * math.pi))
             E = Fraction(rng.integers(-400, 400).item(), 100)
             want = float(exact_discriminant(spec, E))
-            got = discriminant(spec, float(E))
-            assert isinstance(got, float)
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+            got = plain_discriminant(spec, float(E))
+            assert got.imag == 0.0
+            assert got.real == pytest.approx(want, rel=1e-11, abs=1e-11)
 
     def test_complex_energy_matches_exact_oracle(self, rng):
         # D has real coefficients, so D(E + i y) = sum_k D^(k)(E) (i y)^k / k!;
@@ -285,40 +284,43 @@ class TestDiscriminant:
         spec = am(1, 2, 2.0, 0.3)
         E, y = Fraction(37, 100), 0.25
         want = complex(exact_discriminant(spec, E), 0.0) + 1j * y * exact_derivative(spec, float(E)) - y * y
-        got = discriminant(spec, complex(0.37, y))
-        assert isinstance(got, complex)
+        got = plain_discriminant(spec, complex(0.37, y))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_unscaled_value_leaves_float_range(self):
-        # log |D(8)| is about 777 at 233/377; the grid form keeps it scaled
+        # log |D(8)| is about 777 at 233/377, past the float range; the
+        # scalar and the grid forms both keep it scaled, and agree
         spec = OperatorSpec.almost_mathieu(reduce_fraction(233, 377), 2.0, 0.0)
-        with pytest.raises(OverflowError):
-            discriminant(spec, 8.0)
+        m, log_s = monodromy_scaled(spec, 8.0)
         mant, logs = discriminant_grid(spec, np.array([8.0]))
         assert math.log(abs(mant[0])) + logs[0] > 709.8
+        assert log_s == pytest.approx(logs[0], rel=1e-12)
+        assert m.trace() == pytest.approx(mant[0], rel=1e-10)
 
     def test_monic_degree_q_in_floats(self, rng):
         for _ in range(10):
             r = random_reduced(rng, 6)
             spec = OperatorSpec.almost_mathieu(r, 2.0, rng.uniform(0, 2 * math.pi))
-            assert discriminant(spec, 1e6) / 1e6**spec.period == pytest.approx(1.0, abs=2e-5)
+            assert plain_discriminant(spec, 1e6) / 1e6**spec.period == pytest.approx(1.0, abs=2e-5)
 
 
 class TestDelta:
+    """Chambers' Delta: the discriminant of ``delta_spec``, theta = pi / (2q)."""
+
     def test_half_lambda2(self):
-        assert delta(HALF, 2.0, 0.0) == pytest.approx(-4.0, abs=1e-12)
+        assert plain_discriminant(delta_spec(HALF, 2.0), 0.0) == pytest.approx(-4.0, abs=1e-12)
         for E in [-1.0, 0.6, 2.0]:
-            assert delta(HALF, 2.0, E) == pytest.approx(E * E - 4.0, abs=1e-12)
+            assert plain_discriminant(delta_spec(HALF, 2.0), E) == pytest.approx(E * E - 4.0, abs=1e-12)
 
     def test_free_case(self):
         for E in [-2.0, 0.0, 1.3]:
-            assert delta(ZERO, 2.0, E) == pytest.approx(E, abs=1e-14)
+            assert plain_discriminant(delta_spec(ZERO, 2.0), E) == pytest.approx(E, abs=1e-14)
 
     def test_definitional_identity_theta0(self):
         r = reduce_fraction(2, 5)
         E = 0.37
-        d0 = discriminant(OperatorSpec.almost_mathieu(r, 2.0, 0.0), E)
-        assert abs(delta(r, 2.0, E) - d0 - 2.0 * math.cos(0.0)) < 1e-10
+        d0 = plain_discriminant(OperatorSpec.almost_mathieu(r, 2.0, 0.0), E)
+        assert abs(plain_discriminant(delta_spec(r, 2.0), E) - d0 - 2.0 * math.cos(0.0)) < 1e-10
 
 
 class TestChambersResidual:
@@ -390,7 +392,7 @@ class TestGridEvaluation:
         Es = np.linspace(-4.2, 4.2, 57)
         mant, logs = discriminant_grid(spec, Es)
         for E, mv, lv in zip(Es, mant, logs):
-            want = discriminant(spec, float(E))
+            want = plain_discriminant(spec, float(E))
             assert mv * math.exp(lv) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_grid_derivative_matches_dual(self, rng):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 
 from almost_mathieu.core import (
     OperatorSpec,
-    discriminant,
     monodromy_scaled,
     reduce_fraction,
 )
@@ -18,10 +19,13 @@ from almost_mathieu.interpolation import (
     window_check,
 )
 from almost_mathieu.products import align_phases, eigensystem_2x2, hypothesis_margins, product_growth
+from conftest import plain_discriminant
 from oracles import (
     am_potential_range,
     intermediate_potential,
+    mp_discriminant,
     mp_halfline_green,
+    mp_intermediate_trace,
     transfer_product,
     truncated_halfline_green,
 )
@@ -29,6 +33,11 @@ from oracles import (
 HALF = reduce_fraction(1, 2)
 ZERO = reduce_fraction(0, 1)
 FINE = reduce_fraction(13, 27)
+
+
+def window_margin(rep):
+    """bound - Delta: the margin of the worst j, from the report's scaled Delta."""
+    return rep.bound - rep.delta_mantissa * math.exp(rep.delta_log_scale)
 
 
 class TestBuildIntermediate:
@@ -99,7 +108,7 @@ class TestWindowCheck:
         assert rep.ok
         assert rep.threshold == pytest.approx(-2.225)
         # at j = 0 the margin is -2.225 - (-6) = 3.775; drift can only lower it
-        assert 0.0 < rep.worst_margin <= 3.775 + 1e-12
+        assert 0.0 < window_margin(rep) <= 3.775 + 1e-12
 
     def test_boundary_case_reported_not_thrown(self):
         # Delta(E) = -delta exactly: E = sqrt(4 - delta)
@@ -115,18 +124,16 @@ class TestWindowCheck:
         ip = build_intermediate(ZERO, reduce_fraction(1, 400), 0.5, ctilde=0.1)
         rep = window_check(ip, -3.0)
         assert rep.ok
-        assert rep.worst_margin <= -2.375 - (-5.0)
+        assert window_margin(rep) <= -2.375 - (-5.0)
 
     def test_matches_direct_discriminant(self):
         ip = build_intermediate(HALF, FINE, 0.25, ctilde=1.0)
         E = 0.3
+        rep = window_check(ip, E)
+        dd = rep.delta_mantissa * math.exp(rep.delta_log_scale)
         for j in (0, 3, ip.freeze_site):
             spec = OperatorSpec.almost_mathieu(HALF, 2.0, ip.theta(j))
-            d = discriminant(spec, E)
-            dval = complex(d).real
-            from almost_mathieu.core import delta as chambers_delta
-
-            dd = complex(chambers_delta(HALF, 2.0, complex(E))).real
+            dval = plain_discriminant(spec, E).real
             assert dval == pytest.approx(dd - 2.0 * math.cos(2.0 * ip.theta(j)), abs=1e-10)
 
 
@@ -190,15 +197,16 @@ class TestTraceMargins:
         rep = trace_margin_check(ip, 0.0, 1e-3)
         assert rep.ok
         # trace ~ D(0) = -6, margin ~ 6 - 2.15
-        assert min(rep.margins) > 3.0
+        margins = [abs(t) * math.exp(s) - 2.15 for t, s in zip(rep.traces, rep.log_scales)]
+        assert min(margins) > 3.0
 
     def test_zero_drift_trace_is_discriminant(self):
         ip = build_intermediate(HALF, HALF, 1.0, ctilde=1.0)
         z = 0.37 + 0.01j
         blocks = inverse_blocks(ip, 0.37, 0.01)
         spec = OperatorSpec.almost_mathieu(HALF, 2.0, 0.0)
-        d = discriminant(spec, z)
-        assert complex(blocks[0].trace()) == pytest.approx(complex(d), rel=1e-12)
+        d = plain_discriminant(spec, z)
+        assert complex(blocks[0].trace()) == pytest.approx(d, rel=1e-12)
 
     def test_gamma_floor(self):
         ip = build_intermediate(HALF, reduce_fraction(500, 1001), 0.3, ctilde=0.05)
@@ -295,6 +303,59 @@ class TestGreenComparison:
         assert ln_g_tilde == pytest.approx(math.log(abs(g_tilde)), rel=0.0, abs=1e-10)
         assert rep.ln_rhs_i == pytest.approx(-328.17, abs=0.01)
         assert rep.step_i_ok
+
+
+class TestPaperScale:
+    """610/987 against 1597/2584 at E = 5: Delta and both block traces are
+    near e^1500, far past the float range, and every decision is checked
+    against a 40-digit evaluation."""
+
+    P, Q, PT, QT, DELTA, E, EPS = 610, 987, 1597, 2584, 0.25, 5.0, 0.1
+
+    def test_decisions_match_40_digits(self):
+        ip = build_intermediate(
+            reduce_fraction(self.P, self.Q), reduce_fraction(self.PT, self.QT), self.DELTA, ctilde=2.0
+        )
+        assert ip.l0 == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            win = window_check(ip, self.E)
+            tr = trace_margin_check(ip, self.E, self.EPS)
+            rep = green_comparison(ip, self.E, self.EPS)
+
+        with mpmath.workdps(40):
+            # window: Delta - 2 cos(q theta_j) < -2 - 3 delta / 4 for every j
+            dd = mp_discriminant(self.P, self.Q, 2.0, None, self.E, dps=40)
+            drift = Fraction(self.PT, self.QT) - Fraction(self.P, self.Q)
+            thr = -2 - 3 * mpmath.mpf(self.DELTA) / 4
+            window_ok = all(
+                dd - 2 * mpmath.cos(self.Q * 2 * mpmath.pi * (drift.numerator * j % drift.denominator) / drift.denominator)
+                < thr
+                for j in range(ip.freeze_site + 1)
+            )
+            # trace: |Tr| > 2 + delta / 2 on each block of q sites
+            traces = [
+                mp_intermediate_trace(
+                    self.P, self.Q, self.PT, self.QT, ip.freeze_site,
+                    range(j * self.Q + 1, (j + 1) * self.Q + 1), complex(self.E, self.EPS),
+                )
+                for j in range(ip.l0)
+            ]
+            trace_ok = all(abs(t) > 2 + mpmath.mpf(self.DELTA) / 2 for t in traces)
+            ln_delta = float(mpmath.log(abs(dd)))
+            ln_traces = [float(mpmath.log(abs(t))) for t in traces]
+            gammas = [float(mpmath.re(mpmath.acosh(t / 2))) for t in traces]
+
+        assert (win.ok, tr.trace_ok) == (window_ok, trace_ok) == (False, True)
+        assert (rep.window_ok, rep.trace_ok, rep.step_i_ok) == (False, True, True)
+        assert ln_delta > 1400.0
+        assert math.log(abs(win.delta_mantissa)) + win.delta_log_scale == pytest.approx(ln_delta, rel=0.0, abs=1e-9)
+        got = [math.log(abs(t)) + s for t, s in zip(tr.traces, tr.log_scales)]
+        np.testing.assert_allclose(got, ln_traces, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(tr.gammas, gammas, rtol=0.0, atol=1e-9)
+        assert tr.gamma_ok
+        assert rep.ln_lhs_i == pytest.approx(-3874770.14, abs=0.01)
+        assert rep.ln_rhs_i == pytest.approx(-2990.53, abs=0.01)
 
 
 class TestGrowthTheoremApplication:
