@@ -59,7 +59,6 @@ from .core import (
     discriminant_and_derivative_grid,
     discriminant_grid,
     floquet_exponent,
-    potential_array,
 )
 
 _BISECT_ITERS = 60
@@ -393,7 +392,7 @@ def _band_zeros(spec: OperatorSpec, corner: complex | float = -1.0j) -> np.ndarr
     V(1) + 2 cos(kappa).
     """
     q = spec.period
-    V = potential_array(spec, 1, q)
+    V = spec.period_potential
     if q == 1:
         return V + 2.0 * corner.real
     order = np.empty(q, dtype=np.intp)  # order[position] = site (0-based)

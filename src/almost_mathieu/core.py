@@ -9,10 +9,14 @@ and the one-period product Phi_q(E) = T_q ... T_1 with its Floquet
 multipliers, the roots of mu^2 - Tr Phi_q mu + det Phi_q.
 
 The recurrence runs in two forms.  ``monodromy_scaled`` is the one scalar
-loop: it carries the product at one complex energy in four plain local
-variables, with each step's matrix product written out (the factors -1, 1
-and 0 kept, so signed zeros come out as a ``Mat2`` product gives them),
-rescales it every few steps and builds one ``Mat2`` at the end.
+loop: it carries the product at one energy in four plain local variables,
+with each step's matrix product written out (the factors -1, 1 and 0 kept,
+so signed zeros come out as a ``Mat2`` product gives them), rescales it
+every few steps and builds one ``Mat2`` at the end.  Its arithmetic follows
+the type of the energy: floats for a real one, complex for a complex one.
+At a real energy the complex run only adds products with an exact zero, so
+its real parts and log scale equal the float run's, and a caller that
+reads the real trace gets the same bits either way.
 ``_grid_kernel`` is the one vectorized loop over the period: it carries
 the product at every energy of a grid, rescales it every few steps so it
 never overflows, and carries the energy derivative only when
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -158,6 +163,17 @@ class OperatorSpec:
             return abs(self.lam)
         return max(abs(v) for v in self.values)
 
+    @cached_property
+    def period_potential(self) -> np.ndarray:
+        """V(1), ..., V(q) as a read-only float array, computed once per spec.
+
+        The cache sits outside the dataclass fields, so equality and the
+        hash of a spec do not see it.
+        """
+        v = potential_array(self, 1, self.period)
+        v.flags.writeable = False
+        return v
+
 
 def potential_array(spec: OperatorSpec, start: int, count: int) -> np.ndarray:
     """V(start), ..., V(start + count - 1) as a float array."""
@@ -255,11 +271,20 @@ def eigenvector(m: Mat2, mu: complex) -> tuple[complex, complex] | None:
     return (v[0] / n, v[1] / n)
 
 
-def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
+def monodromy_scaled(spec: OperatorSpec, z: complex | float) -> tuple[Mat2, float]:
     """One-period product as (mantissa matrix, log scale).
 
     The true monodromy is ``mantissa * exp(log_scale)`` entrywise; rescaling
     along the way keeps the entries representable for any q.
+
+    The arithmetic follows the type of z, never its value.  A real z (int,
+    float, ``np.float64``: ``np.iscomplexobj(z)`` is false) runs in floats
+    and gives float entries; a complex one, ``complex(E, +-0.0)`` and
+    ``np.complex64`` included, runs in complex arithmetic as ``complex(z)``.
+    At a real energy the two agree: every term the complex loop adds is a
+    product with an exact zero, so its entries' real parts equal the float
+    entries (up to the sign of a zero), its max-abs rescale factors are the
+    same, and the log scales are bit-identical.
 
     The product is carried in four local variables, starting from the
     integers 1, 0, 0, 1, and one ``Mat2`` is built at the end.  A step is
@@ -271,10 +296,10 @@ def monodromy_scaled(spec: OperatorSpec, z: complex) -> tuple[Mat2, float]:
     imaginary part b + 0 a), and the signed zeros feed the branch cuts of
     the Green functions.
     """
-    z = complex(z)
+    z = complex(z) if np.iscomplexobj(z) else float(z)
     a11, a12, a21, a22 = 1, 0, 0, 1
     log_scale = 0.0
-    for j, v in enumerate(potential_array(spec, 1, spec.period).tolist(), 1):
+    for j, v in enumerate(spec.period_potential.tolist(), 1):
         e = z - v
         a11, a12, a21, a22 = (
             e * a11 + -1 * a21,
@@ -399,7 +424,7 @@ def _grid_kernel(spec: OperatorSpec, energies: np.ndarray, with_derivative: bool
     E = np.asarray(energies)
     E = E.astype(_grid_dtype(E))
     q = spec.period
-    V = potential_array(spec, 1, q)
+    V = spec.period_potential
 
     k = 4 if with_derivative else 2
     X = np.zeros((k,) + E.shape, dtype=E.dtype)

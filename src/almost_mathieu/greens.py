@@ -30,7 +30,6 @@ from .core import (
     eigenvector,
     floquet_exponent,
     monodromy_scaled,
-    potential_array,
 )
 
 __all__ = [
@@ -112,9 +111,15 @@ def lyapunov(spec: OperatorSpec, z: complex) -> LyapunovValue:
     For real z the exponent vanishes exactly when |D(z)| <= 2, in which case
     the monodromy eigenvalues are e^{+- i k q} and k = Im w / q in [0, pi/q]
     is returned.
+
+    A z with Im z == 0.0 (either signed zero) runs the monodromy on z.real,
+    in real arithmetic, about 1.4 times faster than in complex at 144/233.
+    The value does not change: the trace's real part and the log scale are
+    the same floats either way, and ``floquet_exponent`` reads a zero
+    imaginary part as +0.
     """
     z = complex(z)
-    m, log_s = monodromy_scaled(spec, z)
+    m, log_s = monodromy_scaled(spec, z.real if z.imag == 0.0 else z)
     w = complex(floquet_exponent(m.trace(), log_s))
     if z.imag == 0.0 and w.real == 0.0:
         return LyapunovValue(0.0, w.imag / spec.period)
@@ -125,8 +130,12 @@ def lyapunov_grid(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
     """Vectorized gamma = Re w / q over an energy grid (real or complex).
 
     Real energies are cast to complex and run the complex grid kernel too,
-    about twice the time of the float kernel; the float kernel rounds
-    differently in the last bits, so switching would move gamma bitwise.
+    about twice the time of the float kernel.  Switching would change
+    outputs: over 1/2, 2/5, 13/21, 55/89 and 144/233 at lam 2, theta 0, 0.7
+    and 2, and 3001 energies in [-4, 4], the float kernel's gamma differed
+    from the scalar loop's at 6740 of the 45015 points, by at most 2.6e-10,
+    and the complex kernel's at 11, in the last bits, where ``np.log`` of
+    a rescale factor differs from the scalar loop's ``math.log``.
     """
     E = np.asarray(energies, dtype=np.complex128)
     return floquet_exponent(*discriminant_grid(spec, E)).real / spec.period
@@ -196,7 +205,7 @@ class _FloquetSolution:
         if v is None:
             raise ValueError("degenerate contracting eigenvector")
         self.log_abs, self.phase = _carry_back(
-            z, potential_array(spec, 1, self.q), self.log_mu,
+            z, spec.period_potential, self.log_mu,
             self.mu_phase * v[0], self.mu_phase * v[1],
         )
 

@@ -284,11 +284,13 @@ def mat2_step_monodromy(spec: OperatorSpec, z: complex):
     multiplies it onto the running product with ``Mat2.__matmul__``, and the
     product is rescaled every 8 steps and after the last by its largest
     entry.  The library's four-variable loop must give the same entry types
-    and bits, signed zeros included, and the same log scale.
+    and bits, signed zeros included, and the same log scale.  Like the
+    library, it runs a real-typed z in floats and a complex-typed one in
+    complex arithmetic.
     """
     from almost_mathieu.core import Mat2
 
-    z = complex(z)
+    z = complex(z) if np.iscomplexobj(z) else float(z)
     m = Mat2.identity()
     log_scale = 0.0
     for j, v in enumerate(potential_array(spec, 1, spec.period).tolist(), 1):

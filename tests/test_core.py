@@ -94,6 +94,29 @@ class TestPotential:
         assert potential_array(spec, 1, 3).tolist() == [0.5, -1.0, 2.0]
         assert potential_array(spec, 0, 1)[0] == 2.0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            am(1, 2, 2.0, 0.0),
+            am(144, 233, 2.0, 0.7),
+            am(144, 233, -2.0, 0.7),
+            am(987, 1597, -1.3, 5.0),
+            OperatorSpec.explicit([0.5, -1.0, 2.0]),
+            OperatorSpec.explicit([-0.0]),
+        ],
+    )
+    def test_period_potential_is_cached_and_read_only(self, spec):
+        equal = OperatorSpec(spec.alpha, spec.lam, spec.theta, spec.values)
+        v = spec.period_potential
+        assert v.tobytes() == potential_array(spec, 1, spec.period).tobytes()
+        assert spec.period_potential is v
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        # the cache is not a field: a spec with it filled still equals and
+        # hashes like one without
+        assert "period_potential" not in vars(equal)
+        assert spec == equal and hash(spec) == hash(equal)
+
     def test_explicit_copy_has_the_same_monodromy(self, rng):
         # the explicit spec of V(1), ..., V(q) is the same operator: the
         # whole period product agrees, not only its cyclic-invariant trace
@@ -171,10 +194,12 @@ def _bits(x):
     return type(x), struct.pack("<dd", x.real, x.imag)
 
 
-# real, complex, both zeros and the band-edge values +-2
+# real, complex, both zeros and the band-edge values +-2, and numpy and
+# integer energies: the arithmetic follows the type of the energy
 _BIT_ENERGIES = (
     0.5, -1.3, 3.7, 2.0, -2.0, 0j, complex(0.0, -0.0),
     0.3 + 0.2j, -1.1 - 0.4j, 2.0 - 0.01j, complex(-0.0, 1e-3),
+    np.float64(-0.7), np.float64(-0.0), 0, -3, np.complex64(0.3 + 0.2j),
 )
 
 
@@ -197,11 +222,32 @@ def _assert_bitwise_mat2_step(spec, E):
         _bits(x) for x in (want.a11, want.a12, want.a21, want.a22)
     ], (spec, E)
     assert _bits(log_s) == _bits(want_log), (spec, E)
+    if not np.iscomplexobj(E):
+        _assert_real_path_equals_complex(spec, E, m, log_s)
 
 
-# a real or a complex energy, either part possibly a signed zero
+def _assert_real_path_equals_complex(spec, E, m, log_s):
+    """The float run at a real E against the complex run at complex(E)."""
+    mc, log_c = monodromy_scaled(spec, complex(E))
+    entries = (m.a11, m.a12, m.a21, m.a22)
+    assert all(type(x) is float for x in entries), (spec, E)
+    # == lets the two signed zeros tie
+    assert list(entries) == [x.real for x in (mc.a11, mc.a12, mc.a21, mc.a22)], (spec, E)
+    assert _bits(log_s) == _bits(log_c), (spec, E)
+    w, wc = (complex(floquet_exponent(t, s)) for t, s in ((m.trace(), log_s), (mc.trace(), log_c)))
+    assert _bits(w) == _bits(wc), (spec, E)
+
+
+# a real or a complex energy, either part possibly a signed zero, as a
+# Python, a numpy or an integer number
 _bit_parts = st.floats(-6.0, 6.0) | st.sampled_from([0.0, -0.0])
-_bit_energy = _bit_parts | st.builds(complex, _bit_parts, _bit_parts)
+_bit_energy = (
+    _bit_parts
+    | st.builds(complex, _bit_parts, _bit_parts)
+    | st.builds(np.float64, _bit_parts)
+    | st.integers(-6, 6)
+    | st.builds(lambda x, y: np.complex64(complex(x, y)), _bit_parts, _bit_parts)
+)
 
 
 class TestMonodromyBitwise:
@@ -217,6 +263,18 @@ class TestMonodromyBitwise:
             _assert_bitwise_mat2_step(spec, E)
         m, log_s = monodromy_scaled(spec, 5.0)
         assert 2300.0 < log_s < 2500.0
+
+    def test_complex64_keeps_its_imaginary_part(self):
+        spec = am(13, 21, 2.0, 0.7)
+        E = np.complex64(0.3 + 0.2j)
+        m, log_s = monodromy_scaled(spec, E)
+        want, want_log = monodromy_scaled(spec, complex(E))
+        assert all(type(x) is complex for x in (m.a11, m.a12, m.a21, m.a22))
+        assert m.trace().imag != 0.0
+        assert [_bits(x) for x in (m.a11, m.a12, m.a21, m.a22)] == [
+            _bits(x) for x in (want.a11, want.a12, want.a21, want.a22)
+        ]
+        assert _bits(log_s) == _bits(want_log)
 
     @given(
         st.integers(1, 40).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q))),
