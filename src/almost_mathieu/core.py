@@ -24,10 +24,13 @@ never overflows, and carries the energy derivative only when
 does not).  Both loops give D only in scaled form, (mantissa, log scale):
 its plain value leaves the float range once log |D| > 709.  The grid's
 rows [a, b] (with [da, db]) and [c, d] (with [dc, dd]) sit in two stacked
-arrays updated in place, 3 or 4 array operations a step; the energy factor
-is always the left operand of a product, because numpy's complex multiply
-is not bitwise commutative.  Each energy's value depends on that energy
-alone, not on the rest of the grid.  ``_fixed_trace`` is the one
+arrays, and the energy factor and the rescale divisor are copied to the
+same shape; every step and every rescale writes into buffers allocated
+once per call, because numpy's broadcast multiply and the temporaries of
+a rescale cost more than the arithmetic.  The energy factor is always the
+left operand of a product, because numpy's complex multiply is not
+bitwise commutative.  Each energy's value depends on that energy alone,
+not on the rest of the grid.  ``_fixed_trace`` is the one
 extended-precision loop: Python integers in fixed point, at the precision
 ``chambers_bits`` sets for ``chambers_residual``.  ``floquet_exponent`` is
 the one place the multipliers e^{+-w} of a det-1 monodromy are taken,
@@ -415,16 +418,21 @@ def _grid_kernel(spec: OperatorSpec, energies: np.ndarray, with_derivative: bool
     Y = [c, d], each one row per entry and one column per energy; with the
     energy derivative, X = [a, b, da, db] and Y = [c, d, dc, dd].  One step
     is X, Y = e X - Y, X, plus the old [a, b] added onto the derivative
-    rows, written into the third of three buffers that then rotate, so no
-    step allocates.  The factor e stays the left operand of every product:
-    numpy's complex multiply is not bitwise commutative.  Every
-    _RESCALE_EVERY steps all entries are divided by max(|a|, |b|, |c|, |d|)
-    and the log of that factor is accumulated.
+    rows, written into the third of three buffers that then rotate.  Every
+    operand of a step has the rows' shape: the energies are copied into
+    every row once, so e = E - V(j) fills a buffer of that shape and e X
+    needs no broadcast, which costs numpy more than the multiply itself.  The factor
+    e stays the left operand of every product: numpy's complex multiply is
+    not bitwise commutative.  After every _RESCALE_EVERY steps, and after
+    the last, all entries are divided by s = max(|a|, |b|, |c|, |d|) (1
+    where s is 0 or NaN), copied into each row, and log s is accumulated.
+    Every buffer, the rescale's included, is allocated once per call, so
+    no step allocates.
     """
     E = np.asarray(energies)
     E = E.astype(_grid_dtype(E))
     q = spec.period
-    V = spec.period_potential
+    V = spec.period_potential.tolist()
 
     k = 4 if with_derivative else 2
     X = np.zeros((k,) + E.shape, dtype=E.dtype)
@@ -432,22 +440,34 @@ def _grid_kernel(spec: OperatorSpec, energies: np.ndarray, with_derivative: bool
     T = np.empty_like(X)
     X[0] = 1.0  # a
     Y[1] = 1.0  # d
-    e = np.empty_like(E)
+    E_k = np.broadcast_to(E, X.shape).copy()
+    e = np.empty_like(X)
+    A = np.empty((2,) + E.shape, dtype=np.float64)  # |a|, |b|, then the maxima
+    B = np.empty_like(A)  # |c|, |d|
+    S = np.empty((k,) + E.shape, dtype=np.float64)  # s in every row
+    s = S[0, ...]  # a view, also where E is 0-d
+    unit = np.empty(E.shape, dtype=bool)
     log_scale = np.zeros(E.shape, dtype=np.float64)
 
-    for j in range(q):
-        np.subtract(E, V[j], out=e)
-        np.multiply(e, X, out=T)
-        if with_derivative:
-            T[2:] += X[:2]  # (e da + a) - dc, bitwise a + e da - dc
-        T -= Y
-        X, Y, T = T, X, Y
-        if (j + 1) % _RESCALE_EVERY == 0 or j == q - 1:
-            s = np.maximum(np.abs(X[:2]).max(axis=0), np.abs(Y[:2]).max(axis=0))
-            s = np.where(s > 0.0, s, 1.0)
-            X /= s
-            Y /= s
-            log_scale += np.log(s)
+    for start in range(0, q, _RESCALE_EVERY):
+        for v in V[start : start + _RESCALE_EVERY]:
+            np.subtract(E_k, v, out=e)
+            np.multiply(e, X, out=T)
+            if with_derivative:
+                T[2:] += X[:2]  # (e da + a) - dc, bitwise a + e da - dc
+            T -= Y
+            X, Y, T = T, X, Y
+        np.abs(X[:2], out=A)
+        np.abs(Y[:2], out=B)
+        np.maximum(A, B, out=A)
+        np.maximum(A[0], A[1], out=s)
+        np.greater(s, 0.0, out=unit)
+        np.logical_not(unit, out=unit)
+        np.copyto(s, 1.0, where=unit)
+        S[1:] = s
+        X /= S
+        Y /= S
+        log_scale += np.log(s, out=s)
     if with_derivative:
         return X[0] + Y[1], X[2] + Y[3], log_scale
     return X[0] + Y[1], log_scale

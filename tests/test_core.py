@@ -471,25 +471,43 @@ class TestGridEvaluation:
             np.testing.assert_array_equal(mant, mant2)
             np.testing.assert_array_equal(logs, logs2)
 
-    # q = 8 and 9 put the last step on and just past a periodic rescale
-    @pytest.mark.parametrize("q", [1, 2, 7, 8, 9, 233])
+    # q = 8 and 9 put the last step on and just past a periodic rescale; at
+    # 987/1597 the 2q = 3194 energies are one bisection level's batch
+    @pytest.mark.parametrize("q", [1, 2, 7, 8, 9, 233, 1597])
     def test_bitwise_equal_to_five_array_loop(self, q, rng):
-        p = 1 if q > 1 else 0
-        for lam, theta in ((2.0, math.pi / (2 * q)), (1.3, 0.4)):
-            spec = am(p, q, lam, theta)
-            for Es in (
-                np.linspace(-5.0, 5.0, 41),
-                rng.uniform(-4.0, 4.0, 17) + 1j * rng.uniform(-1.0, 1.0, 17),
-            ):
-                for got, want in (
-                    (discriminant_grid(spec, Es), five_array_grid(spec, Es, False)),
-                    (
-                        discriminant_and_derivative_grid(spec, Es),
-                        five_array_grid(spec, Es, True),
-                    ),
-                ):
+        p = {1: 0, 1597: 987}.get(q, 1)
+        specs = (
+            am(p, q, 2.0, math.pi / (2 * q)),
+            am(p, q, 1.3, 0.4),
+            delta_spec(reduce_fraction(p, q), 2.0),
+            OperatorSpec.explicit(rng.uniform(-3.0, 3.0, q)),
+        )
+        batches = (
+            np.linspace(-5.0, 5.0, 41),
+            rng.uniform(-4.0, 4.0, 17) + 1j * rng.uniform(-1.0, 1.0, 17),
+            rng.uniform(-4.0, 4.0, 1),
+            rng.uniform(-4.0, 4.0, 512),
+            np.linspace(-4.0, 4.0, 2 * q),
+            np.array([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+            np.array([complex(1.0, -0.0), complex(-0.0, -0.0), complex(np.nan, -0.0)]),
+            rng.uniform(-4.0, 4.0, (3, 5)),
+            rng.uniform(-4.0, 4.0, (2, 3)) + 0.25j,
+            np.array(0.3),
+        )
+        for spec in specs:
+            for Es in batches:
+                with np.errstate(all="ignore"):  # nan and inf energies
+                    pairs = (
+                        (discriminant_grid(spec, Es), five_array_grid(spec, Es, False)),
+                        (
+                            discriminant_and_derivative_grid(spec, Es),
+                            five_array_grid(spec, Es, True),
+                        ),
+                    )
+                for got, want in pairs:
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
+                        assert g.shape == Es.shape
                         assert g.dtype == w.dtype
                         assert g.tobytes() == w.tobytes()
 
