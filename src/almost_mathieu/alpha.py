@@ -77,7 +77,6 @@ class LevelCertificate:
 @dataclass(frozen=True)
 class AlphaCertificate:
     levels: tuple[LevelCertificate, ...]
-    c_used: float
 
     @property
     def all_ok(self) -> bool:
@@ -148,7 +147,7 @@ def _certified_g(c: float, j: int, q_j: int, q_next: int) -> mpmath.mpf:
     return g100
 
 
-def _guard_eta_size(c: float, j: int, q_j: int, digit_guard: int) -> None:
+def _guard_eta_size(c: float, j: int, q_j: int) -> None:
     """Refuse levels where eta = C^{-q} delta^2 has an unbuildable exact form.
 
     The exact rational eta needs about q |log10 C| + 2 j log10(q) digits;
@@ -162,12 +161,12 @@ def _guard_eta_size(c: float, j: int, q_j: int, digit_guard: int) -> None:
     else:
         # q_j itself is astronomical; C^{-q_j} is unbuildable unless C = 1
         total = math.inf if log10c > 1e-18 else 2.0 * j * digits_q
-    if total > digit_guard:
+    if total > _DIGIT_GUARD:
         raise ValueError(f"eta underflows representable rationals at level {j}")
 
 
 def _level_margins(c: float, j: int, q_j: int, q_j1: int, q_j2: int) -> LevelCertificate:
-    _guard_eta_size(c, j, q_j, _DIGIT_GUARD)
+    _guard_eta_size(c, j, q_j)
     delta_j = Fraction(1, q_j**j)
     eta_j = Fraction(c) ** (-q_j) * delta_j**2
     gap = Fraction(1, q_j * q_j1)  # |alpha_{j+1} - alpha_j| exactly
@@ -194,12 +193,10 @@ def verify_conditions(cf: ContinuedFraction, c: float, j_max: int) -> AlphaCerti
         q_j1 = cf.convergents[j].q
         q_j2 = cf.convergents[j + 1].q
         levels.append(_level_margins(c, j, q_j, q_j1, q_j2))
-    return AlphaCertificate(tuple(levels), float(c))
+    return AlphaCertificate(tuple(levels))
 
 
-def construct_alpha(
-    c: float, j_max: int, digit_guard: int = _DIGIT_GUARD
-) -> tuple[ContinuedFraction, AlphaCertificate]:
+def construct_alpha(c: float, j_max: int) -> tuple[ContinuedFraction, AlphaCertificate]:
     """Greedy expansion satisfying the zero-dimension conditions.
 
     The expansion starts from the quotient 2.  Each odd level j picks the
@@ -217,7 +214,7 @@ def construct_alpha(
     for j in range(1, j_max + 1, 2):
         qs = [1] + [r.q for r in convergents(quotients).convergents]  # q_0 = 1
         q_j, q_jm1 = qs[j], qs[j - 1]
-        _guard_eta_size(c, j, q_j, digit_guard)
+        _guard_eta_size(c, j, q_j)
         delta_j = Fraction(1, q_j**j)
         eta_j = Fraction(c) ** (-q_j) * delta_j**2
 
@@ -241,7 +238,7 @@ def construct_alpha(
             hi = max(2 * n0, 2)
             while g_of(hi) < 0:
                 hi *= 2
-                if hi.bit_length() > int(3.33 * max(40, digit_guard)):
+                if hi.bit_length() > int(3.33 * _DIGIT_GUARD):
                     raise ValueError(f"condition (3) unsatisfiable at level {j}")
             stationary = Fraction(j) * Fraction(c) * Fraction(q_j) ** (j + 1)
             lo = max(n0, math.floor((stationary - q_jm1) / q_j) + 1)

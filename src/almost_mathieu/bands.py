@@ -68,13 +68,12 @@ _SUM_BLOCK = 4096  # entries of 1/(E - z_j) one block of a separator sum holds
 
 __all__ = [
     "SpectralSet",
-    "SminusPoints",
     "JDeltaResult",
     "EdgeMargin",
     "BandEdgeReport",
-    "HolderReport",
     "RootFindingError",
     "spectrum_bands",
+    "band_parity",
     "spectral_union_S",
     "sminus_points",
     "last_wilkinson_sum",
@@ -82,7 +81,6 @@ __all__ = [
     "jdelta_sweep",
     "band_edge_bound_check",
     "ids_profile",
-    "holder_inclusion_check",
 ]
 
 
@@ -97,37 +95,24 @@ class RootFindingError(RuntimeError):
 class SpectralSet:
     """Ordered union of closed bands, disjoint except for touching endpoints.
 
-    The bands are held as two read-only arrays: ``edges``, float64 of shape
-    (n, 2) with row i = (lo, hi) of band i + 1, and ``monotonicity``, int8
-    of length n with the sign of D' on each band (0 where unknown), in
-    ascending order of the lower edge.  That is 17 bytes a band.
+    The bands are held as one read-only array, ``edges``, float64 of shape
+    (n, 2) with row i = (lo, hi) of band i + 1, in ascending order of the
+    lower edge.  That is 16 bytes a band.
     """
 
-    __slots__ = ("_edges", "_mono")
+    __slots__ = ("_edges",)
 
-    def __init__(self, edges=(), monotonicity=None):
+    def __init__(self, edges=()):
         e = np.array(edges, dtype=np.float64).reshape(-1, 2)
-        if monotonicity is None:
-            m = np.zeros(len(e), dtype=np.int8)
-        else:
-            m = np.array(monotonicity, dtype=np.int8).reshape(-1)
-        if len(m) != len(e):
-            raise ValueError(f"{len(e)} bands but {len(m)} monotonicity signs")
         if np.any(e[1:, 0] < e[:-1, 0]):
             raise ValueError("bands must come in ascending order of their lower edges")
         e.flags.writeable = False
-        m.flags.writeable = False
-        self._edges, self._mono = e, m
+        self._edges = e
 
     @property
     def edges(self) -> np.ndarray:
         """(n, 2) float64 array, row i = (lo, hi) of band i + 1; read-only."""
         return self._edges
-
-    @property
-    def monotonicity(self) -> np.ndarray:
-        """int8 array of the sign of D' on each band, 0 where unknown; read-only."""
-        return self._mono
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -135,18 +120,16 @@ class SpectralSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectralSet):
             return NotImplemented
-        return np.array_equal(self._edges, other._edges) and np.array_equal(
-            self._mono, other._mono
-        )
+        return np.array_equal(self._edges, other._edges)
 
     def __hash__(self) -> int:
-        return hash((tuple(self._edges.ravel().tolist()), self._mono.tobytes()))
+        return hash(tuple(self._edges.ravel().tolist()))
 
     def __reduce__(self):
-        return SpectralSet, (self._edges, self._mono)
+        return SpectralSet, (self._edges,)
 
     def __repr__(self) -> str:
-        return f"SpectralSet({self._edges.tolist()!r}, {self._mono.tolist()!r})"
+        return f"SpectralSet({self._edges.tolist()!r})"
 
     @property
     def measure(self) -> float:
@@ -206,7 +189,6 @@ class SpectralSet:
 
         ``intervals`` is a sequence of pairs or an (n, 2) array.  With
         ``merge_overlaps`` the pairs that meet or overlap become one band.
-        The monotonicity of every band is 0.
         """
         ivs = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
         ivs = ivs[ivs[:, 1] >= ivs[:, 0]]
@@ -218,13 +200,6 @@ class SpectralSet:
             ends = np.append(starts[1:], len(ivs)) - 1
             ivs = np.column_stack((ivs[starts, 0], reach[ends]))
         return SpectralSet(ivs)
-
-
-@dataclass(frozen=True)
-class SminusPoints:
-    """The q zeros of Chambers' Delta at critical coupling."""
-
-    energies: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -243,7 +218,6 @@ class EdgeMargin:
     band_index: int
     side: str
     energy: float
-    zero: float
     margin: float
     mandated: bool
 
@@ -260,19 +234,6 @@ class BandEdgeReport:
     @property
     def all_ok(self) -> bool:
         return all(e.ok for e in self.edges if e.mandated)
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    bound: float
-    max_distance: float
-    max_ratio: float
-    n_samples: int
-    n_violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.n_violations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +482,7 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     thr = float(thr)
     if q == 1:
         center = float(_band_zeros(spec)[0])
-        return SpectralSet([(center - thr, center + thr)], [1])
+        return SpectralSet([(center - thr, center + thr)])
 
     outer = 2.0 + spec.coupling + max(2.5, spec.coupling / 2.0 + 2.0, thr ** (1.0 / q) + 1.5)
 
@@ -537,7 +498,7 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
         sep[c] = 0.0
         sep_vals[c] = (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q)
     d_at_zeros, slope = fd(zeros)
-    mono = np.where(slope >= 0.0, 1, -1).astype(np.int8)
+    mono = np.where(slope >= 0.0, 1, -1)
 
     # target value of D at the lower/upper edge of each band
     lower_target = np.where(mono > 0, -thr, thr)
@@ -583,7 +544,7 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
 
     swap = found[:, 1] < found[:, 0]
     found[swap] = found[swap, ::-1]
-    return SpectralSet(found, mono)
+    return SpectralSet(found)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +557,21 @@ def spectrum_bands(spec: OperatorSpec) -> SpectralSet:
     Every band runs between a root of D = 2 and one of D = -2, the q
     periodic and q antiperiodic Floquet eigenvalues, so the 2q of them
     sorted pair up into the q bands; touching bands share a double
-    eigenvalue.  D is monic of degree q, so it increases on the top band
-    and alternates below it: band i has monotonicity (-1)^(q - i).
+    eigenvalue.  Band i of q is oriented by :func:`band_parity`: D runs
+    up across it where (-1)^(q - i) = 1 and down where it is -1.
     """
     q = spec.period
     edges = np.sort(np.concatenate((_band_zeros(spec, 1.0), _band_zeros(spec, -1.0))))
-    mono = np.where((q - np.arange(1, q + 1)) % 2 == 0, 1, -1)
-    return SpectralSet(edges.reshape(q, 2), mono)
+    return SpectralSet(edges.reshape(q, 2))
+
+
+def band_parity(q: int) -> np.ndarray:
+    """The sign of D' on bands 1..q of a period-q spectrum: (-1)^(q - i) on band i.
+
+    D is monic of degree q, so it increases on the top band and alternates
+    below it.
+    """
+    return np.where((q - np.arange(1, q + 1)) % 2 == 0, 1, -1)
 
 
 def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
@@ -622,7 +591,8 @@ def sminus_points(alpha: ReducedRational, lam: float = 2.0):
     At lam = 2 this degenerates to the q zeros of Delta, found directly by
     zero-finding rather than as a sublevel set at threshold zero; for
     0 < lam < 2 the set is {|Delta| <= 2 - 2 (lam/2)^q} and a SpectralSet
-    is returned; for lam > 2 it is empty.
+    is returned; for lam > 2 it is empty.  The zeros come as a read-only
+    float64 array, ascending.
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
@@ -638,7 +608,9 @@ def sminus_points(alpha: ReducedRational, lam: float = 2.0):
     # the noise-shifted crossing of the double-precision Delta, so the
     # eigenvalues are returned as-is.  Placement is certified against
     # 40-digit arithmetic in the test suite.
-    return SminusPoints(tuple(float(z) for z in _band_zeros(spec)))
+    zeros = _band_zeros(spec)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def last_wilkinson_sum(alpha: ReducedRational) -> float:
@@ -646,10 +618,8 @@ def last_wilkinson_sum(alpha: ReducedRational) -> float:
 
     Equals 1/q identically for every reduced p/q.
     """
-    pts = sminus_points(alpha, 2.0)
-    spec = delta_spec(alpha, 2.0)
-    zeros = np.asarray(pts.energies)
-    _, dp = _d_and_deriv_values(spec, zeros)
+    zeros = sminus_points(alpha, 2.0)
+    _, dp = _d_and_deriv_values(delta_spec(alpha, 2.0), zeros)
     return float(np.sum(1.0 / np.abs(dp)))
 
 
@@ -685,7 +655,7 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
     come back as q bands (one around each zero) raises ValueError.
     """
     res = jdelta_sets(alpha, delta_)
-    pts = sminus_points(alpha, 2.0)
+    zeros = sminus_points(alpha, 2.0)
     q = alpha.q
     n_bands = len(res.complement)
     if n_bands != q:
@@ -695,13 +665,13 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
     E = res.complement.edges.ravel()
     val, dval = _d_and_deriv_values(delta_spec(alpha, 2.0), E)
     edges = []
-    for j, zero in enumerate(pts.energies):
+    for j, zero in enumerate(zeros.tolist()):
         for s, side in enumerate(("lower", "upper")):
             n = 2 * j + s
             margin = math.e * abs(val[n]) / abs(dval[n]) - abs(E[n] - zero)
             outward = (j == 0 and side == "lower") or (j == q - 1 and side == "upper")
             edges.append(
-                EdgeMargin(j + 1, side, float(E[n]), zero, float(margin), not outward)
+                EdgeMargin(j + 1, side, float(E[n]), float(margin), not outward)
             )
     return BandEdgeReport(delta_, tuple(edges))
 
@@ -711,7 +681,7 @@ def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
 
     On band j the IDS interpolates between (j-1)/q and j/q through the Bloch
     phase arccos(D/2), the imaginary part of the Floquet exponent, oriented
-    by the monotonicity of D; it is constant on gaps, 0 below and 1 above
+    by :func:`band_parity`; it is constant on gaps, 0 below and 1 above
     the spectrum.  The bands are computed once.
     """
     bands = spectrum_bands(spec)
@@ -719,7 +689,6 @@ def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
     E = np.asarray(energies, dtype=np.float64)
     phi = floquet_exponent(*discriminant_grid(spec, E)).imag
     lows, his = bands.edges.T
-    mono = bands.monotonicity
     pos = np.searchsorted(lows, E, side="right")
     idx = np.maximum(pos - 1, 0)
     below = pos == 0
@@ -728,7 +697,7 @@ def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
     out = np.zeros(E.shape)
     out[in_gap] = (idx[in_gap] + 1.0) / q
     j = idx[inside] + 1.0
-    m = mono[idx[inside]]
+    m = band_parity(q)[idx[inside]]
     out[inside] = np.where(
         m > 0,
         (j - phi[inside] / math.pi) / q,
@@ -736,30 +705,3 @@ def ids_profile(spec: OperatorSpec, energies: np.ndarray) -> np.ndarray:
     )
     return out
 
-
-def holder_inclusion_check(
-    alpha: ReducedRational,
-    alpha2: ReducedRational,
-    lam: float,
-    n_samples: int,
-) -> HolderReport:
-    """Continuity of S in the frequency: sampled Hausdorff-type distances.
-
-    For energies sampled uniformly (by measure) over S(alpha, lam), the
-    distance to S(alpha2, lam) is compared against 6 sqrt(lam |alpha -
-    alpha2|); violations are counted, not raised.
-    """
-    s1 = spectral_union_S(alpha, lam)
-    s2 = spectral_union_S(alpha2, lam)
-    gap = abs(alpha.as_fraction() - alpha2.as_fraction())
-    bound = 6.0 * math.sqrt(lam * float(gap))
-    total = s1.measure
-    lo, hi = s1.edges.T
-    cum = np.concatenate(([0.0], np.cumsum(hi - lo)))
-    t = (np.arange(n_samples) + 0.5) / n_samples * total
-    j = np.minimum(np.searchsorted(cum, t, side="right") - 1, len(s1) - 1)
-    d = s2.distance(lo[j] + (t - cum[j]))
-    max_dist = float(d.max(initial=0.0))
-    violations = int(np.count_nonzero(d >= bound if gap > 0 else d > 0.0))
-    ratio = max_dist / bound if bound > 0 else (math.inf if max_dist > 0 else 0.0)
-    return HolderReport(bound, max_dist, ratio, n_samples, violations)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .alpha import construct_alpha, margin_sign_log10
-from .bands import SminusPoints, sminus_points, spectral_union_S, spectrum_bands
+from .bands import SpectralSet, band_parity, sminus_points, spectral_union_S, spectrum_bands
 from .core import OperatorSpec, reduce_fraction
 from .experiments import (
     approximant_family,
@@ -159,10 +159,8 @@ def _butterfly_svg(ds, width: int, height: int, lam: float) -> str:
 def cmd_bands(args) -> int:
     spec = OperatorSpec.almost_mathieu(_alpha_arg(args), args.lam, args.theta)
     s = spectrum_bands(spec)
-    rows = [
-        (i, lo, hi, m)
-        for i, ((lo, hi), m) in enumerate(zip(s.edges.tolist(), s.monotonicity.tolist()), 1)
-    ]
+    parity = band_parity(spec.period).tolist()
+    rows = [(i, lo, hi, m) for i, ((lo, hi), m) in enumerate(zip(s.edges.tolist(), parity), 1)]
     if args.format == "csv":
         _emit(_csv(["band", "lo", "hi", "monotonicity"], rows), args.output)
         return 0
@@ -177,14 +175,15 @@ def cmd_bands(args) -> int:
 
 def cmd_sminus(args) -> int:
     res = sminus_points(_alpha_arg(args), args.lam)
-    if isinstance(res, SminusPoints):
-        header = ["index", "energy"]
-        rows = [(i + 1, e) for i, e in enumerate(res.energies)]
-        results = {"points": [e for e in res.energies]}
-    else:
+    if isinstance(res, SpectralSet):
         header = ["band", "lo", "hi"]
         rows = [(i, lo, hi) for i, (lo, hi) in enumerate(res.edges.tolist(), 1)]
         results = {"bands": [{"lo": lo, "hi": hi} for _, lo, hi in rows]}
+    else:
+        points = res.tolist()
+        header = ["index", "energy"]
+        rows = list(enumerate(points, 1))
+        results = {"points": points}
     if args.format == "csv":
         _emit(_csv(header, rows), args.output)
         return 0

@@ -100,8 +100,6 @@ class CoverBoundReport:
 class ButterflyDataset:
     """(p, q, band_index, lo, hi) rows, ordered by q, then p, then band."""
 
-    lam: float
-    theta_mode: str
     rows: tuple[tuple[int, int, int, float, float], ...]
     failures: tuple[str, ...]
 
@@ -315,4 +313,4 @@ def butterfly_generate(
             failures.append(f"{p}/{q}: {exc}")
             continue
         rows.extend((p, q, i, lo, hi) for i, (lo, hi) in enumerate(s.edges.tolist(), 1))
-    return ButterflyDataset(float(lam), theta_mode, tuple(rows), tuple(failures))
+    return ButterflyDataset(tuple(rows), tuple(failures))

@@ -92,8 +92,6 @@ class SuraceReport:
     measured_measure: float
     bound: float
     slack: float
-    mesh: float
-    n_points: int
 
     @property
     def ok(self) -> bool:
@@ -347,4 +345,4 @@ def surace_deviation(
     changes = int(np.count_nonzero(indicator[1:] != indicator[:-1]))
     slack = 2.0 * mesh * max(changes, 1)
     bound = math.pi * epsilon / eta
-    return SuraceReport(epsilon, eta, measured, bound, slack, mesh, len(E))
+    return SuraceReport(epsilon, eta, measured, bound, slack)

@@ -62,7 +62,6 @@ class IntermediatePotential:
     delta: float
     l0: int
     ctilde: float
-    gate_eta: float
     gate_ok: bool
 
     @property
@@ -170,7 +169,6 @@ def build_intermediate(
         raise ValueError(f"approximant too coarse: l0 = {l0} < 1")
     if l0 > ptqt.q:
         raise ValueError(f"window too long: l0 = {l0} > {ptqt.q}")
-    eta = gate_eta(pq.q, delta)
     gap = abs(ptqt.as_fraction() - pq.as_fraction())
     return IntermediatePotential(
         base=pq,
@@ -178,8 +176,7 @@ def build_intermediate(
         delta=float(delta),
         l0=l0,
         ctilde=float(ctilde),
-        gate_eta=float(eta),
-        gate_ok=gap <= eta,
+        gate_ok=gap <= gate_eta(pq.q, delta),
     )
 
 

@@ -98,13 +98,6 @@ class ProductCertificate:
         return float(sum(self.gammas))
 
     @property
-    def norm_final(self) -> float:
-        try:
-            return math.exp(self.norm_final_log)
-        except OverflowError:
-            return math.inf
-
-    @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 

@@ -127,12 +127,12 @@ def suite_bands(seed: int) -> list[dict]:
     for _ in range(6):
         r = _random_reduced(rng, 14)
         union = bandsmod.spectral_union_S(r, 2.0)
-        pts = bandsmod.sminus_points(r, 2.0)
+        zeros = bandsmod.sminus_points(r, 2.0)
         for _ in range(6):
             sigma = bandsmod.spectrum_bands(
                 core.OperatorSpec.almost_mathieu(r, 2.0, float(rng.uniform(0, 2 * math.pi)))
             )
-            incl_ok &= bool(np.all(sigma.distance(pts.energies) <= 1e-8))
+            incl_ok &= bool(np.all(sigma.distance(zeros) <= 1e-8))
             lo, hi = sigma.edges.T
             incl_ok &= bool(np.all(union.distance(np.stack((lo, 0.5 * (lo + hi), hi))) <= 1e-8))
     checks.append(_check("sminus-sigma-union-inclusion", incl_ok, "S- in sigma in S"))

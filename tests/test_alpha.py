@@ -105,8 +105,9 @@ class TestConstructAlpha:
             construct_alpha(0.0, 1)
 
     def test_digit_guard_names_level(self):
-        with pytest.raises(ValueError, match="level 5"):
-            construct_alpha(10.0, 5, digit_guard=500)
+        # q_5 has over a thousand digits, so C^{-q_5} has no buildable exact form
+        with pytest.raises(ValueError, match="eta underflows representable rationals at level 5"):
+            construct_alpha(10.0, 5)
 
 
 class TestVerifyConditions:

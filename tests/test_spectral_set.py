@@ -1,5 +1,6 @@
 """SpectralSet on its edge arrays, against plain loops over (lo, hi) pairs."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -48,7 +49,6 @@ class TestAgainstLoops:
         s = SpectralSet.from_intervals(intervals, merge_overlaps=merge)
         assert edges_of(s) == loop_from_intervals(intervals, merge)
         assert s.intervals() == loop_from_intervals(intervals, merge)
-        assert s.monotonicity.tolist() == [0] * len(s)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(disjoint_sets(), pairs.map(lambda p: loop_from_intervals(p, False))),
@@ -122,13 +122,10 @@ class TestAgainstLoops:
 
 class TestLayout:
     def test_arrays_are_read_only(self):
-        s = SpectralSet([(0.0, 1.0), (2.0, 3.0)], [1, -1])
+        s = SpectralSet([(0.0, 1.0), (2.0, 3.0)])
         assert s.edges.dtype == np.float64 and s.edges.shape == (2, 2)
-        assert s.monotonicity.dtype == np.int8
         with pytest.raises(ValueError):
             s.edges[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            s.monotonicity[0] = 0
 
     def test_input_is_copied(self):
         edges = np.array([[0.0, 1.0]])
@@ -137,19 +134,20 @@ class TestLayout:
         assert s.edges[0, 0] == 0.0
 
     def test_len_eq_hash(self):
-        a = SpectralSet([(0.0, 1.0), (2.0, 3.0)], [1, -1])
+        a = SpectralSet([(0.0, 1.0), (2.0, 3.0)])
         assert len(a) == 2 and len(SpectralSet(())) == 0
-        assert a == SpectralSet(np.array([[0.0, 1.0], [2.0, 3.0]]), [1, -1])
-        assert a != SpectralSet([(0.0, 1.0), (2.0, 3.0)])
-        assert a != SpectralSet([(0.0, 1.0)], [1])
+        assert a == SpectralSet(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert hash(a) == hash(SpectralSet(np.array([[0.0, 1.0], [2.0, 3.0]])))
+        assert a != SpectralSet([(0.0, 1.0)])
+        assert a != SpectralSet([(0.0, 1.0), (2.0, 3.5)])
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert repr(a) == "SpectralSet([[0.0, 1.0], [2.0, 3.0]])"
         assert SpectralSet([(-0.0, 1.0)]) == SpectralSet([(0.0, 1.0)])
         assert hash(SpectralSet([(-0.0, 1.0)])) == hash(SpectralSet([(0.0, 1.0)]))
 
     def test_rejects_bad_layouts(self):
         with pytest.raises(ValueError, match="ascending"):
             SpectralSet([(2.0, 3.0), (0.0, 1.0)])
-        with pytest.raises(ValueError, match="monotonicity"):
-            SpectralSet([(0.0, 1.0)], [1, 1])
 
     def test_empty_set(self):
         s = SpectralSet(())
@@ -175,14 +173,13 @@ class TestFootprint:
     def test_at_most_24_bytes_a_band(self):
         points = np.sort(np.random.default_rng(3).uniform(-4.0, 4.0, 2 * self.N))
         edges = points.reshape(-1, 2)
-        mono = np.where(np.arange(self.N) % 2, 1, -1)
-        assert self.retained_per_band(lambda: SpectralSet(edges, mono)) <= 24.0
+        assert self.retained_per_band(lambda: SpectralSet(edges)) <= 24.0
         pairs = [tuple(row) for row in edges.tolist()]
         assert self.retained_per_band(lambda: SpectralSet.from_intervals(pairs)) <= 24.0
 
 
 class TestNoBandObjects:
-    """A set is its two edge arrays, with no object per band."""
+    """A set is its edge array, with no object per band."""
 
     def test_union_set_is_ordered(self):
         # contains and distance bisect on the lower edges
