@@ -12,19 +12,23 @@ pair up into the q bands, touching ones included.
 
 The union and intersection over the phase theta, for lam > 0, are
 sublevel sets of Chambers' Delta at thresholds 2 +- 2(lam/2)^q, and
-J_delta^c one at threshold delta.  Each set is one call at its own
-threshold (:func:`_sublevel_bands`), in three steps:
+J_delta^c one at threshold delta.  Delta(-E) = (-1)^q Delta(E), so each
+set is symmetric under E -> -E: only its q edges at or below 0 are
+solved, and the other q are their reflections.  The same fact puts the
+middle exactly at 0: for even q the middle separator, for odd q the
+middle zero.  Each set is one call at its own threshold
+(:func:`_sublevel_bands`), in three steps, the last two on E <= 0:
 
   1. anchor the q simple real zeros of Delta, the roots at kappa = pi/2
      (grid sign-change scans provably miss clustered zeros at critical
      coupling),
-  2. solve the q-1 separators, the critical points of Delta between
-     consecutive zeros, as the roots of D'/D = sum_j 1/(E - z_j) over those
-     zeros (:func:`_interior_extrema`); for even q the middle one is 0,
+  2. solve the separators, the critical points of Delta between
+     consecutive zeros, as the roots of D'/D = sum_j 1/(E - z_j) over all
+     q zeros (:func:`_interior_extrema`),
   3. from each zero walk out to the enclosing separators and bisect the
      monotone piece down to |D| = threshold, finishing with one derivative
      step; where D does not cross the threshold before the separator, the
-     band ends there (a touching edge).  All edges are bisected in one
+     band ends there (a touching edge).  All these edges are bisected in one
      batch of at most 60 halvings, several to a kernel call: for n
      brackets, one call takes the 2^d - 1 midpoints of the next d levels
      of each bracket's bisection tree, with n (2^d - 1) <= 512, and since
@@ -392,14 +396,15 @@ def _log_derivative(E: np.ndarray, zeros: np.ndarray):
     return g, dg
 
 
-def _interior_extrema(zeros: np.ndarray) -> np.ndarray:
-    """The critical point of D between each pair of consecutive zeros.
+def _interior_extrema(zeros: np.ndarray, n: int) -> np.ndarray:
+    """The critical point of D between each of the first n pairs of consecutive zeros.
 
     D is monic with the simple real ``zeros`` z_1 < ... < z_q, so between
     z_i and z_i+1 its one critical point is the one root of
     g(E) = D'/D = sum_j 1/(E - z_j), which falls from +inf to -inf across
-    the gap (g' < 0).  All q - 1 roots are solved together from the
-    midpoints by Newton steps on phi = (E - z_i)(E - z_i+1) g, which has the
+    the gap (g' < 0).  The n roots (at most q - 1) are solved
+    together from the midpoints by Newton steps on
+    phi = (E - z_i)(E - z_i+1) g, which has the
     same root without the two poles, each kept inside the bracket that the
     signs of g have left, with a bisection step wherever Newton would leave
     it.  A root is done once its step is at most 2 ulp of the larger end of
@@ -408,12 +413,12 @@ def _interior_extrema(zeros: np.ndarray) -> np.ndarray:
     being returned unconverged.  The sums cost O(q^2) a step, in blocks of
     at most _SUM_BLOCK entries (:func:`_log_derivative`), and no evaluation
     of D is needed.  The separators are as accurate as the zeros: moving
-    z_j moves a critical point by at most as much.
+    z_j moves a critical point by at most as much.  Each root takes its own
+    steps, so the first n come out bitwise the same whatever n is.
     """
-    n = len(zeros) - 1
     if n < 1:
         return np.empty(0)
-    lo, hi = zeros[:-1].copy(), zeros[1:].copy()
+    lo, hi = zeros[:n].copy(), zeros[1 : n + 1].copy()
     E = 0.5 * (lo + hi)
     tol = 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     live = np.arange(n)  # the roots still being solved
@@ -462,11 +467,18 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
 
     Piece i runs from zero i outwards to where D crosses the threshold, or
     to the separator (the critical point between two zeros, from
-    :func:`_interior_extrema`) where it does not.  For even q, Delta(-E) =
-    Delta(E), so the middle separator is exactly 0 with Delta(0) =
-    (-1)^(q/2) (2 + 2 (lam/2)^q), the closed central gap; both are taken
-    from that fact and not from the float kernel, so the two middle bands
-    of S end at exactly 0.
+    :func:`_interior_extrema`) where it does not.
+
+    Delta(-E) = (-1)^q Delta(E), so the set is symmetric under E -> -E,
+    and only the q edges at or below 0 are solved: the separators, zeros
+    and bisections of the lower half.  The upper q edges are their
+    reflections, 0.0 - edge, which keeps an edge at 0 at +0.0.  The same
+    fact fixes the middle: for even q the middle separator is exactly 0
+    with Delta(0) = (-1)^(q/2) (2 + 2 (lam/2)^q), the closed central gap,
+    so the two middle bands of S end at exactly 0; for odd q Delta is odd
+    and its middle zero is exactly 0, so a collapsed middle band is
+    [0.0, 0.0].  These are taken from the symmetry and not from the float
+    kernel.
 
     No set the package computes swallows a gap, so a separator that reads
     below its threshold is a touching edge read with evaluation noise.  By
@@ -480,68 +492,71 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     """
     q = spec.period
     thr = float(thr)
-    if q == 1:
-        center = float(_band_zeros(spec)[0])
-        return SpectralSet([(center - thr, center + thr)])
+    if q == 1:  # Delta(E) = E
+        return SpectralSet([(-thr, thr)])
 
     outer = 2.0 + spec.coupling + max(2.5, spec.coupling / 2.0 + 2.0, thr ** (1.0 / q) + 1.5)
 
     f = lambda E: _d_values(spec, E)
     fd = lambda E: _d_and_deriv_values(spec, E)
+    h = (q + 1) // 2  # the pieces with a lower edge at or below 0
     zeros = _band_zeros(spec)
-    extrema = _interior_extrema(zeros)
-    sep = np.concatenate(([-outer], extrema, [outer]))
+    # the separators below 0, piece i between separators i and i + 1
+    sep = np.concatenate(([-outer], _interior_extrema(zeros, (q - 1) // 2)))
     sep_vals = f(sep)
+    zeros = zeros[:h]
     if q % 2 == 0:
         # the closed central gap, from the symmetry of Delta (docstring)
-        c = q // 2
-        sep[c] = 0.0
-        sep_vals[c] = (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q)
+        sep = np.append(sep, 0.0)
+        sep_vals = np.append(sep_vals, (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q))
+    else:
+        zeros[-1] = 0.0  # the odd middle zero (docstring)
     d_at_zeros, slope = fd(zeros)
     mono = np.where(slope >= 0.0, 1, -1)
 
-    # target value of D at the lower/upper edge of each band
+    # target value of D at the lower/upper edge of each piece
     lower_target = np.where(mono > 0, -thr, thr)
     upper_target = np.where(mono > 0, thr, -thr)
 
-    # every crossing edge is bisected in one vectorized batch; slot (i,
-    # which) is edge ``which`` of band i, and band i lies between
-    # separators i and i + 1
+    # every crossing edge of the lower half is bisected in one vectorized
+    # batch; slot 2 i + which is edge ``which`` of piece i
     batch_lo: list[float] = []
     batch_hi: list[float] = []
     batch_target: list[float] = []
-    batch_slot: list[tuple[int, int]] = []
-    found = np.empty((q, 2))
-    for i in range(q):
+    batch_slot: list[int] = []
+    found = np.empty(2 * q)
+    for i in range(h):
         est_width = 2.0 * thr / max(abs(slope[i]), 1e-300)
         if abs(d_at_zeros[i]) >= thr * (1.0 - 1e-12) or est_width < 1e-8:
             # band at or below double-precision resolution (readings of
             # D around it are noise); both edges collapse onto the zero,
             # which the eigensolve knows exactly -- the measure lost is
             # below 1e-8 per band
-            found[i] = zeros[i]
+            found[2 * i : 2 * i + 2] = zeros[i]
             continue
         for which, target in ((0, lower_target[i]), (1, upper_target[i])):
+            if 2 * i + which == q:  # the odd middle piece's upper edge, a reflection
+                break
             s, s_val = sep[i + which], sep_vals[i + which]
             # compare, not multiply: the product of the two offsets
             # overflows where a saturated outer value meets a large target
             if min(s_val, d_at_zeros[i]) < target < max(s_val, d_at_zeros[i]):
                 lo_i, hi_i = (s, zeros[i]) if which == 0 else (zeros[i], s)
-                batch_slot.append((i, which))
+                batch_slot.append(2 * i + which)
                 batch_lo.append(lo_i)
                 batch_hi.append(hi_i)
                 batch_target.append(target)
             else:
                 # D does not cross the threshold before the separator
-                found[i, which] = s
+                found[2 * i + which] = s
 
     if batch_slot:
         targets = np.asarray(batch_target)
         roots = _vector_bisect(f, np.asarray(batch_lo), np.asarray(batch_hi), targets)
-        polished = _newton_polish(fd, roots, targets)  # one derivative step
-        for (i, which), rp in zip(batch_slot, polished):
-            found[i, which] = float(rp)
+        found[batch_slot] = _newton_polish(fd, roots, targets)  # one derivative step
 
+    found[q:] = 0.0 - found[q - 1 :: -1]
+    found = found.reshape(q, 2)
     swap = found[:, 1] < found[:, 0]
     found[swap] = found[swap, ::-1]
     return SpectralSet(found)

@@ -193,14 +193,6 @@ class TestSpectrumBands:
                 np.sort(edges), eig_band_edges(am(p, q, lam, 0.0)), rtol=0, atol=1e-12
             )
 
-    def test_symmetry_of_union_under_reflection(self, rng):
-        for _ in range(10):
-            r = random_reduced(rng, 8)
-            s = spectral_union_S(r, 2.0)
-            lows, his = s.edges.T
-            # placement noise near threshold-tangent edges is ~1e-8
-            np.testing.assert_allclose(lows, -his[::-1], atol=1e-6)
-
     def test_delta_parity(self, rng):
         # Delta(-E) = (-1)^q Delta(E); exact for ideal cosines, so the
         # Fraction-arithmetic oracle sees only the eps-level rounding of the
@@ -213,6 +205,70 @@ class TestSpectrumBands:
             lhs = exact_discriminant(spec, -E)
             rhs = sign * exact_discriminant(spec, E)
             assert abs(float(lhs - rhs)) <= 1e-12 * (1.0 + abs(float(lhs)))
+
+
+# the sets of Delta that the sublevel solve builds, by name
+SUBLEVEL_SETS = {
+    "S-lam2": lambda r: spectral_union_S(r, 2.0),
+    "S-lam3": lambda r: spectral_union_S(r, 3.0),
+    "Sminus-lam1.3": lambda r: sminus_points(r, 1.3),
+    "J-0.5": lambda r: jdelta_sets(r, 0.5).complement,
+    "J-4": lambda r: jdelta_sets(r, 4.0).complement,
+    "J-6": lambda r: jdelta_sets(r, 6.0).complement,
+}
+
+# the same sets with their eigenvalue edges, where those are known
+ORACLE_SETS = {
+    "S-lam2": (SUBLEVEL_SETS["S-lam2"], lambda p, q: union_s_edges(p, q, 2.0)),
+    "Sminus-lam1.3": (SUBLEVEL_SETS["Sminus-lam1.3"], lambda p, q: sminus_edges(p, q, 1.3)),
+    "J-0.5": (SUBLEVEL_SETS["J-0.5"], lambda p, q: jdelta_edges(p, q, 0.5)),
+    "J-4": (SUBLEVEL_SETS["J-4"], lambda p, q: jdelta_edges(p, q, 4.0)),
+}
+
+# odd-q cells of `amo butterfly --qmax 25 --lambda 2` whose edge next to a
+# real gap of 2.5e-10 to 2.6e-7 was off by more than 1e-10 while the upper
+# half of S was bisected too
+FORMER_BUTTERFLY_FAILURES = [
+    (2, 17), (15, 17), (2, 19), (17, 19), (2, 21), (19, 21), (2, 23), (21, 23), (2, 25),
+]
+
+
+def assert_within_readme_bound(s: SpectralSet, ref: np.ndarray, cell) -> None:
+    """Every band of ``s`` within 1e-10 of ``ref``, or 1e-8 on a band of ``ref`` narrower than 1e-8."""
+    tol = np.where(ref[:, 1] - ref[:, 0] >= 1e-8, 1e-10, 1e-8)
+    err = np.abs(s.edges - ref).max(axis=1)
+    assert np.all(err <= tol), (cell, err.max())
+
+
+class TestReflection:
+    """The sublevel sets are solved on E <= 0 and reflected."""
+
+    @pytest.mark.parametrize("name", SUBLEVEL_SETS)
+    def test_exactly_symmetric(self, name, rng):
+        # edge k is 0.0 - edge 2q - 1 - k bit for bit, so an edge at 0 is
+        # +0.0; q = 1 and 2 and random odd and even q
+        cells = [ZERO, HALF] + [random_reduced(rng, 40) for _ in range(12)]
+        assert {r.q % 2 for r in cells[2:]} == {0, 1}
+        for r in cells:
+            e = SUBLEVEL_SETS[name](r).edges.ravel()
+            assert np.array_equal(e.view(np.int64), (0.0 - e[::-1]).view(np.int64)), r
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_edges_match_eigenvalues(self, name):
+        # every reduced p/q with q <= 25; the upper half of each set is all
+        # reflections, so this checks them against edges found independently
+        get, oracle = ORACLE_SETS[name]
+        for q in range(1, 26):
+            for p in range(q):
+                if math.gcd(p, q) == 1:
+                    assert_within_readme_bound(get(reduce_fraction(p, q)), oracle(p, q), (p, q))
+
+    @pytest.mark.parametrize(
+        "p,q", FORMER_BUTTERFLY_FAILURES, ids=[f"{p}-{q}" for p, q in FORMER_BUTTERFLY_FAILURES]
+    )
+    def test_former_butterfly_failures(self, p, q):
+        s = spectral_union_S(reduce_fraction(p, q), 2.0)
+        assert_within_readme_bound(s, union_s_edges(p, q, 2.0), (p, q))
 
 
 class TestSpectralUnion:
@@ -402,20 +458,22 @@ class TestVectorBisect:
         self.check(f, lo[order], hi[order], np.zeros(len(lo)))
 
     def test_grid_calls_at_13_21(self, monkeypatch):
-        # 22 calls: the separators take none, and the bisection several
-        # halvings a call, where one halving a call would take 61
+        # 18 calls: the separators take none, and the bisection several
+        # halvings a call, where one halving a call would take 61; 22
+        # bisecting the edges above 0 too
         steps = count_grid_work(monkeypatch)
         s = spectral_union_S(reduce_fraction(13, 21), 2.0)
         assert len(s) == 21
-        assert len(steps) <= 22
+        assert len(steps) <= 18
 
     def test_work_budget_at_233_377(self, monkeypatch):
-        # 60 fixed halvings of every edge cost 26.7M energy-steps here, this
-        # code 13,046,462 over 52 calls
+        # 60 fixed halvings of every edge cost 26.7M energy-steps here,
+        # bisecting both halves 13,046,462 over 52 calls, and this code,
+        # which bisects the edges at or below 0, 6,715,501 over 50
         steps = count_grid_work(monkeypatch)
         s = spectral_union_S(reduce_fraction(233, 377), 2.0)
         assert len(s) == 377
-        assert sum(steps) <= 13.1e6
+        assert sum(steps) <= 6.72e6
 
 
 def exact_log_derivative_sign(E: float, zeros) -> int:
@@ -442,7 +500,7 @@ class TestSeparators:
     def test_against_50_digit_critical_points(self, p, q, indices):
         # bisecting D' placed these to 5.4e-13 at 987/1597
         spec = delta_spec(reduce_fraction(p, q), 2.0)
-        seps = bands_module._interior_extrema(bands_module._band_zeros(spec))
+        seps = bands_module._interior_extrema(bands_module._band_zeros(spec), q - 1)
         assert len(seps) == q - 1
         offsets = [mp_critical_offset(spec, seps[i]) for i in indices]
         assert max(offsets) <= 1e-14
@@ -459,7 +517,7 @@ class TestSeparators:
     def test_root_of_g_in_its_gap(self, pq, lam):
         p, q = pq
         zeros = bands_module._band_zeros(delta_spec(reduce_fraction(p, q), lam))
-        seps = bands_module._interior_extrema(zeros)
+        seps = bands_module._interior_extrema(zeros, q - 1)
         assert np.all((zeros[:-1] < seps) & (seps < zeros[1:]))
         # g falls through 0 within 2 ulp (of the larger bracket end) of each
         # separator, read in exact arithmetic on the same float zeros
@@ -467,12 +525,15 @@ class TestSeparators:
             tol = 2.0 * np.spacing(max(abs(zeros[i]), abs(zeros[i + 1])))
             assert exact_log_derivative_sign(s - tol, zeros) > 0, (i, s)
             assert exact_log_derivative_sign(s + tol, zeros) < 0, (i, s)
+        # the sublevel sets solve only the separators below 0
+        half = (q - 1) // 2
+        assert np.array_equal(bands_module._interior_extrema(zeros, half), seps[:half])
 
     def test_unconverged_separator_raises(self, monkeypatch):
         monkeypatch.setattr(bands_module, "_NEWTON_ITERS", 2)
         zeros = bands_module._band_zeros(delta_spec(reduce_fraction(13, 21), 2.0))
         with pytest.raises(RootFindingError, match="not converged") as info:
-            bands_module._interior_extrema(zeros)
+            bands_module._interior_extrema(zeros, 20)
         lo, hi = info.value.bracket
         assert lo < hi
 
@@ -519,12 +580,9 @@ class TestEvenCentre:
         "p,q", EVEN_BUTTERFLY_CELLS, ids=[f"{p}-{q}" for p, q in EVEN_BUTTERFLY_CELLS]
     )
     def test_butterfly_cells_within_1e10(self, p, q):
-        # the README's placement bound: 1e-10, or 1e-8 for a band narrower
-        # than 1e-8, which may collapse onto its zero
+        # a band narrower than 1e-8 may collapse onto its zero
         s = spectral_union_S(reduce_fraction(p, q), 2.0)
-        ref = union_s_edges(p, q, 2.0)
-        tol = np.where(ref[:, 1] - ref[:, 0] >= 1e-8, 1e-10, 1e-8)
-        assert np.all(np.abs(s.edges - ref).max(axis=1) <= tol)
+        assert_within_readme_bound(s, union_s_edges(p, q, 2.0), (p, q))
 
     def test_centre_value_is_the_threshold(self):
         # |Delta(0)| = 2 + 2 (lam/2)^q, the sign (-1)^(q/2), at 60 digits
