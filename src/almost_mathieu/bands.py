@@ -26,16 +26,17 @@ middle zero.  Each set is one call at its own threshold
      consecutive zeros, as the roots of D'/D = sum_j 1/(E - z_j) over all
      q zeros (:func:`_interior_extrema`),
   3. from each zero walk out to the enclosing separators and bisect the
-     monotone piece down to |D| = threshold, finishing with one derivative
-     step; where D does not cross the threshold before the separator, the
-     band ends there (a touching edge).  All these edges are bisected in one
-     batch of at most 60 halvings, several to a kernel call: for n
-     brackets, one call takes the 2^d - 1 midpoints of the next d levels
-     of each bracket's bisection tree, with n (2^d - 1) <= 512, and since
-     the sign of D - threshold at a bracket's lower end never changes,
-     the signs at those midpoints walk it down all d levels.  An edge
-     leaves the batch once its bracket stops moving, with bitwise the
-     result of 60 fixed halvings.
+     monotone piece down to |D| = threshold; where D does not cross the
+     threshold before the separator, the band ends there (a touching
+     edge).  All these edges are bisected in one batch, several halvings
+     to a kernel call: for n brackets, one call takes the 2^d - 1
+     midpoints of the next d levels of each bracket's bisection tree, with
+     n (2^d - 1) <= 512, and since the sign of D - threshold at a
+     bracket's lower end never changes, the signs at those midpoints walk
+     it down all d levels.  An edge leaves the batch once its bracket is
+     at most 1e-10 wide, with bitwise the bracket of halving it on its
+     own, and is finished by at most two Newton steps on D - threshold
+     from the bracket's midpoint, each kept inside the bracket.
 
 No threshold used here swallows a gap.  D_theta = Delta - 2 (lam/2)^q
 cos(q theta) (Chambers), and D_theta' does not vanish where |D_theta| < 2,
@@ -65,7 +66,8 @@ from .core import (
     floquet_exponent,
 )
 
-_BISECT_ITERS = 60
+_EDGE_BRACKET = 1e-10  # width of a bracket that leaves the bisection, the edge promise
+_FINISH_STEPS = 2  # Newton steps that finish an edge inside its bracket
 _BLOCK_ENERGIES = 512  # midpoints one bisection call of f may take
 _NEWTON_ITERS = 100  # steps a separator may take before RootFindingError
 _SUM_BLOCK = 4096  # entries of 1/(E - z_j) one block of a separator sum holds
@@ -266,7 +268,7 @@ def _block_depth(n: int, left: int) -> int:
     """Levels of the bisection tree one call of f evaluates for n brackets.
 
     The largest d with n (2^d - 1) <= _BLOCK_ENERGIES, at least 1 and at
-    most the ``left`` halvings still to do.
+    most the ``left`` halvings that the widest live bracket still needs.
     """
     d = 1
     while d < left and n * (2 ** (d + 1) - 1) <= _BLOCK_ENERGIES:
@@ -274,31 +276,39 @@ def _block_depth(n: int, left: int) -> int:
     return d
 
 
-def _vector_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Roots of f - targets, one per sign-changing [lo_i, hi_i] bracket.
+def _bracket_done(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each bracket is at most _EDGE_BRACKET wide, or holds no float
+    but its ends, so that no halving narrows it (possible only at
+    |E| >= 2^19, where an ulp exceeds 1e-10).  A NaN bracket is done."""
+    return ~(hi - lo > _EDGE_BRACKET) | ~(np.nextafter(lo, hi) < hi)
 
-    Each of the _BISECT_ITERS halvings keeps the half whose ends differ in
-    sign.  The halvings run in blocks of d levels (:func:`_block_depth`):
-    one call of f takes, for every bracket, the 2^d - 1 midpoints of its
-    d-level tree, the same floats that d halvings in turn would compute,
-    and the signs of those values walk each bracket down the tree.  The
-    lower end moves only onto a midpoint where f - target has its sign, so
-    that sign, read once at the start, decides every level.
 
-    A halving that leaves a bracket unchanged (the midpoint rounds onto the
-    end it would replace) leaves it unchanged for good, so a bracket the
-    last level of a block did not move has settled and leaves the batch.
-    f acts on each energy on its own, so the roots are bitwise those of
-    _BISECT_ITERS fixed halvings of every bracket.
+def _vector_bisect(f, lo, hi, targets, sign_lo) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect every [lo_i, hi_i] bracket of f - targets down to a width of at most 1e-10.
+
+    Each halving keeps the half whose ends differ in sign.  ``sign_lo`` is
+    the sign of f - target at each lower end, which the caller has read:
+    the lower end moves only onto a midpoint where f - target has that
+    sign, so it decides every level.  A bracket is done at the first
+    halving that leaves it at most 1e-10 wide (:func:`_bracket_done`); one
+    that starts that narrow takes none.  Returns the final (lo, hi).
+
+    The halvings run in blocks of d levels (:func:`_block_depth`, with the
+    halvings that the widest live bracket still needs): one call of f
+    takes, for every live bracket, the 2^d - 1 midpoints of its d-level
+    tree, the same floats that d halvings in turn would compute, and the
+    signs of those values walk each bracket down the tree, stopping at the
+    first node that is done.  A bracket done inside a block leaves the
+    batch after it.  f acts on each energy on its own, so the brackets are
+    bitwise those of halving each one on its own until it is done.
     """
-    roots = np.empty(len(lo))
-    live = np.arange(len(lo))  # the brackets still in the batch
-    sign_lo = np.sign(f(lo) - targets)
-    done = 0
-    while live.size and done < _BISECT_ITERS:
+    out_lo, out_hi = lo.copy(), hi.copy()
+    live = np.flatnonzero(~_bracket_done(lo, hi))
+    lo, hi, targets, sign_lo = lo[live], hi[live], targets[live], sign_lo[live]
+    while live.size:
         n = live.size
-        d = _block_depth(n, _BISECT_ITERS - done)
-        done += d
+        left = int(np.ceil(np.log2(np.max(hi - lo) / _EDGE_BRACKET)))
+        d = _block_depth(n, left)
         # each bracket's tree of the next d halvings in heap order: node k
         # is the bracket [L[:, k], H[:, k]] with midpoint M[:, k] and
         # children 2k + 1 (the lower half) and 2k + 2 (the upper half)
@@ -316,26 +326,21 @@ def _vector_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np
             a = b
         fm = f(M.ravel()).reshape(n, -1) - targets[:, None]
         upper = (np.sign(fm) == sign_lo[:, None]).ravel()
-        # walk down with flat indices into the (n, ...) arrays
+        # walk down with flat indices into the (n, ...) arrays, staying on
+        # a node once it is done
         row_m = np.arange(0, M.size, M.shape[1])
-        k = np.zeros(n, dtype=np.intp)
-        for _ in range(d):
-            parent = k
-            k = 2 * k + 1 + upper[row_m + k]
         row_n = np.arange(0, L.size, L.shape[1])
         L, H = L.ravel(), H.ravel()
+        done = _bracket_done(L, H)
+        k = np.zeros(n, dtype=np.intp)
+        for _ in range(d):
+            k = np.where(done[row_n + k], k, 2 * k + 1 + upper[row_m + k])
         lo, hi = L[row_n + k], H[row_n + k]
-        # compared bit for bit with the bracket before the last level, so
-        # that a signed zero still counts as a move
-        moved = (lo.view(np.int64) != L[row_n + parent].view(np.int64)) | (
-            hi.view(np.int64) != H[row_n + parent].view(np.int64)
-        )
-        if not moved.all():
-            settled = ~moved
-            roots[live[settled]] = 0.5 * (lo[settled] + hi[settled])
-            live, lo, hi, sign_lo, targets = (x[moved] for x in (live, lo, hi, sign_lo, targets))
-    roots[live] = 0.5 * (lo + hi)
-    return roots
+        leaving = done[row_n + k]
+        out_lo[live[leaving]], out_hi[live[leaving]] = lo[leaving], hi[leaving]
+        stay = ~leaving
+        live, lo, hi, sign_lo, targets = (x[stay] for x in (live, lo, hi, sign_lo, targets))
+    return out_lo, out_hi
 
 
 def _band_zeros(spec: OperatorSpec, corner: complex | float = -1.0j) -> np.ndarray:
@@ -447,13 +452,38 @@ def _interior_extrema(zeros: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _newton_polish(values_and_derivs, roots: np.ndarray, target: np.ndarray) -> np.ndarray:
-    d, dp = values_and_derivs(roots)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = (d - target) / dp
-    step = np.where(np.isfinite(step), step, 0.0)
-    step = np.clip(step, -1e-9, 1e-9)
-    return roots - step
+def _newton_finish(values_and_derivs, lo, hi, targets, sign_lo) -> np.ndarray:
+    """Roots of D - targets inside their brackets, by Newton steps from each midpoint.
+
+    ``values_and_derivs`` gives D and D' at an array of energies, and
+    ``sign_lo`` is the sign of D - target at each lower end.  At most
+    _FINISH_STEPS steps: each reads D and D' at the iterate x, moves the
+    end on x's side of the crossing onto x, and steps to x - (D - target)
+    / D' where that lies in the bracket, to the bracket's midpoint where
+    it does not (a NaN step included).  An edge stops once its step is at
+    most 2 ulp.  Every iterate stays in the bracket it started from, so
+    whatever D' reads, the edge stays within the bracket's width of the
+    crossing.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    x = 0.5 * (lo + hi)
+    live = np.arange(len(x))
+    for _ in range(_FINISH_STEPS):
+        xl = x[live]
+        d, dp = values_and_derivs(xl)
+        r = d - targets[live]
+        upper = np.sign(r) == sign_lo[live]  # x lies below the crossing
+        a = lo[live] = np.where(upper, xl, lo[live])
+        b = hi[live] = np.where(upper, hi[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = xl - r / dp
+        outside = ~((new >= a) & (new <= b))
+        new[outside] = 0.5 * (a[outside] + b[outside])
+        x[live] = new
+        live = live[np.abs(new - xl) > 2.0 * np.spacing(np.abs(xl))]
+        if not live.size:
+            break
+    return x
 
 
 def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
@@ -463,7 +493,11 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     here; the spectrum takes its edges from eigenvalues instead
     (:func:`spectrum_bands`).  ``spec`` must be ``delta_spec(alpha, lam)``,
     whose D is Delta.  Every crossing edge is bisected in one vectorized
-    batch.
+    batch to a bracket at most 1e-10 wide (:func:`_vector_bisect`), then
+    finished by Newton steps inside it (:func:`_newton_finish`).  The
+    signs of D - threshold at the bracket ends are those already read at
+    the separators and the zeros: the plain and the derivative kernel
+    give bitwise the same D.
 
     Piece i runs from zero i outwards to where D crosses the threshold, or
     to the separator (the critical point between two zeros, from
@@ -523,6 +557,7 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     batch_lo: list[float] = []
     batch_hi: list[float] = []
     batch_target: list[float] = []
+    batch_sign: list[float] = []  # the sign of D - target at the lower end
     batch_slot: list[int] = []
     found = np.empty(2 * q)
     for i in range(h):
@@ -541,19 +576,22 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
             # compare, not multiply: the product of the two offsets
             # overflows where a saturated outer value meets a large target
             if min(s_val, d_at_zeros[i]) < target < max(s_val, d_at_zeros[i]):
-                lo_i, hi_i = (s, zeros[i]) if which == 0 else (zeros[i], s)
+                lo_i, hi_i, lo_val = (
+                    (s, zeros[i], s_val) if which == 0 else (zeros[i], s, d_at_zeros[i])
+                )
                 batch_slot.append(2 * i + which)
                 batch_lo.append(lo_i)
                 batch_hi.append(hi_i)
                 batch_target.append(target)
+                batch_sign.append(1.0 if lo_val > target else -1.0)
             else:
                 # D does not cross the threshold before the separator
                 found[2 * i + which] = s
 
     if batch_slot:
-        targets = np.asarray(batch_target)
-        roots = _vector_bisect(f, np.asarray(batch_lo), np.asarray(batch_hi), targets)
-        found[batch_slot] = _newton_polish(fd, roots, targets)  # one derivative step
+        targets, sign_lo = np.asarray(batch_target), np.asarray(batch_sign)
+        lo, hi = _vector_bisect(f, np.asarray(batch_lo), np.asarray(batch_hi), targets, sign_lo)
+        found[batch_slot] = _newton_finish(fd, lo, hi, targets, sign_lo)
 
     found[q:] = 0.0 - found[q - 1 :: -1]
     found = found.reshape(q, 2)

@@ -186,21 +186,25 @@ def five_array_grid(spec: OperatorSpec, energies: np.ndarray, with_derivative: b
     return a + d, log_scale
 
 
-def fixed_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Roots of f - targets by exactly 60 halvings of every bracket.
+def fixed_bisect(f, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
+    """Brackets of f - targets, each halved until it is at most 1e-10 wide.
 
     Keeps the half whose ends differ in sign, as decided by the sign of
-    f - target at the midpoint against that at the lower end.
+    f - target at the midpoint against that at the lower end.  A bracket
+    stops at the first halving that leaves it at most 1e-10 wide, or with
+    no float between its ends; one that starts so takes none.  Returns
+    (lo, hi).
     """
-    flo = f(lo) - targets
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid) - targets
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    lo, hi = lo.copy(), hi.copy()
+    sign_lo = np.sign(f(lo) - targets)
+    halve = (hi - lo > 1e-10) & (np.nextafter(lo, hi) < hi)
+    while halve.any():
+        mid = 0.5 * (lo[halve] + hi[halve])
+        same = np.sign(f(mid) - targets[halve]) == sign_lo[halve]
+        lo[halve] = np.where(same, mid, lo[halve])
+        hi[halve] = np.where(same, hi[halve], mid)
+        halve = (hi - lo > 1e-10) & (np.nextafter(lo, hi) < hi)
+    return lo, hi
 
 
 def truncated_halfline_green(
