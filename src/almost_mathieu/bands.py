@@ -25,18 +25,24 @@ middle zero.  Each set is one call at its own threshold
   2. solve the separators, the critical points of Delta between
      consecutive zeros, as the roots of D'/D = sum_j 1/(E - z_j) over all
      q zeros (:func:`_interior_extrema`),
-  3. from each zero walk out to the enclosing separators and bisect the
+  3. from each zero walk out to the enclosing separators and narrow the
      monotone piece down to |D| = threshold; where D does not cross the
      threshold before the separator, the band ends there (a touching
-     edge).  All these edges are bisected in one batch, several halvings
-     to a kernel call: for n brackets, one call takes the 2^d - 1
-     midpoints of the next d levels of each bracket's bisection tree, with
-     n (2^d - 1) <= 512, and since the sign of D - threshold at a
-     bracket's lower end never changes, the signs at those midpoints walk
-     it down all d levels.  An edge leaves the batch once its bracket is
-     at most 1e-10 wide, with bitwise the bracket of halving it on its
-     own, and is finished by at most two Newton steps on D - threshold
-     from the bracket's midpoint, each kept inside the bracket.
+     edge).  All these edges are narrowed in one batch, of about q
+     brackets.  While more than 170 are live (512 / 3), one kernel call
+     takes each bracket's ITP point, which interpolates D between
+     the bracket's ends and is projected so that the bracket needs at
+     most one call more than bisection.  Fewer brackets are bisected,
+     several halvings to a call: for n brackets, one call takes the
+     2^d - 1 midpoints of the next d levels of each bracket's bisection
+     tree, with n (2^d - 1) <= 512, and since the sign of D - threshold
+     at a bracket's lower end never changes, the signs at those midpoints
+     walk it down all d levels.  An edge leaves the batch once its
+     bracket is at most 1e-10 wide (from a batch that is bisected from
+     the start, bitwise the bracket of halving it on its own), and is
+     finished by at most two Newton steps on D - threshold, each kept
+     inside the bracket, from the end an ITP point placed nearer the
+     crossing, or else from the bracket's midpoint.
 
 No threshold used here swallows a gap.  D_theta = Delta - 2 (lam/2)^q
 cos(q theta) (Chambers), and D_theta' does not vanish where |D_theta| < 2,
@@ -283,64 +289,120 @@ def _bracket_done(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ~(hi - lo > _EDGE_BRACKET) | ~(np.nextafter(lo, hi) < hi)
 
 
-def _vector_bisect(f, lo, hi, targets, sign_lo) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect every [lo_i, hi_i] bracket of f - targets down to a width of at most 1e-10.
+def _itp_points(lo, hi, r_lo, r_hi, kappa1, reach) -> np.ndarray:
+    """One ITP point in each bracket [lo, hi] of a function with end values r_lo, r_hi.
 
-    Each halving keeps the half whose ends differ in sign.  ``sign_lo`` is
-    the sign of f - target at each lower end, which the caller has read:
-    the lower end moves only onto a midpoint where f - target has that
-    sign, so it decides every level.  A bracket is done at the first
-    halving that leaves it at most 1e-10 wide (:func:`_bracket_done`); one
-    that starts that narrow takes none.  Returns the final (lo, hi).
+    Interpolate, truncate, project (Oliveira and Takahashi, ACM TOMS 47,
+    2020): the regula falsi point x_f, moved towards the midpoint by
+    delta = kappa1 w^2 (w the width), then pulled into the ball of radius
+    reach - w/2 around the midpoint, which keeps the minmax bound of
+    bisection.  Where x_f is not in the bracket (no sign change, a NaN
+    end value) the point is the midpoint.
+    """
+    mid = 0.5 * (lo + hi)
+    w = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_f = lo + w * (r_lo / (r_lo - r_hi))
+    x_f = np.where((lo <= x_f) & (x_f <= hi), x_f, mid)
+    sigma = np.sign(mid - x_f)
+    delta = kappa1 * w * w
+    x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+    r = np.maximum(reach - 0.5 * w, 0.0)
+    return np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
 
-    The halvings run in blocks of d levels (:func:`_block_depth`, with the
-    halvings that the widest live bracket still needs): one call of f
-    takes, for every live bracket, the 2^d - 1 midpoints of its d-level
-    tree, the same floats that d halvings in turn would compute, and the
-    signs of those values walk each bracket down the tree, stopping at the
-    first node that is done.  A bracket done inside a block leaves the
-    batch after it.  f acts on each energy on its own, so the brackets are
-    bitwise those of halving each one on its own until it is done.
+
+def _vector_bisect(f, lo, hi, targets, r_lo, r_hi):
+    """Narrow every [lo_i, hi_i] bracket of f - targets down to a width of at most 1e-10.
+
+    ``r_lo`` and ``r_hi`` are f - target at the bracket ends, which the
+    caller has read.  Each call of f takes points inside the live
+    brackets, and each bracket keeps the part whose ends differ in sign:
+    the lower end moves only onto a point where f - target has the sign
+    it has at the lower end, so that sign decides every step.  A bracket
+    is done once it is at most 1e-10 wide (:func:`_bracket_done`); one
+    that starts that narrow takes no point.  Returns the final
+    (lo, hi, r_lo, r_hi), with f - target at each end that an ITP point
+    placed and NaN at the other ends, those given and those the tree
+    placed.
+
+    While more than _BLOCK_ENERGIES / 3 brackets are live, a call takes
+    one point a bracket, its ITP point (:func:`_itp_points`) with
+    kappa1 = 0.2 / w_0, kappa2 = 2 and n0 = 1 (w_0 the start width), and
+    eps the half-width w_0 2^-(n + 1) that the n = ceil(log2(w_0 / 1e-10))
+    halvings of bisection end at: the bracket is at most w_0 2^(1 - k)
+    wide after k calls, so done after at most n + 1, one more than
+    bisection, and after far fewer where f is smooth across it.
+
+    Fewer brackets are halved in blocks of d levels (:func:`_block_depth`,
+    with the halvings that the widest live bracket still needs): one call
+    of f takes, for every live bracket, the 2^d - 1 midpoints of its
+    d-level tree, the same floats that d halvings in turn would compute,
+    and the signs of those values walk each bracket down the tree,
+    stopping at the first node that is done.  f acts on each energy on
+    its own, so a batch the tree takes from its first call gives bitwise
+    the brackets of halving each one on its own until it is done.
     """
     out_lo, out_hi = lo.copy(), hi.copy()
+    # the last ITP point placed at each end, and f - target there
+    read_lo, read_hi, out_r_lo, out_r_hi = np.full((4, len(lo)), np.nan)
     live = np.flatnonzero(~_bracket_done(lo, hi))
-    lo, hi, targets, sign_lo = lo[live], hi[live], targets[live], sign_lo[live]
+    lo, hi, targets, r_lo, r_hi = (x[live] for x in (lo, hi, targets, r_lo, r_hi))
+    sign_lo = np.sign(r_lo)
+    # the width a bracket may have after the next ITP point, eps 2^(n + 1 - j)
+    # before the j-th, j = 0, 1, ...
+    reach = hi - lo
+    kappa1 = 0.2 / reach
     while live.size:
         n = live.size
-        left = int(np.ceil(np.log2(np.max(hi - lo) / _EDGE_BRACKET)))
-        d = _block_depth(n, left)
-        # each bracket's tree of the next d halvings in heap order: node k
-        # is the bracket [L[:, k], H[:, k]] with midpoint M[:, k] and
-        # children 2k + 1 (the lower half) and 2k + 2 (the upper half)
-        L = np.empty((n, 2 ** (d + 1) - 1))
-        H = np.empty_like(L)
-        M = np.empty((n, 2**d - 1))
-        L[:, 0], H[:, 0] = lo, hi
-        a = 0  # the first node of the level
-        for _ in range(d):
-            b = 2 * a + 1  # the first node of the next level
-            m = M[:, a:b]
-            np.multiply(0.5, L[:, a:b] + H[:, a:b], out=m)
-            L[:, b : 2 * b : 2], L[:, b + 1 : 2 * b + 1 : 2] = L[:, a:b], m
-            H[:, b : 2 * b : 2], H[:, b + 1 : 2 * b + 1 : 2] = m, H[:, a:b]
-            a = b
-        fm = f(M.ravel()).reshape(n, -1) - targets[:, None]
-        upper = (np.sign(fm) == sign_lo[:, None]).ravel()
-        # walk down with flat indices into the (n, ...) arrays, staying on
-        # a node once it is done
-        row_m = np.arange(0, M.size, M.shape[1])
-        row_n = np.arange(0, L.size, L.shape[1])
-        L, H = L.ravel(), H.ravel()
-        done = _bracket_done(L, H)
-        k = np.zeros(n, dtype=np.intp)
-        for _ in range(d):
-            k = np.where(done[row_n + k], k, 2 * k + 1 + upper[row_m + k])
-        lo, hi = L[row_n + k], H[row_n + k]
-        leaving = done[row_n + k]
+        if 3 * n > _BLOCK_ENERGIES:
+            x = _itp_points(lo, hi, r_lo, r_hi, kappa1, reach)
+            r = f(x) - targets
+            upper = np.sign(r) == sign_lo
+            lo, r_lo = np.where(upper, x, lo), np.where(upper, r, r_lo)
+            hi, r_hi = np.where(upper, hi, x), np.where(upper, r_hi, r)
+            read_lo[live[upper]], out_r_lo[live[upper]] = x[upper], r[upper]
+            read_hi[live[~upper]], out_r_hi[live[~upper]] = x[~upper], r[~upper]
+            leaving = _bracket_done(lo, hi)
+            stay = ~leaving
+            r_lo, r_hi, kappa1, reach = (v[stay] for v in (r_lo, r_hi, kappa1, 0.5 * reach))
+        else:
+            left = int(np.ceil(np.log2(np.max(hi - lo) / _EDGE_BRACKET)))
+            d = _block_depth(n, left)
+            # each bracket's tree of the next d halvings in heap order: node k
+            # is the bracket [L[:, k], H[:, k]] with midpoint M[:, k] and
+            # children 2k + 1 (the lower half) and 2k + 2 (the upper half)
+            L = np.empty((n, 2 ** (d + 1) - 1))
+            H = np.empty_like(L)
+            M = np.empty((n, 2**d - 1))
+            L[:, 0], H[:, 0] = lo, hi
+            a = 0  # the first node of the level
+            for _ in range(d):
+                b = 2 * a + 1  # the first node of the next level
+                m = M[:, a:b]
+                np.multiply(0.5, L[:, a:b] + H[:, a:b], out=m)
+                L[:, b : 2 * b : 2], L[:, b + 1 : 2 * b + 1 : 2] = L[:, a:b], m
+                H[:, b : 2 * b : 2], H[:, b + 1 : 2 * b + 1 : 2] = m, H[:, a:b]
+                a = b
+            fm = f(M.ravel()).reshape(n, -1) - targets[:, None]
+            upper = (np.sign(fm) == sign_lo[:, None]).ravel()
+            # walk down with flat indices into the (n, ...) arrays, staying on
+            # a node once it is done
+            row_m = np.arange(0, M.size, M.shape[1])
+            row_n = np.arange(0, L.size, L.shape[1])
+            L, H = L.ravel(), H.ravel()
+            done = _bracket_done(L, H)
+            k = np.zeros(n, dtype=np.intp)
+            for _ in range(d):
+                k = np.where(done[row_n + k], k, 2 * k + 1 + upper[row_m + k])
+            lo, hi = L[row_n + k], H[row_n + k]
+            leaving = done[row_n + k]
         out_lo[live[leaving]], out_hi[live[leaving]] = lo[leaving], hi[leaving]
         stay = ~leaving
-        live, lo, hi, sign_lo, targets = (x[stay] for x in (live, lo, hi, sign_lo, targets))
-    return out_lo, out_hi
+        live, lo, hi, targets, sign_lo = (x[stay] for x in (live, lo, hi, targets, sign_lo))
+    # the tree reads only signs: an end it moved has no residual
+    out_r_lo[out_lo != read_lo] = np.nan
+    out_r_hi[out_hi != read_hi] = np.nan
+    return out_lo, out_hi, out_r_lo, out_r_hi
 
 
 def _band_zeros(spec: OperatorSpec, corner: complex | float = -1.0j) -> np.ndarray:
@@ -420,6 +482,12 @@ def _interior_extrema(zeros: np.ndarray, n: int) -> np.ndarray:
     of D is needed.  The separators are as accurate as the zeros: moving
     z_j moves a critical point by at most as much.  Each root takes its own
     steps, so the first n come out bitwise the same whatever n is.
+
+    The ``zeros`` are those of Chambers' Delta, and Delta(-E) =
+    (-1)^q Delta(E): for even q the middle critical point, between
+    z_q/2 and z_q/2+1, is exactly 0 and is returned as 0.0, not solved
+    (the float zeros are symmetric only to within their rounding, which
+    would move it off 0).
     """
     if n < 1:
         return np.empty(0)
@@ -427,6 +495,10 @@ def _interior_extrema(zeros: np.ndarray, n: int) -> np.ndarray:
     E = 0.5 * (lo + hi)
     tol = 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     live = np.arange(n)  # the roots still being solved
+    middle = len(zeros) // 2 - 1
+    if len(zeros) % 2 == 0 and middle < n:
+        E[middle] = 0.0
+        live = live[live != middle]
     for _ in range(_NEWTON_ITERS):
         x = E[live]
         g, dg = _log_derivative(x, zeros)
@@ -452,21 +524,30 @@ def _interior_extrema(zeros: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _newton_finish(values_and_derivs, lo, hi, targets, sign_lo) -> np.ndarray:
-    """Roots of D - targets inside their brackets, by Newton steps from each midpoint.
+def _newton_finish(values_and_derivs, lo, hi, targets, sign_lo, r_lo, r_hi) -> np.ndarray:
+    """Roots of D - targets inside their brackets, by Newton steps from the nearer end.
 
-    ``values_and_derivs`` gives D and D' at an array of energies, and
-    ``sign_lo`` is the sign of D - target at each lower end.  At most
-    _FINISH_STEPS steps: each reads D and D' at the iterate x, moves the
-    end on x's side of the crossing onto x, and steps to x - (D - target)
-    / D' where that lies in the bracket, to the bracket's midpoint where
-    it does not (a NaN step included).  An edge stops once its step is at
-    most 2 ulp.  Every iterate stays in the bracket it started from, so
-    whatever D' reads, the edge stays within the bracket's width of the
-    crossing.
+    ``values_and_derivs`` gives D and D' at an array of energies,
+    ``sign_lo`` is the sign of D - target at each lower end, and ``r_lo``,
+    ``r_hi`` are D - target at the ends that an ITP point placed, NaN at
+    the others (:func:`_vector_bisect`).  The first iterate is the end
+    with the smaller such |D - target|, or the midpoint where neither end
+    has one.  At most _FINISH_STEPS steps: each reads D and D' at the
+    iterate x, moves the end on x's side of the crossing onto x, and
+    steps to x - (D - target) / D'.  A step that leaves the bracket is
+    clamped onto it for an edge started at an end, since ITP leaves the
+    crossing close to that end (a median 21 ulps at 233/377, in brackets
+    some 66,000 ulps wide), where the float noise of D can put the step
+    just outside; it goes to the bracket's midpoint for an edge started
+    at the midpoint, and where it is NaN.  An edge stops once its step is
+    at most 2 ulp.  Every iterate stays in the bracket it started from,
+    so whatever D' reads, the edge stays within the bracket's width of
+    the crossing.
     """
     lo, hi = lo.copy(), hi.copy()
-    x = 0.5 * (lo + hi)
+    from_end = ~(np.isnan(r_lo) & np.isnan(r_hi))
+    nearer_lo = ~(np.abs(r_lo) > np.abs(r_hi)) & ~np.isnan(r_lo)  # NaN: no residual
+    x = np.where(from_end, np.where(nearer_lo, lo, hi), 0.5 * (lo + hi))
     live = np.arange(len(x))
     for _ in range(_FINISH_STEPS):
         xl = x[live]
@@ -477,6 +558,7 @@ def _newton_finish(values_and_derivs, lo, hi, targets, sign_lo) -> np.ndarray:
         b = hi[live] = np.where(upper, hi[live], xl)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             new = xl - r / dp
+        new = np.where(from_end[live], np.minimum(np.maximum(new, a), b), new)
         outside = ~((new >= a) & (new <= b))
         new[outside] = 0.5 * (a[outside] + b[outside])
         x[live] = new
@@ -492,12 +574,13 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     The sets S, S- (lam < 2) and J_delta^c of Chambers' Delta come from
     here; the spectrum takes its edges from eigenvalues instead
     (:func:`spectrum_bands`).  ``spec`` must be ``delta_spec(alpha, lam)``,
-    whose D is Delta.  Every crossing edge is bisected in one vectorized
+    whose D is Delta.  Every crossing edge is narrowed in one vectorized
     batch to a bracket at most 1e-10 wide (:func:`_vector_bisect`), then
     finished by Newton steps inside it (:func:`_newton_finish`).  The
-    signs of D - threshold at the bracket ends are those already read at
-    the separators and the zeros: the plain and the derivative kernel
-    give bitwise the same D.
+    values of D - threshold at the bracket ends are those already read
+    at the separators and the zeros (the plain and the derivative kernel
+    give bitwise the same D), except at the even-q middle separator,
+    where Delta is known exactly (below).
 
     Piece i runs from zero i outwards to where D crosses the threshold, or
     to the separator (the critical point between two zeros, from
@@ -536,13 +619,12 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     h = (q + 1) // 2  # the pieces with a lower edge at or below 0
     zeros = _band_zeros(spec)
     # the separators below 0, piece i between separators i and i + 1
-    sep = np.concatenate(([-outer], _interior_extrema(zeros, (q - 1) // 2)))
+    sep = np.concatenate(([-outer], _interior_extrema(zeros, q // 2)))
     sep_vals = f(sep)
     zeros = zeros[:h]
     if q % 2 == 0:
         # the closed central gap, from the symmetry of Delta (docstring)
-        sep = np.append(sep, 0.0)
-        sep_vals = np.append(sep_vals, (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q))
+        sep_vals[-1] = (-1.0) ** (q // 2) * (2.0 + 2.0 * (spec.lam / 2.0) ** q)
     else:
         zeros[-1] = 0.0  # the odd middle zero (docstring)
     d_at_zeros, slope = fd(zeros)
@@ -552,12 +634,13 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     lower_target = np.where(mono > 0, -thr, thr)
     upper_target = np.where(mono > 0, thr, -thr)
 
-    # every crossing edge of the lower half is bisected in one vectorized
+    # every crossing edge of the lower half is narrowed in one vectorized
     # batch; slot 2 i + which is edge ``which`` of piece i
     batch_lo: list[float] = []
     batch_hi: list[float] = []
     batch_target: list[float] = []
-    batch_sign: list[float] = []  # the sign of D - target at the lower end
+    batch_r_lo: list[float] = []  # D - target at the lower end
+    batch_r_hi: list[float] = []  # and at the upper end
     batch_slot: list[int] = []
     found = np.empty(2 * q)
     for i in range(h):
@@ -576,22 +659,29 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
             # compare, not multiply: the product of the two offsets
             # overflows where a saturated outer value meets a large target
             if min(s_val, d_at_zeros[i]) < target < max(s_val, d_at_zeros[i]):
-                lo_i, hi_i, lo_val = (
-                    (s, zeros[i], s_val) if which == 0 else (zeros[i], s, d_at_zeros[i])
+                lo_i, hi_i, lo_val, hi_val = (
+                    (s, zeros[i], s_val, d_at_zeros[i])
+                    if which == 0
+                    else (zeros[i], s, d_at_zeros[i], s_val)
                 )
                 batch_slot.append(2 * i + which)
                 batch_lo.append(lo_i)
                 batch_hi.append(hi_i)
                 batch_target.append(target)
-                batch_sign.append(1.0 if lo_val > target else -1.0)
+                batch_r_lo.append(lo_val - target)
+                batch_r_hi.append(hi_val - target)
             else:
                 # D does not cross the threshold before the separator
                 found[2 * i + which] = s
 
     if batch_slot:
-        targets, sign_lo = np.asarray(batch_target), np.asarray(batch_sign)
-        lo, hi = _vector_bisect(f, np.asarray(batch_lo), np.asarray(batch_hi), targets, sign_lo)
-        found[batch_slot] = _newton_finish(fd, lo, hi, targets, sign_lo)
+        targets, r_lo = np.asarray(batch_target), np.asarray(batch_r_lo)
+        lo, hi, r_lo_end, r_hi_end = _vector_bisect(
+            f, np.asarray(batch_lo), np.asarray(batch_hi), targets, r_lo, np.asarray(batch_r_hi)
+        )
+        found[batch_slot] = _newton_finish(
+            fd, lo, hi, targets, np.sign(r_lo), r_lo_end, r_hi_end
+        )
 
     found[q:] = 0.0 - found[q - 1 :: -1]
     found = found.reshape(q, 2)
