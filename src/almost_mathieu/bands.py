@@ -14,9 +14,11 @@ The union and intersection over the phase theta, for lam > 0, are
 sublevel sets of Chambers' Delta at thresholds 2 +- 2(lam/2)^q, and
 J_delta^c one at threshold delta.  Delta(-E) = (-1)^q Delta(E), so each
 set is symmetric under E -> -E: only its q edges at or below 0 are
-solved, and the other q are their reflections.  The same fact puts the
-middle exactly at 0: for even q the middle separator, for odd q the
-middle zero.  Each set is one call at its own threshold
+kept, and the other q are their reflections.  By Chambers, D_theta =
+Delta - 2 (lam/2)^q cos(q theta), so every edge of S- (lam < 2) and of
+J_delta^c (delta <= 4) is a periodic or antiperiodic eigenvalue at a
+shifted theta, paired as the spectrum's are (:func:`_chambers_bands`).
+The union S is still solved by bisection, one call at its own threshold
 (:func:`_sublevel_bands`), in three steps, the last two on E <= 0:
 
   1. anchor the q simple real zeros of Delta, the roots at kappa = pi/2
@@ -44,14 +46,18 @@ middle zero.  Each set is one call at its own threshold
      inside the bracket, from the end an ITP point placed nearer the
      crossing, or else from the bracket's midpoint.
 
-No threshold used here swallows a gap.  D_theta = Delta - 2 (lam/2)^q
-cos(q theta) (Chambers), and D_theta' does not vanish where |D_theta| < 2,
-so every critical point E* of Delta has |Delta(E*)| >= 2 + 2 (lam/2)^q,
-the threshold of S, above that of S-.  At lam = 2 the bound is 4, so
-J_delta^c = {|Delta| <= delta} keeps its q bands for delta <= 4; above 4,
-bands that end on the same separator are merged into one component.
+No threshold used here swallows a gap.  D_theta' does not vanish where
+|D_theta| < 2, so every critical point E* of Delta has |Delta(E*)| >=
+2 + 2 (lam/2)^q, the threshold of S, above that of S-.  At lam = 2 the
+bound is 4, so J_delta^c = {|Delta| <= delta} keeps its q bands for
+delta <= 4; above 4, its edges are the real eigenvalues of a
+non-symmetric Floquet matrix, and bands merge into fewer components
+(:func:`_merged_sublevel`).
 
-Evaluation uses the scaled vectorized transfer recurrence from
+Delta' at the zeros, and Delta/Delta' anywhere, are read off the zeros
+z_j of the monic Delta: Delta'(z_i) = prod_{j != i} (z_i - z_j) and
+Delta'/Delta (E) = sum_j 1/(E - z_j).  The bisection of S evaluates
+Delta with the scaled vectorized transfer recurrence from
 :mod:`almost_mathieu.core`, so nothing overflows at large q.
 """
 
@@ -76,7 +82,7 @@ _EDGE_BRACKET = 1e-10  # width of a bracket that leaves the bisection, the edge 
 _FINISH_STEPS = 2  # Newton steps that finish an edge inside its bracket
 _BLOCK_ENERGIES = 512  # midpoints one bisection call of f may take
 _NEWTON_ITERS = 100  # steps a separator may take before RootFindingError
-_SUM_BLOCK = 4096  # entries of 1/(E - z_j) one block of a separator sum holds
+_SUM_BLOCK = 4096  # entries one block of a sum over the zeros of D holds
 
 __all__ = [
     "SpectralSet",
@@ -427,22 +433,19 @@ def _band_zeros(spec: OperatorSpec, corner: complex | float = -1.0j) -> np.ndarr
     V = spec.period_potential
     if q == 1:
         return V + 2.0 * corner.real
-    order = np.empty(q, dtype=np.intp)  # order[position] = site (0-based)
-    order[0::2] = np.arange((q + 1) // 2)
-    order[1::2] = np.arange(q - 1, (q - 1) // 2, -1)
-    pos = np.argsort(order)
-    # entries H[site i, site j]: the real hoppings 1 between neighbours, and
-    # the corner at (site 1, site q), which sits on positions (0, 1) above
-    # the diagonal, so no entry needs conjugating
-    dtype = np.result_type(float, corner)
-    i = np.append(np.arange(q - 1), 0)
-    j = np.append(np.arange(1, q), q - 1)
-    h = np.append(np.ones(q - 1, dtype=dtype), corner)
-    r, c = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
-    # upper band form: entry (r, c), r <= c, of the reordered matrix at ab[2 + r - c, c]
-    ab = np.zeros((3, q), dtype=dtype)
-    ab[2] = V[order]
-    np.add.at(ab, (2 + r - c, c), h)  # q = 2: the corner adds onto the hopping
+    # upper band form: entry (r, c), r <= c, of the reordered matrix at
+    # ab[2 + r - c, c]; sites 1, 2, ... sit at the even positions and sites
+    # q, q-1, ... at the odd ones
+    ab = np.zeros((3, q), dtype=np.result_type(float, corner))
+    ab[2, 0::2] = V[: (q + 1) // 2]
+    ab[2, 1::2] = V[: (q - 1) // 2 : -1]
+    # the hoppings 1 between neighbours on either side of the fold, two
+    # positions apart; the corner at (site 1, site q), positions (0, 1)
+    # above the diagonal, so no entry needs conjugating; and the hopping
+    # across the fold, on the last two positions (q = 2: onto the corner)
+    ab[0, 2:] = 1.0
+    ab[1, 1] += corner
+    ab[1, q - 1] += 1.0
     return scipy.linalg.eigvals_banded(ab)
 
 
@@ -483,6 +486,11 @@ def _interior_extrema(zeros: np.ndarray, n: int) -> np.ndarray:
     z_j moves a critical point by at most as much.  Each root takes its own
     steps, so the first n come out bitwise the same whatever n is.
 
+    A gap with no float strictly inside (two float zeros equal or one ulp
+    apart, as at 3/133 and 3/142, where bands are far narrower than an
+    ulp) is not solved: its separator is the midpoint, which rounds onto
+    one of its zeros.
+
     The ``zeros`` are those of Chambers' Delta, and Delta(-E) =
     (-1)^q Delta(E): for even q the middle critical point, between
     z_q/2 and z_q/2+1, is exactly 0 and is returned as 0.0, not solved
@@ -494,7 +502,11 @@ def _interior_extrema(zeros: np.ndarray, n: int) -> np.ndarray:
     lo, hi = zeros[:n].copy(), zeros[1 : n + 1].copy()
     E = 0.5 * (lo + hi)
     tol = 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-    live = np.arange(n)  # the roots still being solved
+    # the roots still being solved; where the two float zeros are equal or
+    # one ulp apart, no float lies strictly inside the gap and the midpoint
+    # rounds onto a zero, where g divides by zero: that separator is
+    # already resolved to an ulp, and is returned as the midpoint
+    live = np.flatnonzero((lo < E) & (E < hi))
     middle = len(zeros) // 2 - 1
     if len(zeros) % 2 == 0 and middle < n:
         E[middle] = 0.0
@@ -571,9 +583,13 @@ def _newton_finish(values_and_derivs, lo, hi, targets, sign_lo, r_lo, r_hi) -> n
 def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     """The q pieces of {|D| <= thr} around the zeros of D.
 
-    The sets S, S- (lam < 2) and J_delta^c of Chambers' Delta come from
-    here; the spectrum takes its edges from eigenvalues instead
-    (:func:`spectrum_bands`).  ``spec`` must be ``delta_spec(alpha, lam)``,
+    Only the union S of Chambers' Delta comes from here; the spectrum, S-
+    and J_delta^c take their edges from eigenvalues
+    (:func:`_floquet_bands`).  This function and the bisection engine it
+    drives stay for S alone until S can take eigen edges too: its faster
+    solve makes the benchmark run more rounds, and the benchmark harness
+    keeps every round's output, so its peak memory would grow with the
+    speed-up.  ``spec`` must be ``delta_spec(alpha, lam)``,
     whose D is Delta.  Every crossing edge is narrowed in one vectorized
     batch to a bracket at most 1e-10 wide (:func:`_vector_bisect`), then
     finished by Newton steps inside it (:func:`_newton_finish`).  The
@@ -601,11 +617,9 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
     below its threshold is a touching edge read with evaluation noise.  By
     Chambers, D_theta = Delta - 2 (lam/2)^q cos(q theta) has the same
     critical points E* for every theta, and D_theta' vanishes only where
-    |D_theta| >= 2, so |Delta(E*)| >= 2 + 2 (lam/2)^q: the thresholds of S
-    (equal to it), S- (2 - 2 (lam/2)^q) and J_delta^c for delta <= 4 lie at
-    or below it.  For delta > 4, neighbouring pieces can end on the same
-    separator float, and :func:`jdelta_sets` merges them.  A piece
-    narrower than double-precision resolution collapses onto its zero.
+    |D_theta| >= 2, so |Delta(E*)| >= 2 + 2 (lam/2)^q, the threshold of S.
+    A piece narrower than double-precision resolution collapses onto its
+    zero.
     """
     q = spec.period
     thr = float(thr)
@@ -691,6 +705,106 @@ def _sublevel_bands(spec: OperatorSpec, thr: float) -> SpectralSet:
 
 
 # ---------------------------------------------------------------------------
+# edges from eigenvalues, and Delta' from the zeros
+
+
+def _floquet_bands(periodic: OperatorSpec, antiperiodic: OperatorSpec) -> np.ndarray:
+    """(q, 2) bands from the periodic eigenvalues of one operator and the antiperiodic ones of another.
+
+    The q roots of D = 2 of ``periodic`` (corner +1) and the q roots of
+    D = -2 of ``antiperiodic`` (corner -1), both of period q, sorted
+    together and paired in order.  Given one operator twice, these are its
+    q spectral bands; given Chambers' shifted phases, the bands of a
+    sublevel set of Delta (:func:`_chambers_bands`).
+    """
+    edges = np.sort(
+        np.concatenate((_band_zeros(periodic, 1.0), _band_zeros(antiperiodic, -1.0)))
+    )
+    return edges.reshape(periodic.period, 2)
+
+
+def _reflected(lower: np.ndarray) -> SpectralSet:
+    """The set symmetric under E -> -E whose edges at or below 0 are ``lower``, ascending.
+
+    The other edges are the reflections 0.0 - edge, in reverse order.
+    Each edge of ``lower`` lies at or below 0 in exact arithmetic, so one
+    that reads at or above 0 (a middle edge at 0, read with rounding) is
+    taken as +0.0, and the set is symmetric bit for bit.
+    """
+    lower = np.where(lower >= 0.0, 0.0, lower)
+    return SpectralSet(np.concatenate((lower, 0.0 - lower[::-1])).reshape(-1, 2))
+
+
+def _chambers_bands(
+    alpha: ReducedRational, lam: float, theta_plus: float, theta_minus: float
+) -> SpectralSet:
+    """The q bands of {|Delta| <= thr}, thr <= 2 + 2 (lam/2)^q, from eigenvalues.
+
+    D_theta = Delta - 2 (lam/2)^q cos(q theta) (Chambers), so Delta = thr
+    where D_theta = 2 at a ``theta_plus`` with 2 (lam/2)^q cos(q theta_plus)
+    = thr - 2, and Delta = -thr where D_theta = -2 at a ``theta_minus``
+    with 2 (lam/2)^q cos(q theta_minus) = 2 - thr: the periodic eigenvalues
+    at theta_plus and the antiperiodic ones at theta_minus, paired into q
+    bands (:func:`_floquet_bands`), touching ones as double eigenvalues.
+    Only the q lowest edges are kept, the rest are their reflections
+    (:func:`_reflected`).
+    """
+    edges = _floquet_bands(
+        OperatorSpec.almost_mathieu(alpha, lam, theta_plus),
+        OperatorSpec.almost_mathieu(alpha, lam, theta_minus),
+    )
+    return _reflected(edges.ravel()[: alpha.q])
+
+
+def _merged_sublevel(alpha: ReducedRational, thr: float) -> SpectralSet:
+    """{|Delta| <= thr} at lam = 2 for thr > 4, where bands merge into fewer components.
+
+    Delta = +-thr has fewer than q real roots here, so no phase shift
+    reaches them.  At theta = pi/(2q) (:func:`delta_spec`) D is Delta, and
+    the Floquet matrix with the real corner w at (site 1, site q) and 1/w
+    at (site q, site 1) has det(E - H) = D(E) - (w + 1/w).  With w + 1/w =
+    thr and = -thr, its real eigenvalues are the real roots of Delta = thr
+    and of Delta = -thr: the edges of the set, which sorted pair into its
+    components.  The matrix is real and not symmetric, so it is solved
+    dense, in O(q^2) memory; a real eigenvalue comes with an imaginary
+    part of exactly 0.  Of the commands, only `measure-decay` with
+    `--delta` above 4 reaches this, at the base q.  The edges below 0 are
+    kept and reflected
+    (:func:`_reflected`): |Delta(0)| <= 4 < thr, so the middle component
+    holds 0.
+    """
+    q = alpha.q
+    H = np.diag(delta_spec(alpha, 2.0).period_potential) + np.eye(q, k=1) + np.eye(q, k=-1)
+    w = 0.5 * (thr + math.sqrt(thr * thr - 4.0))
+    roots = []
+    for corner in (w, -w):
+        Hc = H.copy()
+        Hc[0, q - 1] += corner  # q = 1 and 2: onto the diagonal and the hopping
+        Hc[q - 1, 0] += 1.0 / corner
+        ev = scipy.linalg.eigvals(Hc)
+        roots.append(ev.real[ev.imag == 0.0])
+    edges = np.sort(np.concatenate(roots))
+    return _reflected(edges[edges < 0.0])
+
+
+def _log_abs_derivative_at_zeros(zeros: np.ndarray) -> np.ndarray:
+    """ln |D'(z_i)| = sum_{j != i} ln |z_i - z_j| at each of the simple ``zeros`` of a monic D.
+
+    The sums run over blocks of rows of the (q, q) array of |z_i - z_j|,
+    at most _SUM_BLOCK entries each, so no such array is ever held whole.
+    """
+    q = len(zeros)
+    out = np.empty(q)
+    rows = max(1, _SUM_BLOCK // q)
+    for s in range(0, q, rows):
+        d = np.abs(zeros[s : s + rows, None] - zeros)
+        k = np.arange(len(d))
+        d[k, s + k] = 1.0  # the term j = i
+        out[s : s + rows] = np.log(d).sum(axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -699,13 +813,12 @@ def spectrum_bands(spec: OperatorSpec) -> SpectralSet:
 
     Every band runs between a root of D = 2 and one of D = -2, the q
     periodic and q antiperiodic Floquet eigenvalues, so the 2q of them
-    sorted pair up into the q bands; touching bands share a double
-    eigenvalue.  Band i of q is oriented by :func:`band_parity`: D runs
-    up across it where (-1)^(q - i) = 1 and down where it is -1.
+    sorted pair up into the q bands (:func:`_floquet_bands`); touching
+    bands share a double eigenvalue.  Band i of q is oriented by
+    :func:`band_parity`: D runs up across it where (-1)^(q - i) = 1 and
+    down where it is -1.
     """
-    q = spec.period
-    edges = np.sort(np.concatenate((_band_zeros(spec, 1.0), _band_zeros(spec, -1.0))))
-    return SpectralSet(edges.reshape(q, 2))
+    return SpectralSet(_floquet_bands(spec, spec))
 
 
 def band_parity(q: int) -> np.ndarray:
@@ -718,7 +831,7 @@ def band_parity(q: int) -> np.ndarray:
 
 
 def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
-    """Union over theta of the spectra: {|Delta| <= 2 + 2 (lam/2)^q}."""
+    """Union over theta of the spectra: {|Delta| <= 2 + 2 (lam/2)^q}, by bisection."""
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     thr = 2.0 + 2.0 * (lam / 2.0) ** alpha.q
@@ -731,27 +844,26 @@ def spectral_union_S(alpha: ReducedRational, lam: float) -> SpectralSet:
 def sminus_points(alpha: ReducedRational, lam: float = 2.0):
     """Intersection over theta of the spectra, for a coupling lam > 0.
 
-    At lam = 2 this degenerates to the q zeros of Delta, found directly by
-    zero-finding rather than as a sublevel set at threshold zero; for
-    0 < lam < 2 the set is {|Delta| <= 2 - 2 (lam/2)^q} and a SpectralSet
-    is returned; for lam > 2 it is empty.  The zeros come as a read-only
-    float64 array, ascending.
+    At lam = 2 this degenerates to the q zeros of Delta, the roots of the
+    Floquet eigenproblem at kappa = pi/2, and comes as a read-only float64
+    array, ascending; for 0 < lam < 2 the set is {|Delta| <= 2 - 2
+    (lam/2)^q}, whose edges are the periodic eigenvalues at theta = pi/q
+    and the antiperiodic ones at theta = 0 (:func:`_chambers_bands`), and
+    a SpectralSet is returned; for lam > 2 it is empty.
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
-    spec = delta_spec(alpha, lam)
     if lam > 2.0:
         return SpectralSet(())
     if lam < 2.0:
-        thr = 2.0 - 2.0 * (lam / 2.0) ** alpha.q
-        return _sublevel_bands(spec, thr)
+        return _chambers_bands(alpha, lam, math.pi / alpha.q, 0.0)
 
     # The Hermitian eigensolve places every zero within a few ulp (backward
     # stable, perfectly conditioned); a derivative polish would only chase
     # the noise-shifted crossing of the double-precision Delta, so the
     # eigenvalues are returned as-is.  Placement is certified against
     # 40-digit arithmetic in the test suite.
-    zeros = _band_zeros(spec)
+    zeros = _band_zeros(delta_spec(alpha, lam))
     zeros.flags.writeable = False
     return zeros
 
@@ -759,11 +871,12 @@ def sminus_points(alpha: ReducedRational, lam: float = 2.0):
 def last_wilkinson_sum(alpha: ReducedRational) -> float:
     """sum_n 1 / |Delta'(E_n)| over the q zeros of Delta at lam = 2.
 
-    Equals 1/q identically for every reduced p/q.
+    Equals 1/q identically for every reduced p/q.  Delta is monic with
+    the zeros z_i, so each term is exp(-sum_{j != i} ln |z_i - z_j|)
+    (:func:`_log_abs_derivative_at_zeros`), read off the zeros alone.
     """
     zeros = sminus_points(alpha, 2.0)
-    _, dp = _d_and_deriv_values(delta_spec(alpha, 2.0), zeros)
-    return float(np.sum(1.0 / np.abs(dp)))
+    return float(np.sum(np.exp(-_log_abs_derivative_at_zeros(zeros))))
 
 
 def jdelta_sets(alpha: ReducedRational, delta_: float) -> JDeltaResult:
@@ -771,16 +884,23 @@ def jdelta_sets(alpha: ReducedRational, delta_: float) -> JDeltaResult:
 
     J^c = {|Delta| <= delta}: q closed intervals around the zeros of Delta
     for delta <= 4, where every extremum of Delta reads at least 4 in
-    absolute value; above 4, intervals that meet are merged.  The
-    2 e delta / q measure bound is reported, never raised.
+    absolute value; their edges are the periodic eigenvalues at theta =
+    acos((delta - 2)/2)/q and the antiperiodic ones at acos((2 - delta)/2)/q
+    (:func:`_chambers_bands`).  Above 4, intervals merge into fewer
+    components (:func:`_merged_sublevel`).  The 2 e delta / q measure
+    bound is reported, never raised.
     """
     if delta_ <= 0.0:
         raise ValueError("delta must be positive")
-    comp = _sublevel_bands(delta_spec(alpha, 2.0), delta_)
-    if delta_ > 4.0:  # pieces that end on the same separator are one component
-        comp = SpectralSet.from_intervals(comp.edges)
+    q = alpha.q
+    if delta_ <= 4.0:
+        theta_plus = math.acos((delta_ - 2.0) / 2.0) / q
+        theta_minus = math.acos((2.0 - delta_) / 2.0) / q
+        comp = _chambers_bands(alpha, 2.0, theta_plus, theta_minus)
+    else:
+        comp = _merged_sublevel(alpha, delta_)
     meas = comp.measure
-    bound = 2.0 * math.e * delta_ / alpha.q
+    bound = 2.0 * math.e * delta_ / q
     return JDeltaResult(delta_, comp, meas, bound, meas <= bound * (1 + 1e-12))
 
 
@@ -794,8 +914,10 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
 
     The inequality is guaranteed at interior-band edges and at the inward
     side of the two extremal bands; outward extremal edges are evaluated and
-    reported but not mandated.  A delta so large that J_delta^c does not
-    come back as q bands (one around each zero) raises ValueError.
+    reported but not mandated.  |Delta / Delta'| (E) is 1 / |sum_j 1/(E -
+    z_j)| over the zeros z_j of Delta (:func:`_log_derivative`).  A delta
+    so large that J_delta^c does not come back as q bands (one around each
+    zero) raises ValueError.
     """
     res = jdelta_sets(alpha, delta_)
     zeros = sminus_points(alpha, 2.0)
@@ -806,12 +928,12 @@ def band_edge_bound_check(alpha: ReducedRational, delta_: float) -> BandEdgeRepo
             f"J_delta^c of {alpha} at delta {delta_} has {n_bands} bands, expected {q}"
         )
     E = res.complement.edges.ravel()
-    val, dval = _d_and_deriv_values(delta_spec(alpha, 2.0), E)
+    ratio = 1.0 / np.abs(_log_derivative(E, zeros)[0])
     edges = []
     for j, zero in enumerate(zeros.tolist()):
         for s, side in enumerate(("lower", "upper")):
             n = 2 * j + s
-            margin = math.e * abs(val[n]) / abs(dval[n]) - abs(E[n] - zero)
+            margin = math.e * ratio[n] - abs(E[n] - zero)
             outward = (j == 0 and side == "lower") or (j == q - 1 and side == "upper")
             edges.append(
                 EdgeMargin(j + 1, side, float(E[n]), float(margin), not outward)

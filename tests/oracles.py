@@ -7,10 +7,13 @@ products, finite differences,
 eigenvalue-based band edges, and numpy matrix products over potentials
 written out from their defining formulas.  Some are plain-loop forms of
 library routines instead, kept as bitwise references: ``five_array_grid``,
-``fixed_bisect``, ``mat2_step_monodromy``, ``reference_drift_chain``, and
-the interval-set loops
+``fixed_bisect``, ``scattered_band_form``, ``mat2_step_monodromy``,
+``reference_drift_chain``, and the interval-set loops
 ``loop_contains``, ``loop_distance``, ``loop_intersection_measure``,
-``loop_from_intervals`` and ``loop_box_counts``.
+``loop_from_intervals`` and ``loop_box_counts``.  ``sminus_edges`` and
+``jdelta_edges`` take the library's own route to S- and J_delta^c
+(Chambers' shifted periodic and antiperiodic eigenvalues), dense where it
+is banded, so the tests hold those sets against 40-digit mpmath as well.
 """
 
 from __future__ import annotations
@@ -129,6 +132,30 @@ def jdelta_edges(p: int, q: int, delta: float) -> np.ndarray:
     plus = math.acos((delta - 2.0) / 2.0) / q
     minus = math.acos((2.0 - delta) / 2.0) / q
     return _chambers_edges(p, q, 2.0, plus, minus)
+
+
+def scattered_band_form(spec: OperatorSpec, corner) -> np.ndarray:
+    """The (3, q) upper band form of the zigzag Floquet matrix, entry by entry.
+
+    Every hopping (site i, site i+1) and the corner at (site 1, site q) is
+    mapped through the zigzag permutation (sites 1, q, 2, q-1, ...) and
+    scattered into ab[2 + r - c, c] with ``np.add.at``, the construction
+    that the library's sliced one must reproduce bit for bit.
+    """
+    q = spec.period
+    order = np.empty(q, dtype=np.intp)  # order[position] = site (0-based)
+    order[0::2] = np.arange((q + 1) // 2)
+    order[1::2] = np.arange(q - 1, (q - 1) // 2, -1)
+    pos = np.argsort(order)
+    dtype = np.result_type(float, corner)
+    i = np.append(np.arange(q - 1), 0)
+    j = np.append(np.arange(1, q), q - 1)
+    h = np.append(np.ones(q - 1, dtype=dtype), corner)
+    r, c = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+    ab = np.zeros((3, q), dtype=dtype)
+    ab[2] = potential_array(spec, 1, q)[order]
+    np.add.at(ab, (2 + r - c, c), h)
+    return ab
 
 
 def dense_floquet_zeros(spec: OperatorSpec) -> np.ndarray:
@@ -375,6 +402,34 @@ def mp_edge_offset(spec: OperatorSpec, E: float, target: float, dps: int = 40) -
         val = d_of(x0) - mpmath.mpf(target)
         deriv = (d_of(x0 + h) - d_of(x0 - h)) / (2 * h)
         return float(abs(val) / abs(deriv))
+
+
+def mp_chambers_root(p: int, q: int, lam: float, E: float, target: float, dps: int = 40):
+    """The root of Delta = target next to E, by Newton steps at ``dps`` digits.
+
+    Delta is Tr Phi_q at Chambers' theta = pi / (2q) with the potentials
+    straight from mpmath.cos, its derivative carried with the product;
+    returns an mpf.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)
+        theta = mpmath.pi / (2 * q)
+        V = [mpmath.mpf(lam) * mpmath.cos(2 * mpmath.pi * p * j / q + theta) for j in range(1, q + 1)]
+        x = mpmath.mpf(E)
+        for _ in range(50):
+            a, b, c, d = one, zero, zero, one
+            a1 = b1 = c1 = d1 = zero
+            for v in V:
+                e = x - v
+                a1, b1, c1, d1 = a + e * a1 - c1, b + e * b1 - d1, a1, b1
+                a, b, c, d = e * a - c, e * b - d, a, b
+            step = (a + d - target) / (a1 + d1)
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** (5 - dps):
+                break
+        return +x
 
 
 def mp_critical_offset(spec: OperatorSpec, E: float, dps: int = 50) -> float:

@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,9 +39,11 @@ from oracles import (
     exact_discriminant,
     fixed_bisect,
     jdelta_edges,
+    mp_chambers_root,
     mp_critical_offset,
     mp_discriminant,
     mp_edge_offset,
+    scattered_band_form,
     sminus_edges,
     union_s_edges,
 )
@@ -207,7 +210,8 @@ class TestSpectrumBands:
             assert abs(float(lhs - rhs)) <= 1e-12 * (1.0 + abs(float(lhs)))
 
 
-# the sets of Delta that the sublevel solve builds, by name
+# the symmetric sublevel sets of Delta, by name: S from the bisection, S-
+# and J_delta^c from eigenvalues
 SUBLEVEL_SETS = {
     "S-lam2": lambda r: spectral_union_S(r, 2.0),
     "S-lam3": lambda r: spectral_union_S(r, 3.0),
@@ -241,7 +245,7 @@ def assert_within_readme_bound(s: SpectralSet, ref: np.ndarray, cell) -> None:
 
 
 class TestReflection:
-    """The sublevel sets are solved on E <= 0 and reflected."""
+    """The sublevel sets are kept on E <= 0 and reflected."""
 
     @pytest.mark.parametrize("name", SUBLEVEL_SETS)
     def test_exactly_symmetric(self, name, rng):
@@ -715,16 +719,20 @@ class TestNewtonFinish:
         assert np.abs(s.edges - union_s_edges(p, q, 2.0)).max() <= bound
 
 
-# the cells of every reduced p/q with q <= 30 that have an edge off the
-# README's promise, by set, as this code reads them: 1, 0, 2, 0 and 0 (at
-# q <= 60: 445, 17, 107, 19 and 0); the bisection to the last bit with one
-# clipped derivative step read 3, 0, 2, 0 and 0 (506, 21, 117, 23 and 0)
+# the cells of every reduced p/q with q up to a bound that have an edge
+# off the README's promise, by set, as this code reads them: for the
+# bisected S at q <= 30, 1, 0 and 2 (at q <= 60: 445, 17 and 107; the
+# bisection to the last bit with one clipped derivative step read 3, 0
+# and 2, and 506, 21 and 117); for the eigenvalue edges of S- and
+# J_delta^c at q <= 60, none (bisected, S- at lam 1.3 broke it in 19
+# cells, J_0.5 in none and J_4 in 17)
 PROMISE_BREAKING_CELLS = {
-    "S-lam1": (lambda r: spectral_union_S(r, 1.0), lambda p, q: union_s_edges(p, q, 1.0), 1),
-    "S-lam2": (SUBLEVEL_SETS["S-lam2"], lambda p, q: union_s_edges(p, q, 2.0), 0),
-    "S-lam3": (SUBLEVEL_SETS["S-lam3"], lambda p, q: union_s_edges(p, q, 3.0), 2),
-    "Sminus-lam1.3": (*ORACLE_SETS["Sminus-lam1.3"], 0),
-    "J-0.5": (*ORACLE_SETS["J-0.5"], 0),
+    "S-lam1": (lambda r: spectral_union_S(r, 1.0), lambda p, q: union_s_edges(p, q, 1.0), 30, 1),
+    "S-lam2": (SUBLEVEL_SETS["S-lam2"], lambda p, q: union_s_edges(p, q, 2.0), 30, 0),
+    "S-lam3": (SUBLEVEL_SETS["S-lam3"], lambda p, q: union_s_edges(p, q, 3.0), 30, 2),
+    "Sminus-lam1.3": (*ORACLE_SETS["Sminus-lam1.3"], 60, 0),
+    "J-0.5": (*ORACLE_SETS["J-0.5"], 60, 0),
+    "J-4": (*ORACLE_SETS["J-4"], 60, 0),
 }
 
 
@@ -732,9 +740,9 @@ PROMISE_BREAKING_CELLS = {
 def test_promise_breaking_cells_do_not_grow(name):
     # a cell breaks the promise where an edge is off the dense eigenvalue
     # oracle by more than 1e-10, or 1e-8 on a band narrower than 1e-8
-    get, oracle, allowed = PROMISE_BREAKING_CELLS[name]
+    get, oracle, qmax, allowed = PROMISE_BREAKING_CELLS[name]
     broken = []
-    for q in range(1, 31):
+    for q in range(1, qmax + 1):
         for p in range(q):
             if math.gcd(p, q) == 1:
                 ref = oracle(p, q)
@@ -807,6 +815,28 @@ class TestSeparators:
         # the sublevel sets solve only the separators below 0
         half = (q - 1) // 2
         assert np.array_equal(bands_module._interior_extrema(zeros, half), seps[:half])
+
+    # cells whose float zeros of Delta have a gap with no float strictly
+    # inside, where `amo dimension` once printed "divide by zero"
+    @pytest.mark.parametrize("p,q,lam", [(3, 133, 2.0), (3, 133, 3.0), (3, 142, 1.0),
+                                         (3, 142, 2.0), (3, 142, 3.0)])
+    def test_gap_without_a_float_inside(self, p, q, lam):
+        # two float zeros equal or one ulp apart: the midpoint rounds onto a
+        # zero, where g divides by zero; the separator is the midpoint
+        zeros = bands_module._band_zeros(delta_spec(reduce_fraction(p, q), lam))
+        mid = 0.5 * (zeros[:-1] + zeros[1:])
+        stuck = np.flatnonzero(~((zeros[:-1] < mid) & (mid < zeros[1:])))
+        assert stuck.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            seps = bands_module._interior_extrema(zeros, q - 1)
+            s = spectral_union_S(reduce_fraction(p, q), lam)
+        assert np.array_equal(seps[stuck], mid[stuck])
+        assert np.all((zeros[:-1] <= seps) & (seps <= zeros[1:]))
+        # the set's worst edges (2.4e-9 to 5.4e-9) are the bisection's, as
+        # they were when these separators read a division by zero
+        assert len(s) == q
+        np.testing.assert_allclose(s.edges, union_s_edges(p, q, lam), rtol=0, atol=1e-8)
 
     def test_unconverged_separator_raises(self, monkeypatch):
         monkeypatch.setattr(bands_module, "_NEWTON_ITERS", 2)
@@ -897,6 +927,20 @@ class TestBandZeros:
                         rtol=0,
                         atol=1e-12,
                     )
+
+    def test_sliced_band_form_is_bitwise_the_scattered_one(self):
+        # every reduced p/q with q < 60 at the corners -i, +1 and -1: the band
+        # matrix built by slicing has bitwise the eigenvalues of the one
+        # scattered entry by entry through the zigzag permutation
+        for q in range(2, 60):
+            for p in range(1, q):
+                if math.gcd(p, q) != 1:
+                    continue
+                spec = am(p, q, 2.0, 0.3)
+                for corner in (-1.0j, 1.0, -1.0):
+                    want = scipy.linalg.eigvals_banded(scattered_band_form(spec, corner))
+                    got = bands_module._band_zeros(spec, corner)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p, q, corner)
 
     def test_explicit_potential_matches_dense(self):
         spec = OperatorSpec.explicit([0.7, -1.3, 0.0, 2.5, -0.2, 1.1, -2.0])
@@ -1002,6 +1046,14 @@ class TestLastWilkinson:
             0.2, rel=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "p,q,tol", [(233, 377, 1e-11), (987, 1597, 1e-10)], ids=["233-377", "987-1597"]
+    )
+    def test_identity_at_fibonacci_ratios(self, p, q, tol):
+        # q sum 1/|Delta'(z_i)| - 1 from the zeros reads 1.1e-12 and -1.7e-11
+        # (from the kernel's Delta': -1.0e-12 and -1.8e-10)
+        assert abs(q * last_wilkinson_sum(reduce_fraction(p, q)) - 1.0) <= tol
+
     def test_identity_up_to_q15(self):
         for q in range(1, 16):
             for p in range(q):
@@ -1063,16 +1115,19 @@ class TestJDelta:
                         target = math.copysign(d, plain_discriminant(spec, E).real)
                         assert mp_edge_offset(spec, E, target) <= 1e-10, (alpha, d, E)
 
-    def test_delta_four_is_union_S(self):
-        # 2 + 2 (lam/2)^q = 4 at lam = 2: J_4^c and S(p/q, 2) are one set
+    def test_delta_four_matches_union_S(self):
+        # 2 + 2 (lam/2)^q = 4 at lam = 2: J_4^c and S(p/q, 2) are one set,
+        # J_4^c from eigenvalues and S from the bisection, which keeps the
+        # README's promise at these q
         for q in range(1, 16):
             for p in range(q):
                 if math.gcd(p, q) != 1 and not (p == 0 and q == 1):
                     continue
                 alpha = reduce_fraction(p, q)
                 union = spectral_union_S(alpha, 2.0)
-                assert jdelta_sweep(alpha, [0.1, 4.0])[1].complement == union, alpha
-                assert jdelta_sets(alpha, 4.0).complement == union, alpha
+                j4 = jdelta_sets(alpha, 4.0).complement
+                assert jdelta_sweep(alpha, [0.1, 4.0])[1].complement == j4, alpha
+                assert_within_readme_bound(j4, union.edges, alpha)
 
     def test_delta_six_merges_third(self):
         # at delta = 6 the three bands of 1/3 merge into one, |Delta| <= 6
@@ -1091,7 +1146,96 @@ class TestJDelta:
             spectral_union_S(HALF, -1.0)
 
 
+def separated(edges: np.ndarray, gap: float) -> np.ndarray:
+    """(q, 2) mask of the edges whose band is at least ``gap`` from its neighbour on that side."""
+    gaps = np.concatenate(([math.inf], edges[1:, 0] - edges[:-1, 1], [math.inf]))
+    return np.column_stack((gaps[:-1] >= gap, gaps[1:] >= gap))
+
+
+def mp_offsets(s: SpectralSet, spec: OperatorSpec, thr: float, bands) -> np.ndarray:
+    """(len(bands), 2) 40-digit offsets of the edges of ``bands`` from |Delta| = thr.
+
+    Delta runs up across band i where band_parity says 1, so it reads -thr
+    at the lower edge and thr at the upper one there, and the other way
+    round elsewhere.
+    """
+    sign = band_parity(len(s))
+    return np.array(
+        [[mp_edge_offset(spec, float(s.edges[i, k]), (2 * k - 1) * sign[i] * thr) for k in (0, 1)]
+         for i in bands]
+    )
+
+
+class TestEigenEdges:
+    """S- and J_delta^c from eigenvalues, against 40-digit Delta.
+
+    The offsets are first-order, |Delta - thr| / |Delta'|, so they hold
+    only away from the double roots of touching bands.  Bisected, these
+    edges read 8.1e-9 (60/89, J_4, band 2), 3.4e-14 (233/377, J_0.5) and
+    2.9e-12 (233/377, S- at lam 1.3) off.
+    """
+
+    def test_j4_edges_at_60_89(self):
+        # bands 1 and 2 nearly touch: Delta = 4 at both ends of a gap of
+        # 8.3e-15, where the first-order offset does not hold; the two
+        # edges against their 40-digit roots, with the potential taken at
+        # 40 digits too (rounded to floats, it moves these roots by 4e-13)
+        s = jdelta_sets(reduce_fraction(60, 89), 4.0).complement
+        for E, want in ((s.edges[0, 1], "-2.7143309035000098"), (s.edges[1, 0], "-2.7143309035000015")):
+            root = mp_chambers_root(60, 89, 2.0, float(E), 4.0)
+            assert abs(root - mpmath.mpf(want)) <= 1e-16
+            assert abs(E - root) <= 1e-13
+        spec = delta_spec(reduce_fraction(60, 89), 2.0)
+        off = mp_offsets(s, spec, 4.0, range(89))
+        assert off[separated(s.edges, 1e-8)].max() <= 1e-13
+
+    @pytest.mark.parametrize("p,q,step", [(2, 21, 1), (233, 377, 4)], ids=["2-21", "233-377"])
+    def test_j_half(self, p, q, step):
+        s = jdelta_sets(reduce_fraction(p, q), 0.5).complement
+        spec = delta_spec(reduce_fraction(p, q), 2.0)
+        bands = sorted(set(range(0, q, step)) | {q - 1})
+        assert mp_offsets(s, spec, 0.5, bands).max() <= 1e-13
+
+    def test_sminus_at_233_377(self):
+        lam = 1.3
+        s = sminus_points(reduce_fraction(233, 377), lam)
+        spec = delta_spec(reduce_fraction(233, 377), lam)
+        thr = 2.0 - 2.0 * (lam / 2.0) ** 377
+        assert mp_offsets(s, spec, thr, sorted(set(range(0, 377, 4)) | {376})).max() <= 1e-13
+
+    def test_no_grid_call_and_no_bisection(self, monkeypatch):
+        steps = count_grid_work(monkeypatch)
+
+        def bisection(spec, thr):
+            raise AssertionError("bisected")
+
+        monkeypatch.setattr(bands_module, "_sublevel_bands", bisection)
+        alpha = reduce_fraction(13, 21)
+        jdelta_sets(alpha, 0.5)
+        jdelta_sets(alpha, 6.0)
+        sminus_points(alpha, 1.3)
+        last_wilkinson_sum(alpha)
+        band_edge_bound_check(alpha, 0.5)
+        assert steps == []
+
+
 class TestBandEdgeBound:
+    @pytest.mark.parametrize("p,q", [(233, 377), (987, 1597)], ids=["233-377", "987-1597"])
+    def test_margins_against_40_digits(self, p, q):
+        # |Delta / Delta'| from the zeros, e |Delta| / |Delta'| - |E - z| at
+        # 40 digits: the smallest margin is 7.5e-7 at 233/377 and 2.5e-8 at
+        # 987/1597, where the kernel's Delta and Delta' put it 1.2e-11 off
+        rep = band_edge_bound_check(reduce_fraction(p, q), 0.5)
+        assert rep.all_ok
+        zeros = sminus_points(reduce_fraction(p, q), 2.0)
+        spec = delta_spec(reduce_fraction(p, q), 2.0)
+        margins = np.array([e.margin for e in rep.edges])
+        picks = sorted(set(range(0, 2 * q, 2 * q // 40)) | set(np.argsort(margins)[:5].tolist()))
+        for n in picks:
+            e = rep.edges[n]
+            want = math.e * mp_edge_offset(spec, e.energy, 0.0) - abs(e.energy - zeros[e.band_index - 1])
+            assert abs(e.margin - want) <= 1e-12, (n, e, want)
+
     def test_half_worked_example(self):
         rep = band_edge_bound_check(HALF, 0.5)
         assert rep.all_ok
